@@ -33,12 +33,10 @@ from .measures import (
 )
 from .partitions import (
     Partition,
-    PartitionFamily,
     apply_coarsening,
     bell_number,
     coarsening_related,
     count_k_fineness,
-    enumerate_k_fineness,
     iter_k_fineness,
     partition_from_text,
     partition_to_text,

@@ -42,18 +42,17 @@ from .factorize import finest_factorization
 from .measures import MarginalCache, MeasureSpec, evaluate_measure
 from .partitions import Partition
 from .qstate import (
-    PURITY_TOL,
     AmplitudesFactor,
     GhzFactor,
     MaxEntFactor,
     PureState,
     StateSpec,
     WFactor,
-    _split_matrix,
     build_state,
     canonical_phase,
     haar_state,
     permute_parties,
+    pure_restriction,
     regroup,
     spec_from_dict,
     spec_to_dict,
@@ -224,16 +223,6 @@ class InstanceOutcome:
     values: tuple[tuple[str, float], ...] = ()
 
 
-def _pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
-    """The kept parties' state, or None when their marginal is mixed."""
-    keep = sorted(keep)
-    m = _split_matrix(state, keep)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
-        return None
-    return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]))
-
-
 def _label_indices(layout: SystemLayout, labels: Sequence[str]) -> list[int]:
     return [layout.index_of(lab) for lab in labels]
 
@@ -269,7 +258,7 @@ def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceO
         psi = build_state(inst.states[0])
         drop = set(_label_indices(psi.layout, inst.discard))
         keep = [i for i in range(psi.num_parties) if i not in drop]
-        rest = _pure_restriction(psi, keep)
+        rest = pure_restriction(psi, keep)
         if rest is None:
             return InstanceOutcome(None, skipped=True,
                                    skip_reason="remaining marginal is mixed")
@@ -292,7 +281,7 @@ def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceO
         lhs_state = regroup(psi, Partition.of(base))
         keep_labels = [lab for lab in psi.layout.labels if lab not in drop]
         keep = _label_indices(psi.layout, keep_labels)
-        rest = _pure_restriction(psi, keep)
+        rest = pure_restriction(psi, keep)
         if rest is None:
             return InstanceOutcome(None, skipped=True,
                                    skip_reason="remaining marginal is mixed")
@@ -311,8 +300,8 @@ def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceO
         psi = build_state(inst.states[0])
         cache = MarginalCache(psi)
         prime = evaluate_measure(MeasureSpec("Eprime_k", k, h=variant.h), psi, cache=cache).value
-        fact = evaluate_measure(MeasureSpec("E_k", k, h=variant.h), psi).value
-        bipart = evaluate_measure(MeasureSpec("calE_k", k, h=variant.h), psi).value
+        fact = evaluate_measure(MeasureSpec("E_k", k, h=variant.h), psi, cache=cache).value
+        bipart = evaluate_measure(MeasureSpec("calE_k", k, h=variant.h), psi, cache=cache).value
         return InstanceOutcome(
             max(prime - fact, fact - bipart),
             values=(("min_family", prime), ("factor_sum", fact), ("bipartite_sum", bipart)),

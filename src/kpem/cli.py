@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .audit import DEFAULT_VARIANTS, AuditConfig, run_suite
 from .factorize import FactorDecomposition, finest_factorization
 from .measures import (
+    MEASURE_TABLE,
     MarginalCache,
     MeasureResult,
     MeasureSpec,
@@ -291,9 +292,6 @@ def _cmd_audit(args) -> int:
 # --- paper-examples ----------------------------------------------------------
 
 
-_KIND_SHORT = {"E_k": "E", "calE_k": "calE", "Eprime_k": "Eprime"}
-
-
 def _reference_rows() -> list[tuple[str, StateSpec, str, ReducedFunctionSpec, int, float]]:
     s2 = math.sqrt(2.0)
     l3 = math.log2(3.0)
@@ -353,7 +351,7 @@ def _cmd_paper_examples(args) -> int:
         state = states[name]
         mspec = MeasureSpec(kind, k, h=h)
         result = evaluate_measure(mspec, state, cache=caches[name])
-        label = f"{_KIND_SHORT[kind]}[{format_redfun(h)}]"
+        label = f"{MEASURE_TABLE[kind].token}[{format_redfun(h)}]"
         ok = abs(result.value - expected) <= 1e-9
         matches += ok
         status = "MATCH" if ok else "DIFFER"

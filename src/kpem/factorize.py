@@ -1,12 +1,14 @@
 """Finest tensor factorization of a pure state across its parties.
 
-The decomposition repeatedly extracts the smallest party subset whose
-marginal is pure (search by subset size, then lexicographic on the
-original party indices), splits it off by SVD, and continues on the
-remainder.  Minimality makes every multi-party factor genuinely
-entangled: a pure proper sub-marginal would have been found at a smaller
-size first.  The producibility of the state is the size of its largest
-factor.
+The decomposition repeatedly takes the smallest party subset of the
+not yet assigned parties whose marginal is pure (search by subset size,
+then lexicographic on the original party indices); purities are always
+taken on the input state and memoized per subset, so no remainder state
+is ever formed.  Each factor state is then read off the input by
+qstate.pure_restriction; a state with no split is its own single factor.
+Minimality makes every multi-party factor genuinely entangled: a pure
+proper sub-marginal would have been found at a smaller size first.  The
+producibility of the state is the size of its largest factor.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .qstate import (
     NumericalContractError,
     PureState,
     PURITY_TOL,
-    SystemLayout,
-    canonical_phase,
     marginal_purity,
+    pure_restriction,
 )
 
 SINGLE = "single"
@@ -59,22 +60,7 @@ class FactorDecomposition:
         return Partition.of([f.parties for f in self.factors])
 
 
-def _extract(state: PureState, local: tuple[int, ...]) -> tuple[PureState, PureState]:
-    """Split a (nearly) product state into factor and remainder by SVD."""
-    n = state.num_parties
-    rest = [i for i in range(n) if i not in set(local)]
-    dims = state.layout.dims
-    dk = int(np.prod([dims[i] for i in local]))
-    m = state.tensor().transpose(list(local) + rest).reshape(dk, -1)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    fac = canonical_phase(u[:, 0])
-    rem = canonical_phase(vh[0, :])
-    fac_state = PureState(state.layout.sub_layout(local), fac)
-    rem_state = PureState(state.layout.sub_layout(rest), rem / np.linalg.norm(rem))
-    return fac_state, rem_state
-
-
-def finest_factorization(state: PureState, tol: float = PURITY_TOL) -> FactorDecomposition:
+def finest_factorization(state: PureState) -> FactorDecomposition:
     """Decompose into the finest tuple of pure tensor factors.
 
     Factors are reported in ascending order of their first party.  The
@@ -82,33 +68,40 @@ def finest_factorization(state: PureState, tol: float = PURITY_TOL) -> FactorDec
     at least 1 - 1e-8, otherwise the tolerance story has broken down and
     a NumericalContractError is raised.
     """
-    n = state.num_parties
-    factors: list[tuple[tuple[int, ...], PureState]] = []
-    remaining = list(range(n))  # global indices carried by `work`
-    work = state
+    pure: dict[tuple[int, ...], bool] = {}
+
+    def is_pure(subset: tuple[int, ...]) -> bool:
+        got = pure.get(subset)
+        if got is None:
+            got = pure[subset] = marginal_purity(state, subset) >= 1.0 - PURITY_TOL
+        return got
+
+    blocks: list[tuple[int, ...]] = []
+    remaining = tuple(range(state.num_parties))
     while remaining:
-        nr = len(remaining)
-        found: tuple[int, ...] | None = None
         # a proper pure subset pairs with a pure complement, so scanning up
         # to half the parties cannot miss one
-        for size in range(1, nr // 2 + 1):
-            for local in combinations(range(nr), size):
-                if marginal_purity(work, local) >= 1.0 - tol:
-                    found = local
-                    break
-            if found is not None:
-                break
-        if found is None:
-            factors.append((tuple(remaining), work))
-            break
-        fac_state, rem_state = _extract(work, found)
-        factors.append((tuple(remaining[i] for i in found), fac_state))
-        remaining = [p for i, p in enumerate(remaining) if i not in set(found)]
-        work = rem_state
+        found = next(
+            (sub for size in range(1, len(remaining) // 2 + 1)
+             for sub in combinations(remaining, size) if is_pure(sub)),
+            remaining,
+        )
+        blocks.append(found)
+        remaining = tuple(p for p in remaining if p not in found)
 
-    factors.sort(key=lambda item: item[0][0])
+    if len(blocks) == 1:
+        factors = [(blocks[0], state)]
+    else:
+        factors = []
+        for parties in sorted(blocks):
+            fs = pure_restriction(state, parties)
+            if fs is None:
+                raise NumericalContractError(
+                    f"factor marginal on parties {parties} is not pure"
+                )
+            factors.append((parties, fs))
     fid = _reconstruction_fidelity(state, factors)
-    if fid < 1.0 - FIDELITY_TOL:
+    if not fid >= 1.0 - FIDELITY_TOL:
         raise NumericalContractError(
             f"factor reconstruction fidelity {fid} below {1.0 - FIDELITY_TOL}"
         )

@@ -13,15 +13,22 @@ Three families:
   with a vanishing sum annihilates the whole product, and there is no
   witness partition.
 
-All per-block evaluations go through a per-state cache of marginal
-spectra, keyed by party subset, so partition sweeps cost dictionary
-lookups instead of repeated partial traces.
+Every family goes through one per-state engine, MarginalCache: marginal
+spectra and h values keyed by party subset, and the memoized finest
+factorization.  Partition sweeps cost dictionary lookups instead of
+repeated partial traces, and a factor's quantities are read off the
+marginals of the whole state, so one cache serves every measure and every
+k evaluated on the same state.
+
+MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
+token, its family and the reduced function it fixes, if any.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -31,16 +38,42 @@ from .partitions import Partition, count_k_fineness, iter_k_fineness
 from .qstate import DensityMatrix, PureState, marginal_spectrum
 from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum
 
-MEASURE_KINDS = (
-    "C_k", "Cq_k", "Calpha_k", "CGq_k", "CGalpha_k", "E_k", "calE_k", "Eprime_k",
-)
-FACTOR_KINDS = ("E_k", "calE_k")
-MIN_KINDS = ("Eprime_k", "C_k", "Cq_k", "Calpha_k")
-GEOMETRIC_KINDS = ("CGq_k", "CGalpha_k")
+FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
+
+
+@dataclass(frozen=True)
+class MeasureKind:
+    """One row of the measure-kind table.
+
+    fixed_h is the reduced-function kind the measure builds in, or None
+    when the caller supplies h (the CLI's --h).
+    """
+
+    token: str
+    family: str
+    fixed_h: Optional[str]
+
+
+MEASURE_TABLE = {
+    "C_k": MeasureKind("C", MIN, "concurrence"),
+    "Cq_k": MeasureKind("Cq", MIN, "q_family"),
+    "Calpha_k": MeasureKind("Calpha", MIN, "alpha_family"),
+    "CGq_k": MeasureKind("CGq", GEOMETRIC, "q_family"),
+    "CGalpha_k": MeasureKind("CGalpha", GEOMETRIC, "alpha_family"),
+    "E_k": MeasureKind("E", FACTOR, None),
+    "calE_k": MeasureKind("calE", FACTOR, None),
+    "Eprime_k": MeasureKind("Eprime", MIN, None),
+}
+MEASURE_KINDS = tuple(MEASURE_TABLE)
+_KIND_BY_TOKEN = {row.token: kind for kind, row in MEASURE_TABLE.items()}
 UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
 PARTITION_COUNT_CAP = 1_000_000   # min-family sweep guard
 GEOMETRIC_PARTY_CAP = 9           # product over Gamma grows like Bell(n)
+
+
+def _takes_parameter(row: MeasureKind) -> bool:
+    return row.fixed_h not in (None, CONCURRENCE.kind)
 
 
 @dataclass(frozen=True)
@@ -53,38 +86,34 @@ class MeasureSpec:
     parameter: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MEASURE_KINDS:
+        row = MEASURE_TABLE.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.kind in ("E_k", "calE_k", "Eprime_k"):
+        if row.fixed_h is None:
             if self.h is None:
                 raise ValueError(f"{self.kind} needs a reduced function")
             if self.parameter is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
-        elif self.kind == "C_k":
-            if self.h is not None or self.parameter is not None:
-                raise ValueError("C_k is parameter-free (concurrence built in)")
-        else:
-            if self.h is not None:
-                raise ValueError(f"{self.kind} fixes its reduced function")
-            if self.kind in ("Cq_k", "CGq_k"):
-                if self.parameter is None or not self.parameter > 1.0:
-                    raise ValueError(f"{self.kind} needs q > 1")
-            else:
-                if self.parameter is None or not 0.0 < self.parameter < 1.0:
-                    raise ValueError(f"{self.kind} needs 0 < alpha < 1")
+            return
+        if self.h is not None:
+            raise ValueError(f"{self.kind} fixes its reduced function")
+        if not _takes_parameter(row) and self.parameter is not None:
+            raise ValueError(f"{self.kind} is parameter-free ({row.fixed_h} built in)")
+        self.reduced_function()  # ReducedFunctionSpec checks q > 1, 0 < alpha < 1
+
+    @property
+    def family(self) -> str:
+        return MEASURE_TABLE[self.kind].family
 
     def reduced_function(self) -> ReducedFunctionSpec:
         """The function actually applied to each block spectrum."""
-        if self.kind == "C_k":
-            return CONCURRENCE
-        if self.kind in ("Cq_k", "CGq_k"):
-            return ReducedFunctionSpec("q_family", self.parameter)
-        if self.kind in ("Calpha_k", "CGalpha_k"):
-            return ReducedFunctionSpec("alpha_family", self.parameter)
-        assert self.h is not None
-        return self.h
+        fixed = MEASURE_TABLE[self.kind].fixed_h
+        if fixed is None:
+            assert self.h is not None
+            return self.h
+        return ReducedFunctionSpec(fixed, self.parameter)
 
 
 @dataclass(frozen=True)
@@ -95,12 +124,14 @@ class MeasureResult:
 
 
 class MarginalCache:
-    """Marginal spectra of one pure state, keyed by party subset."""
+    """Per-state engine: marginal spectra and h values keyed by party
+    subset, plus the state's finest factorization."""
 
     def __init__(self, state: PureState):
         self.state = state
         self._spectra: dict[tuple[int, ...], np.ndarray] = {}
         self._values: dict[tuple, float] = {}
+        self._factorization: Optional[FactorDecomposition] = None
 
     def spectrum(self, subset: Sequence[int]) -> np.ndarray:
         key = tuple(sorted(subset))
@@ -118,6 +149,12 @@ class MarginalCache:
             self._values[key] = got
         return got
 
+    def factorization(self) -> FactorDecomposition:
+        """finest_factorization of the state, computed on first use."""
+        if self._factorization is None:
+            self._factorization = finest_factorization(self.state)
+        return self._factorization
+
 
 def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:
     if cache is None:
@@ -130,21 +167,36 @@ def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCach
 # --- underlying whole-state quantities ----------------------------------------
 
 
-def _bipartition_representatives(n: int) -> list[tuple[int, ...]]:
-    """One party subset per bipartition: the smaller side; for even n the
-    equal halves are represented by the side without the last party; for
-    n = 2 both singles count, which makes the two-party value equal the
+def _bipartition_representatives(parties: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """One party subset per bipartition: the smaller side; for an even count
+    the equal halves are represented by the side without the last party; for
+    two parties both singles count, which makes the two-party value equal the
     plain bipartite entanglement h(rho_A)."""
-    from itertools import combinations
-
+    n = len(parties)
     if n == 2:
-        return [(0,), (1,)]
+        return [(parties[0],), (parties[1],)]
     reps: list[tuple[int, ...]] = []
     for s in range(1, (n - 1) // 2 + 1):
-        reps.extend(combinations(range(n), s))
+        reps.extend(combinations(parties, s))
     if n % 2 == 0:
-        reps.extend(combinations(range(n - 1), n // 2))
+        reps.extend(combinations(parties[:-1], n // 2))
     return reps
+
+
+def _unified_over(
+    kind: str, h: ReducedFunctionSpec, cache: MarginalCache, parties: tuple[int, ...]
+) -> float:
+    """unified_mem of the pure sub-state on `parties` (a whole factor, or
+    every party), read from the marginals of the cached state."""
+    if kind == "additive":
+        return 0.5 * sum(cache.h_value(h, (p,)) for p in parties)
+    if kind == "bipartite_sum":
+        return 0.5 * sum(cache.h_value(h, rep) for rep in _bipartition_representatives(parties))
+    return min(
+        cache.h_value(h, sub)
+        for s in range(1, len(parties))
+        for sub in combinations(parties, s)
+    )
 
 
 def unified_mem(
@@ -164,38 +216,27 @@ def unified_mem(
     n = state.num_parties
     if n < 2:
         raise ValueError("unified quantities need at least two parties")
-    cache = _cache_for(state, cache)
-    if kind == "additive":
-        return 0.5 * sum(cache.h_value(h, (i,)) for i in range(n))
-    if kind == "bipartite_sum":
-        return 0.5 * sum(cache.h_value(h, rep) for rep in _bipartition_representatives(n))
-    from itertools import combinations
-
-    best = math.inf
-    for s in range(1, n):
-        for sub in combinations(range(n), s):
-            val = cache.h_value(h, sub)
-            if val < best:
-                best = val
-    return best
+    return _unified_over(kind, h, _cache_for(state, cache), tuple(range(n)))
 
 
 # --- factor family -------------------------------------------------------------
 
 
 def measure_factor_family(
-    kind: str, k: int, h: ReducedFunctionSpec, state: PureState
+    spec: MeasureSpec, state: PureState, cache: Optional[MarginalCache] = None
 ) -> MeasureResult:
-    if kind not in FACTOR_KINDS:
-        raise ValueError(f"not a factor-family kind: {kind!r}")
-    spec = MeasureSpec(kind, k, h=h)
+    """Sum the unified quantity of every factor with at least k parties;
+    a factor's marginals are marginals of the whole state, so they come
+    from the same cache as the factorization."""
     _check_k(spec.k, state.num_parties)
-    dec = finest_factorization(state)
-    unified = "additive" if kind == "E_k" else "bipartite_sum"
+    cache = _cache_for(state, cache)
+    dec = cache.factorization()
+    unified = "additive" if spec.kind == "E_k" else "bipartite_sum"
+    h = spec.reduced_function()
     contributions = tuple(
-        (f.parties, unified_mem(unified, h, f.state))
+        (f.parties, _unified_over(unified, h, cache, f.parties))
         for f in dec.factors
-        if f.size >= k
+        if f.size >= spec.k
     )
     return MeasureResult(
         value=float(sum(v for _, v in contributions)),
@@ -217,11 +258,8 @@ def _min_family_score(kind: str, terms: Sequence[float], m: int) -> float:
 
 
 def measure_min_family(
-    kind: str,
-    k: int,
+    spec: MeasureSpec,
     state: PureState,
-    h: Optional[ReducedFunctionSpec] = None,
-    parameter: Optional[float] = None,
     cache: Optional[MarginalCache] = None,
     collect_ties: bool = False,
     unsafe_large: bool = False,
@@ -229,9 +267,7 @@ def measure_min_family(
     """Minimize the per-partition score over all partitions with blocks of
     at most k-1 parties.  First minimizer in enumeration order wins;
     co-minimal partitions (within 1e-12) are collected on request."""
-    if kind not in MIN_KINDS:
-        raise ValueError(f"not a min-family kind: {kind!r}")
-    spec = MeasureSpec(kind, k, h=h, parameter=parameter)
+    kind, k = spec.kind, spec.k
     n = state.num_parties
     _check_k(k, n)
     if not unsafe_large and count_k_fineness(n, k - 1) > PARTITION_COUNT_CAP:
@@ -271,10 +307,8 @@ def measure_min_family(
 
 
 def measure_geometric_family(
-    kind: str,
-    k: int,
+    spec: MeasureSpec,
     state: PureState,
-    parameter: Optional[float] = None,
     cache: Optional[MarginalCache] = None,
     unsafe_large: bool = False,
 ) -> MeasureResult:
@@ -284,11 +318,8 @@ def measure_geometric_family(
             ) ^ (1 / (2 * family size)),
     computed in log space; any zero partition sum gives exactly 0.
     """
-    if kind not in GEOMETRIC_KINDS:
-        raise ValueError(f"not a geometric-family kind: {kind!r}")
-    spec = MeasureSpec(kind, k, parameter=parameter)
     n = state.num_parties
-    _check_k(k, n)
+    _check_k(spec.k, n)
     if not unsafe_large and n > GEOMETRIC_PARTY_CAP:
         raise ValueError(
             f"geometric family capped at {GEOMETRIC_PARTY_CAP} parties; "
@@ -301,7 +332,7 @@ def measure_geometric_family(
     log_num = 0.0
     log_den = 0.0
     hit_zero = False
-    for part in iter_k_fineness(range(n), k - 1):
+    for part in iter_k_fineness(range(n), spec.k - 1):
         total = sum(cache.h_value(hfun, block) for block in part.blocks)
         rows.append((part.num_blocks, total))
         if total <= 0.0:
@@ -331,26 +362,18 @@ def evaluate_measure(
     cache: Optional[MarginalCache] = None,
     unsafe_large: bool = False,
 ) -> MeasureResult:
-    if spec.kind in FACTOR_KINDS:
-        assert spec.h is not None
-        return measure_factor_family(spec.kind, spec.k, spec.h, state)
-    if spec.kind in MIN_KINDS:
-        return measure_min_family(
-            spec.kind, spec.k, state,
-            h=spec.h, parameter=spec.parameter,
-            cache=cache, unsafe_large=unsafe_large,
-        )
-    return measure_geometric_family(
-        spec.kind, spec.k, state,
-        parameter=spec.parameter, cache=cache, unsafe_large=unsafe_large,
-    )
+    if spec.family == FACTOR:
+        return measure_factor_family(spec, state, cache)
+    if spec.family == MIN:
+        return measure_min_family(spec, state, cache, unsafe_large=unsafe_large)
+    return measure_geometric_family(spec, state, cache, unsafe_large=unsafe_large)
 
 
 def value_from_breakdown(spec: MeasureSpec, result: MeasureResult) -> float:
     """Recompute the value from witness + breakdown; tests hold this to 1e-10."""
-    if spec.kind in FACTOR_KINDS:
+    if spec.family == FACTOR:
         return float(sum(v for _, v in result.breakdown["factors"]))
-    if spec.kind in MIN_KINDS:
+    if spec.family == MIN:
         terms = [v for _, v in result.breakdown["terms"]]
         return _min_family_score(spec.kind, terms, result.breakdown["num_blocks"])
     rows = result.breakdown["partitions"]
@@ -362,29 +385,23 @@ def value_from_breakdown(spec: MeasureSpec, result: MeasureResult) -> float:
 
 def parse_measure(text: str, k: int, h: Optional[ReducedFunctionSpec] = None) -> MeasureSpec:
     """CLI grammar: C | Cq:<q> | Calpha:<a> | CGq:<q> | CGalpha:<a> | E | calE | Eprime."""
-    plain = {"C": "C_k", "E": "E_k", "calE": "calE_k", "Eprime": "Eprime_k"}
-    if text in plain:
-        kind = plain[text]
-        if kind == "C_k":
-            if h is not None:
-                raise ValueError("measure C fixes its reduced function; drop --h")
-            return MeasureSpec(kind, k)
+    token, colon, arg = text.partition(":")
+    kind = _KIND_BY_TOKEN.get(token)
+    if kind is None or bool(colon) != _takes_parameter(MEASURE_TABLE[kind]):
+        raise ValueError(f"cannot parse measure {text!r}")
+    if MEASURE_TABLE[kind].fixed_h is None:
         if h is None:
             raise ValueError(f"--measure {text} needs --h")
         return MeasureSpec(kind, k, h=h)
-    for prefix, kind in (
-        ("Cq:", "Cq_k"), ("Calpha:", "Calpha_k"),
-        ("CGq:", "CGq_k"), ("CGalpha:", "CGalpha_k"),
-    ):
-        if text.startswith(prefix):
-            if h is not None:
-                raise ValueError(f"measure {text} fixes its reduced function; drop --h")
-            try:
-                parameter = float(text[len(prefix):])
-            except ValueError:
-                raise ValueError(f"cannot parse measure {text!r}") from None
-            return MeasureSpec(kind, k, parameter=parameter)
-    raise ValueError(f"cannot parse measure {text!r}")
+    if h is not None:
+        raise ValueError(f"measure {text} fixes its reduced function; drop --h")
+    if not colon:
+        return MeasureSpec(kind, k)
+    try:
+        parameter = float(arg)
+    except ValueError:
+        raise ValueError(f"cannot parse measure {text!r}") from None
+    return MeasureSpec(kind, k, parameter=parameter)
 
 
 # --- mixed-state upper bound -------------------------------------------------------

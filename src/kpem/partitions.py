@@ -10,7 +10,7 @@ partition the enumerator produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -118,35 +118,6 @@ def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
             sizes[b] -= 1
 
     yield from walk(0, 0)
-
-
-@dataclass(frozen=True)
-class PartitionFamily:
-    """Materialized Gamma_k of one party set, in enumeration order."""
-
-    k: int
-    members: tuple[Partition, ...]
-    cardinality: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        if self.cardinality == -1:
-            object.__setattr__(self, "cardinality", len(self.members))
-        if self.cardinality != len(self.members):
-            raise ValueError("cardinality disagrees with member count")
-        if any(p.fineness > self.k for p in self.members):
-            raise ValueError(f"member exceeds fineness bound {self.k}")
-        if len({p.blocks for p in self.members}) != len(self.members):
-            raise ValueError("duplicate member")
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return self.cardinality
-
-
-def enumerate_k_fineness(parties: Sequence[int], k: int) -> PartitionFamily:
-    return PartitionFamily(k=k, members=tuple(iter_k_fineness(parties, k)))
 
 
 @lru_cache(maxsize=None)

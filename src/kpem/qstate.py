@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,6 +127,8 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amp.size} != total dimension {self.layout.total_dim}"
             )
+        if not np.all(np.isfinite(amp)):
+            raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalContractError(f"state norm {norm} deviates from 1")
@@ -332,18 +334,30 @@ def factor_from_dict(obj: dict, where: str = "factor") -> StateFactor:
         raise ValueError(f"{where}: 'labels' must be a list of strings")
     labels = tuple(labels)
     if kind == "ghz":
-        return GhzFactor(labels, int(obj.get("dim", 2)))
+        return GhzFactor(labels, _json_int(obj.get("dim", 2), "dim", where))
     if kind == "w":
         return WFactor(labels)
     if kind == "maxent":
-        return MaxEntFactor(labels, int(obj.get("dim", 2)))
+        return MaxEntFactor(labels, _json_int(obj.get("dim", 2), "dim", where))
     for key in ("dims", "re", "im"):
         if key not in obj or not isinstance(obj[key], list):
             raise ValueError(f"{where}: amplitudes factor needs list field {key!r}")
     if len(obj["re"]) != len(obj["im"]):
         raise ValueError(f"{where}: 're' and 'im' differ in length")
+    for key in ("re", "im"):
+        for x in obj[key]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                raise ValueError(f"{where}: {key!r} entries must be finite numbers, got {x!r}")
     amps = tuple(complex(r, i) for r, i in zip(obj["re"], obj["im"]))
-    return AmplitudesFactor(labels, tuple(int(d) for d in obj["dims"]), amps)
+    dims = tuple(_json_int(d, "dims", where) for d in obj["dims"])
+    return AmplitudesFactor(labels, dims, amps)
+
+
+def _json_int(value, key: str, where: str) -> int:
+    """A JSON integer; floats and booleans are rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {key!r} takes JSON integers, got {value!r}")
+    return value
 
 
 def spec_to_dict(spec: StateSpec) -> dict:
@@ -438,6 +452,19 @@ def _split_matrix(state: PureState, keep: Sequence[int]) -> np.ndarray:
     dims = state.layout.dims
     dk = math.prod(dims[i] for i in keep)
     return state.tensor().transpose(keep + rest).reshape(dk, -1)
+
+
+def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
+    """The kept parties' own pure state, or None when their marginal is mixed.
+
+    The factor vector is the leading left singular vector of the split
+    matrix, phase-fixed by canonical_phase.
+    """
+    keep = sorted(keep)
+    u, s, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
+    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
+        return None
+    return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]))
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:

@@ -106,6 +106,23 @@ def test_state_file_diagnostics(tmp_path, capsys):
         == cli.USAGE_ERROR
 
 
+@pytest.mark.parametrize("factor,needle", [
+    ('{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2, 2], '
+     '"re": [NaN, 0, 0, 0], "im": [0, 0, 0, 0]}', "finite"),
+    ('{"kind": "amplitudes", "labels": ["A"], "dims": [2], '
+     '"re": [1, 0], "im": [0, Infinity]}', "finite"),
+    ('{"kind": "ghz", "labels": ["A", "B"], "dim": 2.9}', "JSON integers"),
+    ('{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2.5, 2], '
+     '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}', "JSON integers"),
+])
+def test_malformed_numbers_are_input_errors(factor, needle, capsys):
+    inline = '{"factors": [' + factor + ']}'
+    assert cli.main(["factorize", "--state", inline]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+
+
 def test_numerical_contract_exit_code(psi_file, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericalContractError("spectrum sums to 0.5")

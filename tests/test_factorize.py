@@ -4,20 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kpem import factorize
 from kpem.factorize import GENUINE, SINGLE, classify, finest_factorization
+from kpem.measures import MarginalCache, MeasureSpec, evaluate_measure, unified_mem
 from kpem.partitions import Partition
 from kpem.qstate import (
     AmplitudesFactor,
     GhzFactor,
     MaxEntFactor,
+    NumericalContractError,
     StateSpec,
     SystemLayout,
     WFactor,
     build_state,
+    haar_state,
     permute_parties,
+    pure_restriction,
     random_pure,
 )
+from kpem.redfun import CONCURRENCE, ENTROPY
 
 
 def test_product_state_decomposition():
@@ -108,3 +116,78 @@ def test_qudit_product():
     dec = finest_factorization(psi)
     assert [f.parties for f in dec.factors] == [(0, 1), (2, 3)]
     assert dec.producibility == 2
+
+
+def test_nan_fidelity_fails_the_contract(monkeypatch):
+    psi = build_state(StateSpec((MaxEntFactor(("A", "B")),)))
+    monkeypatch.setattr(factorize, "_reconstruction_fidelity", lambda *a: math.nan)
+    with pytest.raises(NumericalContractError, match="fidelity nan"):
+        finest_factorization(psi)
+
+
+def test_pure_restriction():
+    ghz = build_state(StateSpec((GhzFactor(("A", "B", "C")),)))
+    assert pure_restriction(ghz, (0,)) is None
+    assert pure_restriction(ghz, (1, 2)) is None
+
+    single = (0.6 + 0j, 0.8j)
+    psi = permute_parties(build_state(StateSpec((
+        MaxEntFactor(("A", "C")),
+        AmplitudesFactor(("B",), (2,), single),
+    ))), (0, 2, 1))
+    b = pure_restriction(psi, (1,))
+    assert b.layout.labels == ("B",)
+    assert abs(np.vdot(b.amplitudes, np.array(single))) == pytest.approx(1.0, abs=1e-12)
+    ac = pure_restriction(psi, (2, 0))
+    bell = build_state(StateSpec((MaxEntFactor(("A", "C")),)))
+    assert ac.layout.labels == ("A", "C")
+    assert abs(np.vdot(ac.amplitudes, bell.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def planted_products(draw):
+    """A tensor product of Haar blocks (local dims 2-3) under a random party
+    permutation, with the blocks it was built from in output indices."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors, at = [], 0
+    for size in sizes:
+        labels = tuple(chr(ord("A") + at + i) for i in range(size))
+        layout = SystemLayout.of(labels, dims[at:at + size])
+        amps = haar_state(layout, rng).amplitudes
+        factors.append(AmplitudesFactor(labels, layout.dims, tuple(amps)))
+        at += size
+    psi = permute_parties(build_state(StateSpec(tuple(factors))), perm)
+    position = {p: i for i, p in enumerate(perm)}
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(tuple(sorted(position[p] for p in range(at, at + size))))
+        at += size
+    return psi, sorted(blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_products())
+def test_planted_blocks_and_shared_engine(planted):
+    psi, blocks = planted
+    dec = finest_factorization(psi)
+    assert [f.parties for f in dec.factors] == blocks
+    assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    cache = MarginalCache(psi)
+    for k in range(2, psi.num_parties + 1):
+        for kind, unified in (("E_k", "additive"), ("calE_k", "bipartite_sum")):
+            for h in (ENTROPY, CONCURRENCE):
+                spec = MeasureSpec(kind, k, h=h)
+                shared = evaluate_measure(spec, psi, cache=cache).value
+                fresh = evaluate_measure(spec, psi).value
+                # the factor-state route: each factor evaluated on its own
+                per_factor = sum(
+                    unified_mem(unified, h, f.state) for f in dec.factors if f.size >= k
+                )
+                tol = 1e-12 * max(1.0, abs(fresh))
+                assert shared == pytest.approx(fresh, abs=tol)
+                assert fresh == pytest.approx(per_factor, abs=tol)

@@ -248,7 +248,7 @@ def test_collect_ties():
     from kpem.measures import measure_min_family
 
     psi = build_state(StateSpec((MaxEntFactor(("A", "B")), MaxEntFactor(("C", "D")))))
-    res = measure_min_family("Eprime_k", 3, psi, h=ENTROPY, collect_ties=True)
+    res = measure_min_family(MeasureSpec("Eprime_k", 3, h=ENTROPY), psi, collect_ties=True)
     ties = res.breakdown["co_minimal"]
     assert res.witness in ties
     assert all(evaluate_measure(
@@ -352,6 +352,26 @@ def test_cache_must_match_state():
     b = build_state(StateSpec((WFactor(("A", "B", "C")),)))
     with pytest.raises(ValueError, match="different state"):
         evaluate_measure(MeasureSpec("Eprime_k", 2, h=ENTROPY), a, cache=MarginalCache(b))
+
+
+def test_cache_factorizes_once(monkeypatch):
+    from kpem import measures
+
+    calls = []
+    original = measures.finest_factorization
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(measures, "finest_factorization", counting)
+    psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
+    cache = MarginalCache(psi)
+    for k in range(2, 6):
+        for kind in ("E_k", "calE_k"):
+            res = evaluate_measure(MeasureSpec(kind, k, h=ENTROPY), psi, cache=cache)
+            assert res.witness is cache.factorization()
+    assert calls == [psi]
 
 
 def test_cache_gives_identical_values():

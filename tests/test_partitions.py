@@ -13,7 +13,6 @@ from kpem.partitions import (
     bell_number,
     coarsening_related,
     count_k_fineness,
-    enumerate_k_fineness,
     iter_k_fineness,
     partition_from_text,
     partition_to_text,
@@ -123,12 +122,6 @@ def test_census_values():
     assert count_k_fineness(8, 3) == 2780
     assert bell_number(8) == 4140
     assert bell_number(9) == 21147
-
-
-def test_enumerate_matches_count():
-    fam = enumerate_k_fineness(range(6), 3)
-    assert len(fam) == count_k_fineness(6, 3)
-    assert len({p.blocks for p in fam}) == len(fam)
 
 
 @settings(max_examples=60, deadline=None)

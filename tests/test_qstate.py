@@ -147,6 +147,13 @@ def test_pure_state_norm_contract():
         PureState(qubits(1), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # NaN compares false against the norm tolerance, so it needs its own check
+    with pytest.raises(NumericalContractError, match="non-finite"):
+        PureState(qubits(1), np.array([bad, 0.0]))
+
+
 def test_density_matrix_contracts():
     with pytest.raises(NumericalContractError, match="hermiticity"):
         DensityMatrix(qubits(1), np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -361,3 +368,27 @@ def test_spec_dict_rejects_malformed_factors():
         }]})
     with pytest.raises(ValueError, match="nonempty array"):
         spec_from_dict({"factors": []})
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True])
+def test_spec_dict_rejects_non_finite_amplitudes(field, bad):
+    factor = {"kind": "amplitudes", "labels": ["A"], "dims": [2],
+              "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    factor[field][1] = bad
+    with pytest.raises(ValueError, match=rf"factors\[0\]: '{field}' entries must be finite"):
+        spec_from_dict({"factors": [factor]})
+
+
+@pytest.mark.parametrize("factor,field", [
+    ({"kind": "ghz", "labels": ["A", "B"], "dim": 2.9}, "dim"),
+    ({"kind": "ghz", "labels": ["A", "B"], "dim": True}, "dim"),
+    ({"kind": "maxent", "labels": ["A", "B"], "dim": 3.0}, "dim"),
+    ({"kind": "amplitudes", "labels": ["A", "B"], "dims": [2.5, 2],
+      "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}, "dims"),
+    ({"kind": "amplitudes", "labels": ["A"], "dims": ["2"],
+      "re": [1.0, 0.0], "im": [0.0, 0.0]}, "dims"),
+])
+def test_spec_dict_dimensions_are_json_integers(factor, field):
+    with pytest.raises(ValueError, match=f"'{field}' takes JSON integers"):
+        spec_from_dict({"factors": [factor]})
