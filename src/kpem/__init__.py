@@ -13,7 +13,6 @@ from .audit import (
     AuditReport,
     AxiomCheck,
     AxiomInstance,
-    MeasureVariant,
     check_axiom,
     evaluate_instance,
     expected_verdict,

@@ -32,22 +32,24 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .factorize import finest_factorization
-from .measures import MarginalCache, MeasureSpec, evaluate_measure
+from .measures import FACTOR, GEOMETRIC, MarginalCache, MeasureSpec, evaluate_measure
 from .partitions import Partition
 from .qstate import (
     AmplitudesFactor,
     GhzFactor,
     MaxEntFactor,
-    PureState,
     StateSpec,
+    SystemLayout,
     WFactor,
+    _json_int,
     build_state,
     canonical_phase,
     haar_state,
@@ -57,11 +59,11 @@ from .qstate import (
     spec_from_dict,
     spec_to_dict,
 )
-from .qstate import SystemLayout
-from .redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate_spectrum
+from .redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
 
 VIOLATION_TOL = 1e-7   # margins above this count as violations
 REPLAY_TOL = 1e-9      # witness re-evaluation must reproduce the margin this tightly
+ATTEMPT_FACTOR = 8     # a check draws at most this many instances per target one
 
 AXIOMS = (
     "symmetry",
@@ -77,47 +79,35 @@ AXIOMS = (
 PASS, VIOLATED, REPORT = "pass", "violated", "report"
 
 
-@dataclass(frozen=True)
-class MeasureVariant:
-    """A measure family pinned to a concrete reduced function/parameter."""
-
-    name: str
-    kind: str
-    h: Optional[ReducedFunctionSpec] = None
-    parameter: Optional[float] = None
-
-    def spec_at(self, k: int) -> MeasureSpec:
-        return MeasureSpec(self.kind, k, h=self.h, parameter=self.parameter)
-
-
+# The audited measures, pinned at k = 2; a check evaluates replace(variant,
+# k=...).  The order seeds the random streams, [master_seed, axiom, variant].
 DEFAULT_VARIANTS = (
-    MeasureVariant("E[entropy]", "E_k", h=ENTROPY),
-    MeasureVariant("E[concurrence]", "E_k", h=CONCURRENCE),
-    MeasureVariant("calE[entropy]", "calE_k", h=ENTROPY),
-    MeasureVariant("calE[concurrence]", "calE_k", h=CONCURRENCE),
-    MeasureVariant("Eprime[entropy]", "Eprime_k", h=ENTROPY),
-    MeasureVariant("Eprime[concurrence]", "Eprime_k", h=CONCURRENCE),
-    MeasureVariant("C", "C_k"),
-    MeasureVariant("Cq(2)", "Cq_k", parameter=2.0),
-    MeasureVariant("Calpha(0.5)", "Calpha_k", parameter=0.5),
-    MeasureVariant("CGq(2)", "CGq_k", parameter=2.0),
-    MeasureVariant("CGalpha(0.5)", "CGalpha_k", parameter=0.5),
+    MeasureSpec("E_k", 2, h=ENTROPY),
+    MeasureSpec("E_k", 2, h=CONCURRENCE),
+    MeasureSpec("calE_k", 2, h=ENTROPY),
+    MeasureSpec("calE_k", 2, h=CONCURRENCE),
+    MeasureSpec("Eprime_k", 2, h=ENTROPY),
+    MeasureSpec("Eprime_k", 2, h=CONCURRENCE),
+    MeasureSpec("C_k", 2),
+    MeasureSpec("Cq_k", 2, parameter=2.0),
+    MeasureSpec("Calpha_k", 2, parameter=0.5),
+    MeasureSpec("CGq_k", 2, parameter=2.0),
+    MeasureSpec("CGalpha_k", 2, parameter=0.5),
 )
 
-_FACTOR_SUM = ("E[entropy]", "E[concurrence]", "calE[entropy]", "calE[concurrence]")
-_MIN_SUM = ("Eprime[entropy]", "Eprime[concurrence]")
-_MEAN_MIN = ("C", "Cq(2)", "Calpha(0.5)")
-_GEOMETRIC = ("CGq(2)", "CGalpha(0.5)")
+
+def _verdict_group(variant: MeasureSpec) -> str:
+    """Expected-matrix column group, read off the measure-kind table."""
+    if variant.family == FACTOR:
+        return "base"
+    if variant.family == GEOMETRIC:
+        return "geo"
+    return "eprime" if variant.kind == "Eprime_k" else "mean"
 
 
 def _expected_row(**cells: str) -> dict[str, str]:
-    row: dict[str, str] = {}
-    for group, verdict in cells.items():
-        names = {"base": _FACTOR_SUM, "eprime": _MIN_SUM,
-                 "mean": _MEAN_MIN, "geo": _GEOMETRIC}[group]
-        for name in names:
-            row[name] = verdict
-    return row
+    return {v.name: cells[_verdict_group(v)]
+            for v in DEFAULT_VARIANTS if _verdict_group(v) in cells}
 
 
 # Verdict profile the default suite is asserted against.  Cells where this
@@ -223,59 +213,57 @@ class InstanceOutcome:
     values: tuple[tuple[str, float], ...] = ()
 
 
+_MIXED_REST = InstanceOutcome(None, skipped=True, skip_reason="remaining marginal is mixed")
+
 def _label_indices(layout: SystemLayout, labels: Sequence[str]) -> list[int]:
     return [layout.index_of(lab) for lab in labels]
 
 
-def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceOutcome:
+def evaluate_instance(variant: MeasureSpec, inst: AxiomInstance) -> InstanceOutcome:
     """Deterministic margin evaluation; the single path for suite and replay."""
     k = inst.k
+    spec = replace(variant, k=k)
+    psi = build_state(inst.states[0])
     if inst.axiom == "symmetry":
-        psi = build_state(inst.states[0])
-        a = evaluate_measure(variant.spec_at(k), psi).value
-        b = evaluate_measure(variant.spec_at(k), permute_parties(psi, inst.perm)).value
+        a = evaluate_measure(spec, psi).value
+        b = evaluate_measure(spec, permute_parties(psi, inst.perm)).value
         return InstanceOutcome(abs(a - b), values=(("value", a), ("permuted", b)))
 
     if inst.axiom == "additivity":
         left, right = inst.states
         joint = StateSpec(left.factors + right.factors)
-        vj = evaluate_measure(variant.spec_at(k), build_state(joint)).value
-        vl = evaluate_measure(variant.spec_at(k), build_state(left)).value
-        vr = evaluate_measure(variant.spec_at(k), build_state(right)).value
+        vj = evaluate_measure(spec, build_state(joint)).value
+        vl = evaluate_measure(spec, psi).value
+        vr = evaluate_measure(spec, build_state(right)).value
         return InstanceOutcome(
             abs(vj - vl - vr),
             values=(("joint", vj), ("left", vl), ("right", vr)),
         )
 
     if inst.axiom == "k_monotone":
-        psi = build_state(inst.states[0])
         cache = MarginalCache(psi)
-        hi = evaluate_measure(variant.spec_at(k), psi, cache=cache).value
-        lo = evaluate_measure(variant.spec_at(k - 1), psi, cache=cache).value
+        hi = evaluate_measure(spec, psi, cache=cache).value
+        lo = evaluate_measure(replace(variant, k=k - 1), psi, cache=cache).value
         return InstanceOutcome(hi - lo, values=(("at_k", hi), ("at_k_minus_1", lo)))
 
     if inst.axiom == "coarsening_monotone_a":
-        psi = build_state(inst.states[0])
         drop = set(_label_indices(psi.layout, inst.discard))
         keep = [i for i in range(psi.num_parties) if i not in drop]
         rest = pure_restriction(psi, keep)
         if rest is None:
-            return InstanceOutcome(None, skipped=True,
-                                   skip_reason="remaining marginal is mixed")
-        full = evaluate_measure(variant.spec_at(k), psi).value
-        red = evaluate_measure(variant.spec_at(k), rest).value
+            return _MIXED_REST
+        full = evaluate_measure(spec, psi).value
+        red = evaluate_measure(spec, rest).value
         return InstanceOutcome(red - full, values=(("full", full), ("reduced", red)))
 
     if inst.axiom in ("tight_coarsening_monotone_b_k2", "tight_coarsening_monotone_b_k3plus"):
-        psi = build_state(inst.states[0])
         blocks = [_label_indices(psi.layout, g) for g in inst.groups]
         coarse = regroup(psi, Partition.of(blocks))
-        full = evaluate_measure(variant.spec_at(k), psi).value
-        merged = evaluate_measure(variant.spec_at(k), coarse).value
+        full = evaluate_measure(spec, psi).value
+        merged = evaluate_measure(spec, coarse).value
         return InstanceOutcome(merged - full, values=(("full", full), ("merged", merged)))
 
     if inst.axiom == "partial_trace_monotone_c":
-        psi = build_state(inst.states[0])
         drop = set(inst.inner_drop)
         base = [_label_indices(psi.layout, g) for g in inst.base_blocks]
         lhs_state = regroup(psi, Partition.of(base))
@@ -283,8 +271,7 @@ def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceO
         keep = _label_indices(psi.layout, keep_labels)
         rest = pure_restriction(psi, keep)
         if rest is None:
-            return InstanceOutcome(None, skipped=True,
-                                   skip_reason="remaining marginal is mixed")
+            return _MIXED_REST
         shrunk = []
         for g in inst.base_blocks:
             kept = [lab for lab in g if lab not in drop]
@@ -292,12 +279,11 @@ def evaluate_instance(variant: MeasureVariant, inst: AxiomInstance) -> InstanceO
                 raise ValueError("inner discard may not empty a block")
             shrunk.append(_label_indices(rest.layout, kept))
         rhs_state = regroup(rest, Partition.of(shrunk))
-        lhs = evaluate_measure(variant.spec_at(k), lhs_state).value
-        rhs = evaluate_measure(variant.spec_at(k), rhs_state).value
+        lhs = evaluate_measure(spec, lhs_state).value
+        rhs = evaluate_measure(spec, rhs_state).value
         return InstanceOutcome(rhs - lhs, values=(("regrouped", lhs), ("dropped", rhs)))
 
     if inst.axiom == "ordering_chain":
-        psi = build_state(inst.states[0])
         cache = MarginalCache(psi)
         prime = evaluate_measure(MeasureSpec("Eprime_k", k, h=variant.h), psi, cache=cache).value
         fact = evaluate_measure(MeasureSpec("E_k", k, h=variant.h), psi, cache=cache).value
@@ -385,7 +371,7 @@ def _rand_int(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _instances_symmetry(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_symmetry(rng) -> Iterator[AxiomInstance]:
     while True:
         n = _rand_int(rng, 3, 7)
         spec = random_product_spec(rng, n)
@@ -394,7 +380,7 @@ def _instances_symmetry(rng, variant) -> Iterator[AxiomInstance]:
         yield AxiomInstance("symmetry", k, (spec,), perm=perm)
 
 
-def _instances_additivity(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_additivity(rng) -> Iterator[AxiomInstance]:
     while True:
         n1 = _rand_int(rng, 2, 4)
         n2 = _rand_int(rng, 2, 4)
@@ -404,7 +390,7 @@ def _instances_additivity(rng, variant) -> Iterator[AxiomInstance]:
         yield AxiomInstance("additivity", k, (left, right))
 
 
-def _instances_k_monotone(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_k_monotone(rng) -> Iterator[AxiomInstance]:
     while True:
         n = _rand_int(rng, 3, 7)
         spec = random_product_spec(rng, n)
@@ -412,7 +398,7 @@ def _instances_k_monotone(rng, variant) -> Iterator[AxiomInstance]:
         yield AxiomInstance("k_monotone", k, (spec,))
 
 
-def _instances_coarsening_a(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_coarsening_a(rng) -> Iterator[AxiomInstance]:
     while True:
         n = _rand_int(rng, 4, 8)
         spec = random_product_spec(rng, n, max_factor=3)
@@ -465,7 +451,7 @@ def _legal_merge_groups(
     return tuple(groups)
 
 
-def _instances_tight_b(axiom: str, rng, variant) -> Iterator[AxiomInstance]:
+def _instances_tight_b(axiom: str, rng) -> Iterator[AxiomInstance]:
     k_min = 2 if axiom == "tight_coarsening_monotone_b_k2" else 3
     while True:
         n = _rand_int(rng, max(4, k_min + 1), 7)
@@ -477,7 +463,7 @@ def _instances_tight_b(axiom: str, rng, variant) -> Iterator[AxiomInstance]:
         yield AxiomInstance(axiom, k, (spec,), groups=groups)
 
 
-def _instances_partial_trace_c(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_partial_trace_c(rng) -> Iterator[AxiomInstance]:
     while True:
         n = _rand_int(rng, 4, 8)
         spec = random_product_spec(rng, n, max_factor=3)
@@ -514,7 +500,7 @@ def _instances_partial_trace_c(rng, variant) -> Iterator[AxiomInstance]:
         )
 
 
-def _instances_ordering_chain(rng, variant) -> Iterator[AxiomInstance]:
+def _instances_ordering_chain(rng) -> Iterator[AxiomInstance]:
     while True:
         n = _rand_int(rng, 3, 8)
         spec = random_product_spec(rng, n)
@@ -527,8 +513,8 @@ _RANDOM_STREAMS = {
     "additivity": _instances_additivity,
     "k_monotone": _instances_k_monotone,
     "coarsening_monotone_a": _instances_coarsening_a,
-    "tight_coarsening_monotone_b_k2": lambda rng, v: _instances_tight_b("tight_coarsening_monotone_b_k2", rng, v),
-    "tight_coarsening_monotone_b_k3plus": lambda rng, v: _instances_tight_b("tight_coarsening_monotone_b_k3plus", rng, v),
+    "tight_coarsening_monotone_b_k2": partial(_instances_tight_b, "tight_coarsening_monotone_b_k2"),
+    "tight_coarsening_monotone_b_k3plus": partial(_instances_tight_b, "tight_coarsening_monotone_b_k3plus"),
     "partial_trace_monotone_c": _instances_partial_trace_c,
     "ordering_chain": _instances_ordering_chain,
 }
@@ -599,55 +585,55 @@ def tight_b_condition(h: ReducedFunctionSpec) -> tuple[float, float, float, bool
     return h_last, h_first, h_pair, realized
 
 
-def seeded_instances(axiom: str, variant: MeasureVariant) -> list[AxiomInstance]:
+def seeded_instances(axiom: str, variant: MeasureSpec) -> list[AxiomInstance]:
     """Deterministic counterexample instances, evaluated before any random
     ones so every VIOLATED cell of the expected matrix is reached without
     relying on generator luck."""
-    name = variant.name
+    kind, group = variant.kind, _verdict_group(variant)
     out: list[AxiomInstance] = []
     if axiom == "additivity":
-        if name == "C":
+        if kind == "C_k":
             out.append(AxiomInstance(
                 "additivity", 3,
                 (StateSpec((_bell("A", "B"), _zero("C"))),
                  StateSpec((WFactor(("D", "E", "F")),))),
                 note="seeded: mean over blocks is not additive",
             ))
-        elif name in ("Cq(2)", "Calpha(0.5)"):
+        elif group == "mean":
             out.append(AxiomInstance(
                 "additivity", 2,
                 (StateSpec((_bell("A", "B"),)),
                  StateSpec((_zero("C"), _bell("D", "E")))),
                 note="seeded: square root of block mean is not additive",
             ))
-        elif name in ("CGq(2)", "CGalpha(0.5)"):
+        elif group == "geo":
             out.append(AxiomInstance(
                 "additivity", 2,
                 (StateSpec((_bell("A", "B"),)), StateSpec((_bell("C", "D"),))),
                 note="seeded: geometric mean is not additive",
             ))
-        elif name == "Eprime[concurrence]":
+        elif group == "eprime" and variant.h == CONCURRENCE:
             out.append(AxiomInstance(
                 "additivity", 3,
                 (StateSpec((GhzFactor(("A", "B", "C")),)),
                  StateSpec((GhzFactor(("D", "E", "F")),))),
                 note="seeded: cross-factor pair blocks undercut the sum",
             ))
-    elif axiom == "k_monotone" and name in ("CGq(2)", "CGalpha(0.5)"):
+    elif axiom == "k_monotone" and group == "geo":
         out.append(AxiomInstance(
             "k_monotone", 3,
             (StateSpec((GhzFactor(("A", "B", "C")), _zero("D"))),),
             note="seeded: geometric family grows with k here",
         ))
     elif axiom == "coarsening_monotone_a":
-        if name in ("C", "Cq(2)", "Calpha(0.5)"):
+        if group == "mean":
             out.append(AxiomInstance(
                 "coarsening_monotone_a", 3,
                 (StateSpec((_bell("A", "B"), _zero("C"), GhzFactor(("D", "E", "F")))),),
                 discard=("C",),
                 note="seeded: dropping a trivial party shrinks the denominator",
             ))
-        elif name in ("CGq(2)", "CGalpha(0.5)"):
+        elif group == "geo":
             out.append(AxiomInstance(
                 "coarsening_monotone_a", 2,
                 (StateSpec((_bell("A", "B"), _zero("C"), _zero("D"))),),
@@ -655,16 +641,16 @@ def seeded_instances(axiom: str, variant: MeasureVariant) -> list[AxiomInstance]
                 note="seeded: dropping a trivial party shrinks the denominator",
             ))
     elif axiom == "tight_coarsening_monotone_b_k2":
-        deltas = {"C": 0.01, "Cq(2)": 0.05, "Calpha(0.5)": 0.02,
-                  "CGq(2)": 0.05, "CGalpha(0.5)": 0.02}
-        if name in deltas:
+        deltas = {"C_k": 0.01, "Cq_k": 0.05, "Calpha_k": 0.02,
+                  "CGq_k": 0.05, "CGalpha_k": 0.02}
+        if kind in deltas:
             out.append(AxiomInstance(
                 "tight_coarsening_monotone_b_k2", 2,
-                (StateSpec((_weak_pair("A", "B", deltas[name]), _bell("C", "D"))),),
+                (StateSpec((_weak_pair("A", "B", deltas[kind]), _bell("C", "D"))),),
                 groups=(("A", "B"), ("C",), ("D",)),
                 note="seeded: hiding a weak pair inside one block",
             ))
-    elif axiom == "tight_coarsening_monotone_b_k3plus" and name in _MIN_SUM:
+    elif axiom == "tight_coarsening_monotone_b_k3plus" and group == "eprime":
         out.append(engineered_tight_b_instance())
     elif axiom == "partial_trace_monotone_c":
         out.append(AxiomInstance(
@@ -687,41 +673,36 @@ class AxiomCheck:
     verdict: str
     worst_margin: float
     witness: Optional[AxiomInstance]
-    witness_margin: Optional[float]
     evaluated: int
     skipped: int
     violations: int
-    threshold: float
     notes: str = ""
     records: list = field(default_factory=list)
 
 
 def check_axiom(
     axiom: str,
-    variant: MeasureVariant,
+    variant: MeasureSpec,
     instances: Iterable[AxiomInstance],
-    target: Optional[int] = None,
+    target: int,
     threshold: float = VIOLATION_TOL,
-    max_attempts: Optional[int] = None,
 ) -> AxiomCheck:
-    """Evaluate instances until `target` non-skipped ones are in (or the
-    iterable ends); worst margin wins the witness slot."""
+    """Evaluate instances until `target` non-skipped ones are in, the
+    iterable ends or ATTEMPT_FACTOR * target were drawn; worst margin wins
+    the witness slot."""
+    name = variant.name  # one string shared by every record
     evaluated = skipped = violations = 0
     worst = -math.inf
     witness: Optional[AxiomInstance] = None
     records: list = []
-    attempts = 0
-    for inst in instances:
-        if target is not None and evaluated >= target:
-            break
-        attempts += 1
-        if max_attempts is not None and attempts > max_attempts:
+    for index, inst in enumerate(instances):
+        if evaluated >= target or index >= ATTEMPT_FACTOR * target:
             break
         out = evaluate_instance(variant, inst)
         rec = {
             "axiom": axiom,
-            "variant": variant.name,
-            "index": attempts - 1,
+            "variant": name,
+            "index": index,
             "k": inst.k,
             "skipped": out.skipped,
         }
@@ -746,20 +727,18 @@ def check_axiom(
         records.append(rec)
     return AxiomCheck(
         axiom=axiom,
-        variant=variant.name,
+        variant=name,
         verdict=VIOLATED if violations else PASS,
         worst_margin=worst,
         witness=witness,
-        witness_margin=worst if witness is not None else None,
         evaluated=evaluated,
         skipped=skipped,
         violations=violations,
-        threshold=threshold,
         records=records,
     )
 
 
-def replay(variant: MeasureVariant, inst: AxiomInstance) -> InstanceOutcome:
+def replay(variant: MeasureSpec, inst: AxiomInstance) -> InstanceOutcome:
     """Re-run a single witness; callers compare against the stored margin."""
     return evaluate_instance(variant, inst)
 
@@ -768,10 +747,46 @@ def replay(variant: MeasureVariant, inst: AxiomInstance) -> InstanceOutcome:
 class AuditConfig:
     master_seed: int = 20240801
     instances_per_check: int = 75
-    variants: tuple[MeasureVariant, ...] = DEFAULT_VARIANTS
+    variants: tuple[MeasureSpec, ...] = DEFAULT_VARIANTS
     axioms: tuple[str, ...] = AXIOMS
     threshold: float = VIOLATION_TOL
-    attempt_factor: int = 8
+
+    def __post_init__(self) -> None:
+        if self.instances_per_check < 1:
+            raise ValueError(f"instances_per_check must be >= 1, got {self.instances_per_check}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
+
+    @classmethod
+    def from_dict(cls, obj) -> "AuditConfig":
+        """Parse an audit config document: a JSON object of AuditConfig
+        fields, naming axioms and variants; types are checked, not coerced."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"audit config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown audit config fields: {sorted(unknown)}")
+        kwargs: dict = {}
+        for key in ("master_seed", "instances_per_check"):
+            if key in obj:
+                kwargs[key] = _json_int(obj[key], key, "audit config")
+        if "threshold" in obj:
+            value = obj["threshold"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"threshold takes a number, got {value!r}")
+            kwargs["threshold"] = float(value)
+        if "axioms" in obj:
+            kwargs["axioms"] = _pick("axioms", obj["axioms"], {a: a for a in AXIOMS})
+        if "variants" in obj:
+            kwargs["variants"] = _pick("variants", obj["variants"],
+                                       {v.name: v for v in DEFAULT_VARIANTS})
+        return cls(**kwargs)
+
+
+def _pick(key: str, names, known: dict) -> tuple:
+    if not isinstance(names, list) or not all(isinstance(x, str) and x in known for x in names):
+        raise ValueError(f"{key} takes a list of names from {list(known)}, got {names!r}")
+    return tuple(known[name] for name in names)
 
 
 @dataclass
@@ -799,9 +814,10 @@ class AuditReport:
         head = (f"{'check':<36} {'measure':<19} {'verdict':<9} "
                 f"{'expected':<9} {'worst margin':>13} {'eval':>5} {'skip':>5} {'viol':>5}")
         lines = [head, "-" * len(head)]
+        flagged = {(axiom, variant) for axiom, variant, _, _ in self.mismatches()}
         for c in self.checks:
             want = expected_verdict(c.axiom, c.variant) or "-"
-            flag = " !!" if (c.axiom, c.variant) in [(m[0], m[1]) for m in self.mismatches()] else ""
+            flag = " !!" if (c.axiom, c.variant) in flagged else ""
             dev = " (documented deviation)" if (c.axiom, c.variant) in DEVIATION_NOTES else ""
             lines.append(
                 f"{c.axiom:<36} {c.variant:<19} {c.verdict:<9} {want:<9} "
@@ -825,17 +841,13 @@ def run_suite(config: AuditConfig = AuditConfig()) -> AuditReport:
             if expected_verdict(axiom, variant.name) is None:
                 continue
             rng = np.random.default_rng([config.master_seed, ai, vi])
-            stream = chain(
-                seeded_instances(axiom, variant),
-                _RANDOM_STREAMS[axiom](rng, variant),
-            )
+            stream = chain(seeded_instances(axiom, variant), _RANDOM_STREAMS[axiom](rng))
             check = check_axiom(
                 axiom, variant, stream,
                 target=config.instances_per_check,
                 threshold=config.threshold,
-                max_attempts=config.instances_per_check * config.attempt_factor,
             )
-            if axiom == "tight_coarsening_monotone_b_k3plus" and variant.name in _MIN_SUM:
+            if axiom == "tight_coarsening_monotone_b_k3plus" and variant.kind == "Eprime_k":
                 h_last, h_first, h_pair, ok = tight_b_condition(variant.h)
                 check.notes = (
                     "merge-family ordering h(last single) >= h(first single) > "

@@ -2,7 +2,9 @@
 
 Exit statuses: 0 success, 1 usage or input error, 2 numerical contract
 failure, 3 when `paper-examples` finds values differing from the built-in
-reference table (which it does, for two documented entries).
+reference table (which it does, for two documented entries), 4 when
+`audit` finds verdicts differing from its expectation matrix (reported
+after the table or JSON summary and the records are written).
 """
 
 from __future__ import annotations
@@ -11,35 +13,35 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from .audit import DEFAULT_VARIANTS, AuditConfig, run_suite
+from .audit import AuditConfig, run_suite
 from .factorize import FactorDecomposition, finest_factorization
 from .measures import (
-    MEASURE_TABLE,
     MarginalCache,
     MeasureResult,
     MeasureSpec,
     evaluate_measure,
     parse_measure,
 )
-from .partitions import Partition, count_k_fineness, iter_k_fineness, partition_to_text
+from .partitions import count_k_fineness, iter_k_fineness, partition_to_text
 from .qstate import (
     AmplitudesFactor,
     GhzFactor,
     MaxEntFactor,
     NumericalContractError,
-    PureState,
     StateSpec,
     WFactor,
     build_state,
     spec_from_dict,
 )
-from .redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, format_redfun, parse_redfun
+from .redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, parse_redfun
 
 USAGE_ERROR = 1
 CONTRACT_ERROR = 2
 TABLE_DISCREPANCY = 3
+AUDIT_MISMATCH = 4
 
 ENUMERATION_PRINT_CAP = 200_000
 
@@ -79,11 +81,9 @@ def _witness_text(result: MeasureResult, labels: Sequence[str]) -> Optional[str]
     w = result.witness
     if w is None:
         return None
-    if isinstance(w, Partition):
-        return partition_to_text(w, labels)
     if isinstance(w, FactorDecomposition):
-        return partition_to_text(w.block_partition(), labels)
-    return str(w)
+        w = w.block_partition()
+    return partition_to_text(w, labels)
 
 
 def _breakdown_json(result: MeasureResult, labels: Sequence[str]) -> dict:
@@ -95,10 +95,6 @@ def _breakdown_json(result: MeasureResult, labels: Sequence[str]) -> dict:
             for block, val in br["terms"]
         ]
         out["num_blocks"] = br["num_blocks"]
-        if "co_minimal" in br:
-            out["co_minimal"] = [
-                partition_to_text(p, labels) for p in br["co_minimal"]
-            ]
     if "factors" in br:
         out["factors"] = [
             {"parties": "".join(labels[i] for i in parties), "value": val}
@@ -117,6 +113,7 @@ def _cmd_compute(args) -> int:
     result = evaluate_measure(mspec, state, unsafe_large=args.unsafe_large)
     labels = state.layout.labels
     witness = _witness_text(result, labels)
+    br = _breakdown_json(result, labels)
     if args.json:
         record = {
             "measure": args.measure,
@@ -125,7 +122,7 @@ def _cmd_compute(args) -> int:
             "parties": "".join(labels),
             "value": result.value,
             "witness": witness,
-            "breakdown": _breakdown_json(result, labels),
+            "breakdown": br,
         }
         print(json.dumps(record))
         return 0
@@ -134,7 +131,6 @@ def _cmd_compute(args) -> int:
     print(f"value     {_fmt(result.value)}")
     if witness is not None:
         print(f"witness   {witness}")
-    br = _breakdown_json(result, labels)
     for item in br.get("blocks", []):
         print(f"  block {item['parties']:<12} {_fmt(item['value'])}")
     for item in br.get("factors", []):
@@ -212,33 +208,16 @@ def _cmd_partitions(args) -> int:
 
 
 def _load_audit_config(args) -> AuditConfig:
-    kwargs: dict = {}
+    config = AuditConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        allowed = {"master_seed", "instances_per_check", "axioms", "variants", "threshold"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown audit config fields: {sorted(unknown)}")
-        if "master_seed" in raw:
-            kwargs["master_seed"] = int(raw["master_seed"])
-        if "instances_per_check" in raw:
-            kwargs["instances_per_check"] = int(raw["instances_per_check"])
-        if "threshold" in raw:
-            kwargs["threshold"] = float(raw["threshold"])
-        if "axioms" in raw:
-            kwargs["axioms"] = tuple(raw["axioms"])
-        if "variants" in raw:
-            by_name = {v.name: v for v in DEFAULT_VARIANTS}
-            missing = [name for name in raw["variants"] if name not in by_name]
-            if missing:
-                raise ValueError(f"unknown measure variants: {missing}")
-            kwargs["variants"] = tuple(by_name[name] for name in raw["variants"])
+            config = AuditConfig.from_dict(json.load(fh))
+    overrides: dict = {}
     if args.seed is not None:
-        kwargs["master_seed"] = args.seed
+        overrides["master_seed"] = args.seed
     if args.trials is not None:
-        kwargs["instances_per_check"] = args.trials
-    return AuditConfig(**kwargs)
+        overrides["instances_per_check"] = args.trials
+    return replace(config, **overrides)
 
 
 def _cmd_audit(args) -> int:
@@ -286,7 +265,7 @@ def _cmd_audit(args) -> int:
                 print(f"  {a} / {v}: expected {e}, observed {o}")
         else:
             print("all verdicts match the documented expectation matrix")
-    return 0
+    return AUDIT_MISMATCH if mismatches else 0
 
 
 # --- paper-examples ----------------------------------------------------------
@@ -332,12 +311,10 @@ def _reference_rows() -> list[tuple[str, StateSpec, str, ReducedFunctionSpec, in
 
 def _cmd_paper_examples(args) -> int:
     rows = _reference_rows()
-    states: dict[str, PureState] = {}
     caches: dict[str, MarginalCache] = {}
     for name, spec, *_ in rows:
-        if name not in states:
-            states[name] = build_state(spec)
-            caches[name] = MarginalCache(states[name])
+        if name not in caches:
+            caches[name] = MarginalCache(build_state(spec))
     print("built-in reference check: two product states, computed vs quoted values")
     print("  psi = ghz4(ABCD) x w3(EFG) x |0>(H)      phi = w3(ABC) x maxent(DE)")
     print()
@@ -348,10 +325,10 @@ def _cmd_paper_examples(args) -> int:
     matches = 0
     details: list[str] = []
     for name, _spec, kind, h, k, expected in rows:
-        state = states[name]
+        state = caches[name].state
         mspec = MeasureSpec(kind, k, h=h)
         result = evaluate_measure(mspec, state, cache=caches[name])
-        label = f"{MEASURE_TABLE[kind].token}[{format_redfun(h)}]"
+        label = mspec.name
         ok = abs(result.value - expected) <= 1e-9
         matches += ok
         status = "MATCH" if ok else "DIFFER"

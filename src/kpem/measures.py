@@ -36,7 +36,7 @@ import numpy as np
 from .factorize import FactorDecomposition, finest_factorization
 from .partitions import Partition, count_k_fineness, iter_k_fineness
 from .qstate import DensityMatrix, PureState, marginal_spectrum
-from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum
+from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum, format_redfun
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
 
@@ -106,6 +106,14 @@ class MeasureSpec:
     @property
     def family(self) -> str:
         return MEASURE_TABLE[self.kind].family
+
+    @property
+    def name(self) -> str:
+        """Display name without k: `E[entropy]`, `Cq(2)`, `C`."""
+        row = MEASURE_TABLE[self.kind]
+        if row.fixed_h is None:
+            return f"{row.token}[{format_redfun(self.h)}]"
+        return f"{row.token}({self.parameter:g})" if _takes_parameter(row) else row.token
 
     def reduced_function(self) -> ReducedFunctionSpec:
         """The function actually applied to each block spectrum."""

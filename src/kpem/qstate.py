@@ -44,6 +44,8 @@ class SystemLayout:
         labels = [lab for lab, _ in self.parties]
         if not labels:
             raise ValueError("layout needs at least one party")
+        if "" in labels:
+            raise ValueError("party labels must be non-empty")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate party labels: {labels}")
         for lab, d in self.parties:

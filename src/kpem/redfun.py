@@ -22,7 +22,6 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    PureState,
     PURITY_TOL,
     SystemLayout,
     haar_state,
@@ -45,8 +44,8 @@ class ReducedFunctionSpec:
             if self.parameter is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
         elif self.kind == "q_family":
-            if self.parameter is None or not self.parameter > 1.0:
-                raise ValueError(f"q_family needs q > 1, got {self.parameter}")
+            if self.parameter is None or not 1.0 < self.parameter < math.inf:
+                raise ValueError(f"q_family needs a finite q > 1, got {self.parameter}")
         elif self.kind == "alpha_family":
             if self.parameter is None or not 0.0 < self.parameter < 1.0:
                 raise ValueError(

@@ -9,6 +9,7 @@ applies and prints a single summary line on success.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def test_c8_numerical_substrate_properties():
         state = build_state(spec)
         n = state.num_parties
         variant = DEFAULT_VARIANTS[int(rng.integers(len(DEFAULT_VARIANTS)))]
-        mspec = variant.spec_at(int(rng.integers(2, n + 1)))
+        mspec = replace(variant, k=int(rng.integers(2, n + 1)))
         party = int(rng.integers(n))
         u = haar_unitary(state.layout.dims[party], rng)
         before = evaluate_measure(mspec, state).value

@@ -1,18 +1,22 @@
 """Audit suite: expected matrix, witness replay, seeded counterexamples."""
 
 import json
+from itertools import repeat
 
 import pytest
 
 from kpem.audit import (
+    ATTEMPT_FACTOR,
     AXIOMS,
     DEFAULT_VARIANTS,
     DEVIATION_NOTES,
     EXPECTED_MATRIX,
+    PASS,
     REPLAY_TOL,
     VIOLATION_TOL,
     AuditConfig,
     AxiomInstance,
+    check_axiom,
     cross_braided_factor,
     engineered_tight_b_instance,
     evaluate_instance,
@@ -49,6 +53,15 @@ def test_matrix_covers_every_axiom():
 def test_deviation_notes_point_into_matrix():
     for axiom, name in DEVIATION_NOTES:
         assert expected_verdict(axiom, name) is not None
+
+
+def test_default_variant_names():
+    assert [v.name for v in DEFAULT_VARIANTS] == [
+        "E[entropy]", "E[concurrence]", "calE[entropy]", "calE[concurrence]",
+        "Eprime[entropy]", "Eprime[concurrence]",
+        "C", "Cq(2)", "Calpha(0.5)", "CGq(2)", "CGalpha(0.5)",
+    ]
+    assert all(v.k == 2 for v in DEFAULT_VARIANTS)
 
 
 def test_small_suite_matches_expectation(small_report):
@@ -114,7 +127,7 @@ def test_empty_config_gives_empty_report():
 # --- seeded counterexamples individually --------------------------------------------
 
 
-@pytest.mark.parametrize("axiom,variant_name", [
+SEEDED_COUNTEREXAMPLES = [
     ("additivity", "C"),
     ("additivity", "Cq(2)"),
     ("additivity", "Calpha(0.5)"),
@@ -135,13 +148,26 @@ def test_empty_config_gives_empty_report():
     ("tight_coarsening_monotone_b_k2", "CGalpha(0.5)"),
     ("tight_coarsening_monotone_b_k3plus", "Eprime[entropy]"),
     ("tight_coarsening_monotone_b_k3plus", "Eprime[concurrence]"),
-])
+]
+
+
+@pytest.mark.parametrize("axiom,variant_name", SEEDED_COUNTEREXAMPLES)
 def test_seeded_counterexample_fires(axiom, variant_name):
     variant = VARIANTS[variant_name]
     instances = seeded_instances(axiom, variant)
     assert instances, (axiom, variant_name)
     margins = [evaluate_instance(variant, inst).margin for inst in instances]
     assert max(margins) > VIOLATION_TOL
+
+
+def test_seeded_instance_counts():
+    # one seeded instance per counterexample cell and per partial-trace
+    # cell, none anywhere else
+    for axiom in AXIOMS:
+        for variant in DEFAULT_VARIANTS:
+            want = int((axiom, variant.name) in SEEDED_COUNTEREXAMPLES
+                       or axiom == "partial_trace_monotone_c")
+            assert len(seeded_instances(axiom, variant)) == want, (axiom, variant.name)
 
 
 def test_seeded_ghz_pair_additivity_margin():
@@ -224,6 +250,18 @@ def test_coarsening_skip_on_mixed_rest():
     )
     out2 = evaluate_instance(VARIANTS["Eprime[entropy]"], inst2)
     assert not out2.skipped
+
+
+def test_check_stops_after_attempt_budget():
+    # every instance is skipped, so the draw budget ends the check
+    mixed = AxiomInstance(
+        "coarsening_monotone_a", 2,
+        (StateSpec((GhzFactor(("A", "B", "C")),)),),
+        discard=("C",),
+    )
+    check = check_axiom("coarsening_monotone_a", VARIANTS["C"], repeat(mixed), target=2)
+    assert (check.evaluated, check.skipped) == (0, 2 * ATTEMPT_FACTOR)
+    assert check.witness is None and check.verdict == PASS
 
 
 def test_instance_dict_round_trip():

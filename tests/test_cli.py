@@ -84,6 +84,10 @@ def test_compute_factor_family_breakdown(psi_file, capsys):
      "fixes its reduced function"),
     (["compute", "--measure", "Cq:abc", "--k", "2", "--state"],
      "cannot parse measure"),
+    (["compute", "--measure", "Cq:inf", "--k", "2", "--state"], "finite q > 1"),
+    (["compute", "--measure", "CGq:1e400", "--k", "2", "--state"], "finite q > 1"),
+    (["compute", "--measure", "E", "--k", "2", "--h", "q:inf", "--state"],
+     "finite q > 1"),
 ])
 def test_compute_usage_errors(psi_file, capsys, argv, needle):
     assert cli.main(argv + [psi_file]) == cli.USAGE_ERROR
@@ -120,6 +124,15 @@ def test_malformed_numbers_are_input_errors(factor, needle, capsys):
     assert cli.main(["factorize", "--state", inline]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert needle in captured.err
+    assert captured.out == ""
+
+
+def test_empty_party_label_is_an_input_error(capsys):
+    inline = '{"factors": [{"kind": "ghz", "labels": ["", "B", "C"]}]}'
+    assert cli.main(["compute", "--measure", "E", "--k", "2", "--h", "entropy",
+                     "--state", inline]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "non-empty" in captured.err
     assert captured.out == ""
 
 
@@ -213,6 +226,56 @@ def test_audit_config_file(tmp_path, capsys):
     cfg.write_text('{"instances_per_check": 2, "bogus": 1}')
     assert cli.main(["audit", "--config", str(cfg)]) == cli.USAGE_ERROR
     assert "unknown audit config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document,needle", [
+    ("[]", "JSON object"),
+    ('{"master_seed": 1.7}', "master_seed"),
+    ('{"master_seed": true}', "master_seed"),
+    ('{"instances_per_check": 1.9}', "instances_per_check"),
+    ('{"instances_per_check": 0}', "instances_per_check must be >= 1"),
+    ('{"threshold": "nan"}', "threshold"),
+    ('{"threshold": NaN}', "threshold must be finite"),
+    ('{"threshold": Infinity}', "threshold must be finite"),
+    ('{"axioms": "symmetry"}', "axioms"),
+    ('{"axioms": ["bogus"]}', "axioms"),
+    ('{"variants": "C"}', "variants"),
+    ('{"variants": ["C", "Cq(3)"]}', "variants"),
+])
+def test_audit_config_is_strict(tmp_path, capsys, document, needle):
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(document)
+    assert cli.main(["audit", "--config", str(cfg)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_audit_trials_must_be_positive(capsys, trials):
+    assert cli.main(["audit", "--trials", trials, "--json"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "instances_per_check must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_audit_mismatch_exit_code(tmp_path, capsys):
+    # a huge threshold turns the seeded additivity violation of C into a pass
+    cfg = tmp_path / "audit.json"
+    cfg.write_text('{"threshold": 1e9, "axioms": ["additivity"], '
+                   '"variants": ["C"], "instances_per_check": 1}')
+    records = tmp_path / "records.jsonl"
+    assert cli.main(["audit", "--config", str(cfg), "--records", str(records)]) \
+        == cli.AUDIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "additivity / C: expected violated, observed pass" in out
+    assert records.read_text().count("\n") == 1
+
+    assert cli.main(["audit", "--config", str(cfg), "--json"]) == cli.AUDIT_MISMATCH
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["expected_matrix_mismatches"] == [
+        {"axiom": "additivity", "measure": "C", "expected": "violated", "observed": "pass"}
+    ]
 
 
 # --- reference table -----------------------------------------------------------

@@ -67,6 +67,22 @@ def test_measure_spec_validation():
         MeasureSpec("D_k", 2)
 
 
+@pytest.mark.parametrize("spec,name", [
+    (MeasureSpec("E_k", 2, h=ENTROPY), "E[entropy]"),
+    (MeasureSpec("E_k", 3, h=ReducedFunctionSpec("q_family", 2.0)), "E[q:2]"),
+    (MeasureSpec("calE_k", 2, h=CONCURRENCE), "calE[concurrence]"),
+    (MeasureSpec("Eprime_k", 4, h=ReducedFunctionSpec("alpha_family", 0.25)),
+     "Eprime[alpha:0.25]"),
+    (MeasureSpec("C_k", 2), "C"),
+    (MeasureSpec("Cq_k", 2, parameter=2.0), "Cq(2)"),
+    (MeasureSpec("Calpha_k", 5, parameter=0.5), "Calpha(0.5)"),
+    (MeasureSpec("CGq_k", 2, parameter=3.5), "CGq(3.5)"),
+    (MeasureSpec("CGalpha_k", 2, parameter=0.5), "CGalpha(0.5)"),
+])
+def test_measure_spec_name(spec, name):
+    assert spec.name == name
+
+
 def test_parse_measure():
     assert parse_measure("C", 3).kind == "C_k"
     assert parse_measure("Cq:2", 2).parameter == 2.0

@@ -62,6 +62,11 @@ def test_layout_rejects_duplicates_and_bad_dims():
         SystemLayout.of(("A",), (1,))
 
 
+def test_layout_rejects_empty_labels():
+    with pytest.raises(ValueError, match="non-empty"):
+        SystemLayout.qubits(("", "B", "C"))
+
+
 def test_size_caps():
     check_size_caps(qubits(12))
     with pytest.raises(ValueError, match="parties exceeds cap"):

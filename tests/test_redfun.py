@@ -70,6 +70,19 @@ def test_parameter_ranges():
         ReducedFunctionSpec("renyi")
 
 
+@pytest.mark.parametrize("kind,bad", [
+    ("q_family", math.inf),
+    ("q_family", math.nan),
+    ("alpha_family", math.inf),
+    ("alpha_family", math.nan),
+])
+def test_parameters_must_be_finite(kind, bad):
+    with pytest.raises(ValueError, match="needs"):
+        ReducedFunctionSpec(kind, bad)
+    with pytest.raises(ValueError, match="needs"):
+        parse_redfun(f"{'q' if kind == 'q_family' else 'alpha'}:{bad}")
+
+
 def test_parse_and_format():
     assert parse_redfun("entropy") is ENTROPY
     assert parse_redfun("concurrence") is CONCURRENCE
