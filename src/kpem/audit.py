@@ -80,7 +80,9 @@ PASS, VIOLATED, REPORT = "pass", "violated", "report"
 
 
 # The audited measures, pinned at k = 2; a check evaluates replace(variant,
-# k=...).  The order seeds the random streams, [master_seed, axiom, variant].
+# k=...).  A cell's random stream is seeded with [master_seed, index of its
+# axiom in AXIOMS, index of its variant in this tuple], so a cell draws the
+# same instances whichever config runs it.
 DEFAULT_VARIANTS = (
     MeasureSpec("E_k", 2, h=ENTROPY),
     MeasureSpec("E_k", 2, h=CONCURRENCE),
@@ -756,6 +758,11 @@ class AuditConfig:
             raise ValueError(f"instances_per_check must be >= 1, got {self.instances_per_check}")
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        for key, names in (("axioms", self.axioms), ("variants", [v.name for v in self.variants])):
+            if len(set(names)) < len(names):
+                raise ValueError(f"{key} name a cell more than once: {list(names)}")
 
     @classmethod
     def from_dict(cls, obj) -> "AuditConfig":
@@ -836,10 +843,12 @@ class AuditReport:
 def run_suite(config: AuditConfig = AuditConfig()) -> AuditReport:
     """The full matrix; deterministic given the config."""
     checks: list[AxiomCheck] = []
-    for ai, axiom in enumerate(config.axioms):
-        for vi, variant in enumerate(config.variants):
+    variant_names = [v.name for v in DEFAULT_VARIANTS]
+    for axiom in config.axioms:
+        for variant in config.variants:
             if expected_verdict(axiom, variant.name) is None:
                 continue
+            ai, vi = AXIOMS.index(axiom), variant_names.index(variant.name)
             rng = np.random.default_rng([config.master_seed, ai, vi])
             stream = chain(seeded_instances(axiom, variant), _RANDOM_STREAMS[axiom](rng))
             check = check_axiom(

@@ -15,10 +15,19 @@ Three families:
 
 Every family goes through one per-state engine, MarginalCache: marginal
 spectra and h values keyed by party subset, and the memoized finest
-factorization.  Partition sweeps cost dictionary lookups instead of
-repeated partial traces, and a factor's quantities are read off the
-marginals of the whole state, so one cache serves every measure and every
-k evaluated on the same state.
+factorization.  A factor's quantities are read off the marginals of the
+whole state, so one cache serves every measure and every k evaluated on
+the same state.
+
+Both partition families work on party bitmasks (bit i is party i), with
+h read once per subset of at most k-1 parties.  The min family runs an
+O(3^n) subset DP for the least block sum per block count, then a DFS
+bounded by it re-scores, exactly as an exhaustive sweep does, every
+partition that can lie within TIE_TOL of the minimum: the witness is the
+first minimizer in restricted-growth-string order, and co_minimal lists
+all partitions within TIE_TOL, in that order.  The geometric family sums
+block values over a per-(n, k-1) table of the family's block masks,
+cached on first use.
 
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
 token, its family and the reduced function it fixes, if any.
@@ -28,13 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .factorize import FactorDecomposition, finest_factorization
-from .partitions import Partition, count_k_fineness, iter_k_fineness
+from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
 from .qstate import DensityMatrix, PureState, marginal_spectrum
 from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum, format_redfun
 
@@ -70,6 +80,7 @@ UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
 PARTITION_COUNT_CAP = 1_000_000   # min-family sweep guard
 GEOMETRIC_PARTY_CAP = 9           # product over Gamma grows like Bell(n)
+TIE_TOL = 1e-12                   # co-minimal band above the min-family minimum
 
 
 def _takes_parameter(row: MeasureKind) -> bool:
@@ -256,13 +267,104 @@ def measure_factor_family(
 # --- min family -----------------------------------------------------------------
 
 
-def _min_family_score(kind: str, terms: Sequence[float], m: int) -> float:
-    total = sum(terms)
+def _h_by_mask(cache: MarginalCache, h: ReducedFunctionSpec, n: int, b: int) -> list[float]:
+    """h of every party subset of at most b parties, indexed by bitmask (bit
+    i is party i); larger subsets stay 0.0 and are never read as blocks."""
+    values = [0.0] * (1 << n)
+    for size in range(1, b + 1):
+        for subset in combinations(range(n), size):
+            values[sum(1 << i for i in subset)] = cache.h_value(h, subset)
+    return values
+
+
+def _low_blocks(mask: int, b: int) -> list[int]:
+    """Every block of at most b parties inside `mask` that holds its lowest party."""
+    low = mask & -mask
+    others = [1 << i for i in mask_parties(mask ^ low)]
+    return [
+        low | sum(extra)
+        for size in range(min(b, len(others) + 1))
+        for extra in combinations(others, size)
+    ]
+
+
+def _least_sums(values: list[float], n: int, b: int) -> dict[int, dict[int, float]]:
+    """Subset DP: least[mask][m] is the least block sum over partitions of
+    `mask` into m blocks of at most b parties, by recursion on the block that
+    holds the lowest party.  Only masks reached from the full set are kept."""
+    least: dict[int, dict[int, float]] = {0: {0: 0.0}}
+
+    def fill(mask: int) -> dict[int, float]:
+        row: dict[int, float] = {}
+        for block in _low_blocks(mask, b):
+            rest = mask ^ block
+            sub = least.get(rest)
+            if sub is None:
+                sub = fill(rest)
+            h = values[block]
+            for m, total in sub.items():
+                total += h
+                if total < row.get(m + 1, math.inf):
+                    row[m + 1] = total
+        least[mask] = row
+        return row
+
+    fill((1 << n) - 1)
+    return least
+
+
+def _min_family_score(kind: str, total: float, m: int) -> float:
+    """Score of a partition into m blocks whose block values sum to total."""
     if kind == "Eprime_k":
         return 0.5 * total
     if kind == "C_k":
         return total / m
     return math.sqrt(total / m)  # Cq_k, Calpha_k
+
+
+def _near_minimal(kind: str, values: list[float], n: int, b: int) -> list[tuple]:
+    """(score, restricted growth string, block masks) of every partition whose
+    DP bound (prefix sum plus least completion) scores within TIE_TOL +
+    1e-12 * max(1, |V|) of the DP minimum V; the second term covers the DP's
+    summation order, since the scores come from a sweep-order re-sum."""
+    least = _least_sums(values, n, b)
+    full = (1 << n) - 1
+    by_count = {m: _min_family_score(kind, total, m) for m, total in least[full].items()}
+    floor = min(by_count.values())
+    ceiling = floor + TIE_TOL + 1e-12 * max(1.0, abs(floor))
+    found = []
+    blocks: list[int] = []
+
+    def walk(mask: int, total: float, m: int) -> None:
+        if not mask:
+            rgs = [0] * n
+            for j, block in enumerate(blocks):
+                for i in mask_parties(block):
+                    rgs[i] = j
+            score = _min_family_score(kind, sum([values[block] for block in blocks]), m)
+            found.append((score, tuple(rgs), tuple(blocks)))
+            return
+        left = m - len(blocks) - 1
+        for block in _low_blocks(mask, b):
+            rest = mask ^ block
+            completion = least[rest].get(left)
+            if completion is None:
+                continue
+            partial = total + values[block]
+            if _min_family_score(kind, partial + completion, m) > ceiling:
+                continue
+            blocks.append(block)
+            walk(rest, partial, m)
+            blocks.pop()
+
+    for m, score in by_count.items():
+        if score <= ceiling:
+            walk(full, 0.0, m)
+    return found
+
+
+def _mask_partition(blocks: Sequence[int]) -> Partition:
+    return Partition(tuple(mask_parties(block) for block in blocks))
 
 
 def measure_min_family(
@@ -273,8 +375,13 @@ def measure_min_family(
     unsafe_large: bool = False,
 ) -> MeasureResult:
     """Minimize the per-partition score over all partitions with blocks of
-    at most k-1 parties.  First minimizer in enumeration order wins;
-    co-minimal partitions (within 1e-12) are collected on request."""
+    at most k-1 parties, by the subset DP and bounded DFS of `_near_minimal`.
+
+    The witness is the first minimizer in restricted-growth-string order,
+    the partition the exhaustive sweep would report; the value is its score.
+    With collect_ties, breakdown["co_minimal"] lists every partition scoring
+    within TIE_TOL of the minimum, in restricted-growth-string order.
+    """
     kind, k = spec.kind, spec.k
     n = state.num_parties
     _check_k(k, n)
@@ -284,34 +391,41 @@ def measure_min_family(
             "pass unsafe_large=True to override"
         )
     cache = _cache_for(state, cache)
-    hfun = spec.reduced_function()
-
-    best = math.inf
-    best_partition: Optional[Partition] = None
-    best_terms: tuple[float, ...] = ()
-    ties: list[Partition] = []
-    for part in iter_k_fineness(range(n), k - 1):
-        terms = [cache.h_value(hfun, block) for block in part.blocks]
-        score = _min_family_score(kind, terms, part.num_blocks)
-        if score < best:
-            best = score
-            best_partition = part
-            best_terms = tuple(terms)
-            ties = [part]
-        elif collect_ties and score <= best + 1e-12:
-            ties.append(part)
-
-    assert best_partition is not None
+    values = _h_by_mask(cache, spec.reduced_function(), n, k - 1)
+    found = _near_minimal(kind, values, n, k - 1)
+    best, _, blocks = min(found)
+    witness = _mask_partition(blocks)
     breakdown = {
-        "terms": tuple(zip(best_partition.blocks, best_terms)),
-        "num_blocks": best_partition.num_blocks,
+        "terms": tuple(zip(witness.blocks, (values[block] for block in blocks))),
+        "num_blocks": witness.num_blocks,
     }
     if collect_ties:
-        breakdown["co_minimal"] = tuple(ties)
-    return MeasureResult(value=float(best), witness=best_partition, breakdown=breakdown)
+        breakdown["co_minimal"] = tuple(
+            _mask_partition(ties) for score, _, ties in sorted(found, key=lambda f: f[1])
+            if score <= best + TIE_TOL
+        )
+    return MeasureResult(value=float(best), witness=witness, breakdown=breakdown)
 
 
 # --- geometric family ------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _mask_table(n: int, b: int) -> np.ndarray:
+    """Gamma_b of n parties as an (n, |Gamma_b|) array of block masks:
+    column i holds the blocks of the i-th partition in restricted-growth-
+    string order, then zeros (the empty mask, whose h is 0.0).  Built on
+    first use and shared read-only."""
+    count = count_k_fineness(n, b)
+    pad = (0,) * n
+    flat = np.fromiter(
+        chain.from_iterable(blocks + pad[len(blocks):] for blocks in iter_block_masks(n, b)),
+        dtype=np.min_scalar_type((1 << n) - 1),
+        count=count * n,
+    )
+    table = flat.reshape(count, n).T.copy()
+    table.flags.writeable = False
+    return table
 
 
 def measure_geometric_family(
@@ -320,11 +434,12 @@ def measure_geometric_family(
     cache: Optional[MarginalCache] = None,
     unsafe_large: bool = False,
 ) -> MeasureResult:
-    """Geometric-mean family over the same bounded-block partition sweep.
+    """Geometric-mean family over the same bounded-block partition family.
 
     value = ( prod_i [sum of block values of partition i] / prod_i m_i
             ) ^ (1 / (2 * family size)),
-    computed in log space; any zero partition sum gives exactly 0.
+    computed in log space; any zero partition sum gives exactly 0.  Block
+    values are added left to right in canonical block order, as a sweep does.
     """
     n = state.num_parties
     _check_k(spec.k, n)
@@ -334,25 +449,22 @@ def measure_geometric_family(
             "pass unsafe_large=True to override"
         )
     cache = _cache_for(state, cache)
-    hfun = spec.reduced_function()
-
-    rows: list[tuple[int, float]] = []
-    log_num = 0.0
-    log_den = 0.0
-    hit_zero = False
-    for part in iter_k_fineness(range(n), spec.k - 1):
-        total = sum(cache.h_value(hfun, block) for block in part.blocks)
-        rows.append((part.num_blocks, total))
-        if total <= 0.0:
-            hit_zero = True
-        elif not hit_zero:
-            log_num += math.log(total)
-            log_den += math.log(part.num_blocks)
-    value = 0.0 if hit_zero else math.exp((log_num - log_den) / (2.0 * len(rows)))
+    values = np.array(_h_by_mask(cache, spec.reduced_function(), n, spec.k - 1))
+    table = _mask_table(n, spec.k - 1)
+    sums = values[table[0]]
+    for blocks in table[1:]:
+        sums = sums + values[blocks]
+    totals = sums.tolist()
+    counts = np.count_nonzero(table, axis=0).tolist()
+    if min(totals) <= 0.0:
+        value = 0.0
+    else:
+        log_ratio = sum(map(math.log, totals)) - sum(map(math.log, counts))
+        value = math.exp(log_ratio / (2.0 * len(totals)))
     return MeasureResult(
         value=value,
         witness=None,
-        breakdown={"partitions": tuple(rows), "cardinality": len(rows)},
+        breakdown={"partitions": tuple(zip(counts, totals)), "cardinality": len(totals)},
     )
 
 
@@ -382,8 +494,8 @@ def value_from_breakdown(spec: MeasureSpec, result: MeasureResult) -> float:
     if spec.family == FACTOR:
         return float(sum(v for _, v in result.breakdown["factors"]))
     if spec.family == MIN:
-        terms = [v for _, v in result.breakdown["terms"]]
-        return _min_family_score(spec.kind, terms, result.breakdown["num_blocks"])
+        total = sum(v for _, v in result.breakdown["terms"])
+        return _min_family_score(spec.kind, total, result.breakdown["num_blocks"])
     rows = result.breakdown["partitions"]
     if any(total <= 0.0 for _, total in rows):
         return 0.0

@@ -5,7 +5,9 @@ blocks ordered by their smallest member.  The family Gamma_k of all
 partitions whose blocks hold at most k parties is enumerated in
 restricted-growth-string lexicographic order; that order is part of the
 public contract because minimizers break ties by taking the first
-partition the enumerator produces.
+partition the enumerator produces.  One walk produces it:
+`iter_block_masks` yields each partition as block bitmasks, and
+`iter_k_fineness` wraps it in Partition objects.
 """
 
 from __future__ import annotations
@@ -81,15 +83,54 @@ class Partition:
         return all(len({lookup[p] for p in block}) == 1 for block in self.blocks)
 
 
-def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
-    """Yield all partitions of `parties` with blocks of at most k parties.
+def iter_block_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of parties 0..n-1 with blocks of at most k
+    parties as a tuple of block bitmasks (bit i is party i).
 
     Order is restricted-growth-string lexicographic: party i is assigned a
     block id a_i with a_0 = 0 and a_i <= max(a_0..a_{i-1}) + 1, strings
     ordered lexicographically.  Blocks that already hold k parties are
     pruned during the walk, so the yielded sequence is the lex-ordered
-    subsequence of the full Bell enumeration.
+    subsequence of the full Bell enumeration.  Blocks come in canonical
+    order (by smallest member), and no Partition objects are built.
     """
+    blocks: list[int] = []
+    sizes: list[int] = []
+
+    def walk(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(blocks)
+            return
+        bit = 1 << i
+        for b in range(len(blocks)):
+            if sizes[b] < k:
+                blocks[b] |= bit
+                sizes[b] += 1
+                yield from walk(i + 1)
+                blocks[b] ^= bit
+                sizes[b] -= 1
+        blocks.append(bit)
+        sizes.append(1)
+        yield from walk(i + 1)
+        blocks.pop()
+        sizes.pop()
+
+    return walk(0)
+
+
+def mask_parties(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
+    """Yield all partitions of `parties` with blocks of at most k parties,
+    in the restricted-growth-string order of `iter_block_masks`."""
     if k < 1:
         raise ValueError(f"fineness bound must be >= 1, got {k}")
     idx = tuple(sorted(parties))
@@ -98,26 +139,8 @@ def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
     n = len(idx)
     if n == 0:
         raise ValueError("no parties to partition")
-
-    assign = [0] * n
-    sizes = [0] * n
-
-    def walk(i: int, nblocks: int) -> Iterator[Partition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for pos, b in enumerate(assign):
-                blocks[b].append(idx[pos])
-            yield Partition.of(blocks)
-            return
-        for b in range(nblocks + 1):
-            if b < nblocks and sizes[b] == k:
-                continue
-            assign[i] = b
-            sizes[b] += 1
-            yield from walk(i + 1, max(nblocks, b + 1))
-            sizes[b] -= 1
-
-    yield from walk(0, 0)
+    for masks in iter_block_masks(n, k):
+        yield Partition(tuple(tuple(idx[i] for i in mask_parties(m)) for m in masks))
 
 
 @lru_cache(maxsize=None)

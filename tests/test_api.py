@@ -1,6 +1,9 @@
 """Public names and the hook points the benchmark tracer rebinds."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kpem
@@ -27,3 +30,14 @@ def test_tracer_hooks_exist():
     finally:
         t.uninstall()
     assert t.missing == []
+
+
+def test_import_builds_no_mask_table():
+    """The geometric family's mask tables are built on first use, never at
+    import: a fresh `import kpem.cli` leaves their cache empty."""
+    src = str(Path(kpem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import kpem.cli, kpem.measures as m; print(m._mask_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"

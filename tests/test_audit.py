@@ -119,6 +119,21 @@ def test_suite_is_deterministic():
         [(c.axiom, c.variant, c.verdict, c.worst_margin) for c in b.checks]
 
 
+def test_cell_reruns_alone():
+    """A cell's instances do not depend on which other cells the config holds."""
+    wide = run_suite(AuditConfig(
+        instances_per_check=3,
+        axioms=("symmetry", "additivity"),
+        variants=(VARIANTS["C"], VARIANTS["Eprime[entropy]"]),
+    ))
+    alone = run_suite(AuditConfig(
+        instances_per_check=3,
+        axioms=("additivity",),
+        variants=(VARIANTS["Eprime[entropy]"],),
+    ))
+    assert list(alone.records()) == wide.find("additivity", "Eprime[entropy]").records
+
+
 def test_empty_config_gives_empty_report():
     report = run_suite(AuditConfig(axioms=()))
     assert report.checks == []

@@ -241,6 +241,9 @@ def test_audit_config_file(tmp_path, capsys):
     ('{"axioms": ["bogus"]}', "axioms"),
     ('{"variants": "C"}', "variants"),
     ('{"variants": ["C", "Cq(3)"]}', "variants"),
+    ('{"axioms": ["symmetry", "symmetry"]}', "axioms name a cell more than once"),
+    ('{"variants": ["C", "E[entropy]", "C"]}', "variants name a cell more than once"),
+    ('{"master_seed": -1}', "master_seed must be >= 0"),
 ])
 def test_audit_config_is_strict(tmp_path, capsys, document, needle):
     cfg = tmp_path / "audit.json"
@@ -256,6 +259,13 @@ def test_audit_trials_must_be_positive(capsys, trials):
     assert cli.main(["audit", "--trials", trials, "--json"]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert "instances_per_check must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_audit_seed_must_be_non_negative(capsys):
+    assert cli.main(["audit", "--seed", "-1", "--json"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "master_seed must be >= 0, got -1" in captured.err
     assert captured.out == ""
 
 

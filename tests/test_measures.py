@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpem.factorize import classify
 from kpem.measures import (
     GEOMETRIC_PARTY_CAP,
+    TIE_TOL,
     MarginalCache,
     MeasureSpec,
     convex_roof_upper_bound,
     evaluate_measure,
+    measure_geometric_family,
+    measure_min_family,
     parse_measure,
     unified_mem,
     value_from_breakdown,
@@ -261,15 +266,142 @@ def test_min_family_first_witness_is_deterministic():
 
 
 def test_collect_ties():
-    from kpem.measures import measure_min_family
+    # co_minimal is every partition scoring within TIE_TOL of the minimum,
+    # in restricted-growth-string order: one partition for two Bell pairs,
+    # every partition for an all-|0> product
+    bell_pairs = build_state(StateSpec((MaxEntFactor(("A", "B")), MaxEntFactor(("C", "D")))))
+    zeros = build_state(StateSpec(tuple(zero_qubit(lab) for lab in "ABCDE")))
+    for psi, want in ((bell_pairs, 1), (zeros, 26)):
+        spec = MeasureSpec("Eprime_k", 3, h=ENTROPY)
+        res = measure_min_family(spec, psi, collect_ties=True)
+        ties = res.breakdown["co_minimal"]
+        assert ties == sweep_min_family(spec, psi, MarginalCache(psi))[2]
+        assert len(ties) == want
+        assert ties[0] == res.witness
 
-    psi = build_state(StateSpec((MaxEntFactor(("A", "B")), MaxEntFactor(("C", "D")))))
-    res = measure_min_family(MeasureSpec("Eprime_k", 3, h=ENTROPY), psi, collect_ties=True)
-    ties = res.breakdown["co_minimal"]
-    assert res.witness in ties
-    assert all(evaluate_measure(
-        MeasureSpec("Eprime_k", 3, h=ENTROPY), psi
-    ).value == pytest.approx(0.0) for _ in ties)
+
+# --- DP and mask table against the exhaustive sweep --------------------------------
+
+MIN_SCORES = {
+    "Eprime_k": lambda total, m: 0.5 * total,
+    "C_k": lambda total, m: total / m,
+    "Cq_k": lambda total, m: math.sqrt(total / m),
+    "Calpha_k": lambda total, m: math.sqrt(total / m),
+}
+
+
+def sweep_min_family(spec, psi, cache):
+    """Oracle: score every partition of Gamma_{k-1} in enumeration order.
+    Returns (value, first minimizer with its terms, co-minimal partitions)."""
+    h = spec.reduced_function()
+    scored = []
+    for part in iter_k_fineness(range(psi.num_parties), spec.k - 1):
+        terms = [cache.h_value(h, block) for block in part.blocks]
+        scored.append((MIN_SCORES[spec.kind](sum(terms), part.num_blocks), part, terms))
+    best = min(score for score, _, _ in scored)
+    first = next((part, terms) for score, part, terms in scored if score == best)
+    ties = tuple(part for score, part, _ in scored if score <= best + TIE_TOL)
+    return best, first, ties
+
+
+def sweep_geometric_family(spec, psi, cache):
+    """Oracle: (value, per-partition (block count, block sum) rows), in log space."""
+    h = spec.reduced_function()
+    rows = []
+    for part in iter_k_fineness(range(psi.num_parties), spec.k - 1):
+        rows.append((part.num_blocks, sum(cache.h_value(h, block) for block in part.blocks)))
+    if any(total <= 0.0 for _, total in rows):
+        return 0.0, rows
+    log_ratio = sum(math.log(total) - math.log(m) for m, total in rows)
+    return math.exp(log_ratio / (2.0 * len(rows))), rows
+
+
+def min_family_specs(k):
+    return [
+        MeasureSpec("Eprime_k", k, h=ENTROPY),
+        MeasureSpec("Eprime_k", k, h=CONCURRENCE),
+        MeasureSpec("Eprime_k", k, h=ReducedFunctionSpec("q_family", 3.0)),
+        MeasureSpec("Eprime_k", k, h=ReducedFunctionSpec("alpha_family", 0.25)),
+        MeasureSpec("C_k", k),
+        MeasureSpec("Cq_k", k, parameter=Q2),
+        MeasureSpec("Calpha_k", k, parameter=A5),
+    ]
+
+
+def geometric_specs(k):
+    return [MeasureSpec("CGq_k", k, parameter=Q2), MeasureSpec("CGalpha_k", k, parameter=A5)]
+
+
+def assert_min_family_matches_sweep(spec, psi, cache):
+    value, (witness, terms), ties = sweep_min_family(spec, psi, cache)
+    res = measure_min_family(spec, psi, cache, collect_ties=True)
+    assert res.witness == witness, (spec, witness, res.witness)
+    assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert res.breakdown["terms"] == tuple(zip(witness.blocks, terms))
+    assert res.breakdown["num_blocks"] == witness.num_blocks
+    assert res.breakdown["co_minimal"] == ties
+
+
+def assert_geometric_matches_sweep(spec, psi, cache):
+    value, rows = sweep_geometric_family(spec, psi, cache)
+    res = measure_geometric_family(spec, psi, cache)
+    assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert (res.value == 0.0) == (value == 0.0)
+    assert res.breakdown["cardinality"] == len(rows)
+    assert [m for m, _ in res.breakdown["partitions"]] == [m for m, _ in rows]
+    for (_, got), (_, want) in zip(res.breakdown["partitions"], rows):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def haar_states(draw):
+    n = draw(st.integers(2, 7))
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n))
+    labels = [chr(ord("A") + i) for i in range(len(dims))]
+    return random_pure(SystemLayout.of(labels, dims), seed=draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(psi=haar_states(), data=st.data())
+def test_min_family_dp_matches_sweep_on_haar_states(psi, data):
+    cache = MarginalCache(psi)
+    k = data.draw(st.integers(2, psi.num_parties), label="k")
+    for spec in min_family_specs(k):
+        assert_min_family_matches_sweep(spec, psi, cache)
+
+
+@settings(max_examples=25, deadline=None)
+@given(psi=haar_states(), data=st.data())
+def test_geometric_table_matches_sweep_on_haar_states(psi, data):
+    cache = MarginalCache(psi)
+    k = data.draw(st.integers(2, psi.num_parties), label="k")
+    for spec in geometric_specs(k):
+        assert_geometric_matches_sweep(spec, psi, cache)
+
+
+TIE_HEAVY = {
+    "ghz4": StateSpec((GhzFactor(tuple("ABCD")),)),
+    "ghz6": StateSpec((GhzFactor(tuple("ABCDEF")),)),
+    "w5": StateSpec((WFactor(tuple("ABCDE")),)),
+    "zeros7": StateSpec(tuple(zero_qubit(lab) for lab in "ABCDEFG")),
+    "bell_pairs": StateSpec((MaxEntFactor(("A", "B")), MaxEntFactor(("C", "D")),
+                             MaxEntFactor(("E", "F")))),
+    "ghz3_w3": StateSpec((GhzFactor(("A", "B", "C")), WFactor(("D", "E", "F")))),
+    "psi": StateSpec((GhzFactor(tuple("ABCD")), WFactor(tuple("EFG")), zero_qubit("H"))),
+    "phi": StateSpec((WFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+def test_bitmask_core_matches_sweep_on_tie_heavy_states(name):
+    psi = build_state(TIE_HEAVY[name])
+    cache = MarginalCache(psi)
+    for k in range(2, psi.num_parties + 1):
+        for spec in min_family_specs(k):
+            assert_min_family_matches_sweep(spec, psi, cache)
+        if psi.num_parties <= 7:
+            for spec in geometric_specs(k):
+                assert_geometric_matches_sweep(spec, psi, cache)
 
 
 # --- invariances ------------------------------------------------------------------------
