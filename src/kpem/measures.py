@@ -23,11 +23,12 @@ Both partition families work on party bitmasks (bit i is party i), with
 h read once per subset of at most k-1 parties.  The min family runs an
 O(3^n) subset DP for the least block sum per block count, then a DFS
 bounded by it re-scores, exactly as an exhaustive sweep does, every
-partition that can lie within TIE_TOL of the minimum: the witness is the
-first minimizer in restricted-growth-string order, and co_minimal lists
-all partitions within TIE_TOL, in that order.  The geometric family sums
-block values over a per-(n, k-1) table of the family's block masks,
-cached on first use.
+partition that can be the minimizer, keeping only the least: the witness
+is the first minimizer in restricted-growth-string order.  With ties
+requested it keeps every partition that can lie within TIE_TOL of the
+minimum, and co_minimal lists those within it, in that order.  The
+geometric family sums block values over a per-(n, k-1) table of the
+family's block masks, cached on first use.
 
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
 token, its family and the reduced function it fixes, if any.
@@ -298,9 +299,7 @@ def _least_sums(values: list[float], n: int, b: int) -> dict[int, dict[int, floa
         row: dict[int, float] = {}
         for block in _low_blocks(mask, b):
             rest = mask ^ block
-            sub = least.get(rest)
-            if sub is None:
-                sub = fill(rest)
+            sub = least[rest] if rest in least else fill(rest)
             h = values[block]
             for m, total in sub.items():
                 total += h
@@ -322,27 +321,35 @@ def _min_family_score(kind: str, total: float, m: int) -> float:
     return math.sqrt(total / m)  # Cq_k, Calpha_k
 
 
-def _near_minimal(kind: str, values: list[float], n: int, b: int) -> list[tuple]:
-    """(score, restricted growth string, block masks) of every partition whose
-    DP bound (prefix sum plus least completion) scores within TIE_TOL +
-    1e-12 * max(1, |V|) of the DP minimum V; the second term covers the DP's
-    summation order, since the scores come from a sweep-order re-sum."""
+def _near_minimal(kind: str, values: list[float], n: int, b: int, collect_ties: bool) -> tuple:
+    """The least (score, restricted growth string, block masks) over Gamma_b,
+    and with collect_ties that triple for every partition whose DP bound
+    (prefix sum plus least completion) lies within TIE_TOL of the DP minimum
+    V.  Bounds get 1e-12 * max(1, |V|) of slack for the DP's summation order,
+    since the scores come from a sweep-order re-sum."""
     least = _least_sums(values, n, b)
     full = (1 << n) - 1
     by_count = {m: _min_family_score(kind, total, m) for m, total in least[full].items()}
     floor = min(by_count.values())
-    ceiling = floor + TIE_TOL + 1e-12 * max(1.0, abs(floor))
-    found = []
+    ceiling = floor + (TIE_TOL if collect_ties else 0.0) + 1e-12 * max(1.0, abs(floor))
+    best: tuple = (math.inf,)
+    found: list[tuple] = []
     blocks: list[int] = []
 
     def walk(mask: int, total: float, m: int) -> None:
+        nonlocal best
         if not mask:
+            score = _min_family_score(kind, sum([values[block] for block in blocks]), m)
+            if score > best[0] and not collect_ties:
+                return
             rgs = [0] * n
             for j, block in enumerate(blocks):
                 for i in mask_parties(block):
                     rgs[i] = j
-            score = _min_family_score(kind, sum([values[block] for block in blocks]), m)
-            found.append((score, tuple(rgs), tuple(blocks)))
+            entry = (score, tuple(rgs), tuple(blocks))
+            best = min(best, entry)
+            if collect_ties:
+                found.append(entry)
             return
         left = m - len(blocks) - 1
         for block in _low_blocks(mask, b):
@@ -360,7 +367,7 @@ def _near_minimal(kind: str, values: list[float], n: int, b: int) -> list[tuple]
     for m, score in by_count.items():
         if score <= ceiling:
             walk(full, 0.0, m)
-    return found
+    return best, found
 
 
 def _mask_partition(blocks: Sequence[int]) -> Partition:
@@ -392,8 +399,7 @@ def measure_min_family(
         )
     cache = _cache_for(state, cache)
     values = _h_by_mask(cache, spec.reduced_function(), n, k - 1)
-    found = _near_minimal(kind, values, n, k - 1)
-    best, _, blocks = min(found)
+    (best, _, blocks), found = _near_minimal(kind, values, n, k - 1, collect_ties)
     witness = _mask_partition(blocks)
     breakdown = {
         "terms": tuple(zip(witness.blocks, (values[block] for block in blocks))),
@@ -412,10 +418,9 @@ def measure_min_family(
 
 @lru_cache(maxsize=64)
 def _mask_table(n: int, b: int) -> np.ndarray:
-    """Gamma_b of n parties as an (n, |Gamma_b|) array of block masks:
-    column i holds the blocks of the i-th partition in restricted-growth-
-    string order, then zeros (the empty mask, whose h is 0.0).  Built on
-    first use and shared read-only."""
+    """Gamma_b of n parties as a read-only (n, |Gamma_b|) array of block
+    masks: column i holds the blocks of the i-th partition in restricted-
+    growth-string order, then zeros (the empty mask, whose h is 0.0)."""
     count = count_k_fineness(n, b)
     pad = (0,) * n
     flat = np.fromiter(
@@ -439,7 +444,8 @@ def measure_geometric_family(
     value = ( prod_i [sum of block values of partition i] / prod_i m_i
             ) ^ (1 / (2 * family size)),
     computed in log space; any zero partition sum gives exactly 0.  Block
-    values are added left to right in canonical block order, as a sweep does.
+    values are added left to right, so the sums equal a sweep's Python `sum`
+    bit for bit where it adds in order (3.11 and older), and to 1e-12 after.
     """
     n = state.num_parties
     _check_k(spec.k, n)
@@ -452,7 +458,7 @@ def measure_geometric_family(
     values = np.array(_h_by_mask(cache, spec.reduced_function(), n, spec.k - 1))
     table = _mask_table(n, spec.k - 1)
     sums = values[table[0]]
-    for blocks in table[1:]:
+    for blocks in table[1:]:  # one block at a time keeps the temporaries small
         sums = sums + values[blocks]
     totals = sums.tolist()
     counts = np.count_nonzero(table, axis=0).tolist()

@@ -13,6 +13,8 @@ from kpem.measures import (
     TIE_TOL,
     MarginalCache,
     MeasureSpec,
+    _h_by_mask,
+    _near_minimal,
     convex_roof_upper_bound,
     evaluate_measure,
     measure_geometric_family,
@@ -21,7 +23,7 @@ from kpem.measures import (
     unified_mem,
     value_from_breakdown,
 )
-from kpem.partitions import Partition, iter_k_fineness
+from kpem.partitions import Partition, count_k_fineness, iter_k_fineness
 from kpem.qstate import (
     AmplitudesFactor,
     DensityMatrix,
@@ -340,6 +342,11 @@ def assert_min_family_matches_sweep(spec, psi, cache):
     assert res.breakdown["terms"] == tuple(zip(witness.blocks, terms))
     assert res.breakdown["num_blocks"] == witness.num_blocks
     assert res.breakdown["co_minimal"] == ties
+    # without the tie list only the running least is kept: same outcome
+    plain = measure_min_family(spec, psi, cache)
+    assert "co_minimal" not in plain.breakdown
+    assert (plain.value, plain.witness) == (res.value, res.witness)
+    assert plain.breakdown["terms"] == res.breakdown["terms"]
 
 
 def assert_geometric_matches_sweep(spec, psi, cache):
@@ -403,6 +410,17 @@ def test_bitmask_core_matches_sweep_on_tie_heavy_states(name):
             for spec in geometric_specs(k):
                 assert_geometric_matches_sweep(spec, psi, cache)
 
+
+
+def test_without_ties_only_the_least_is_kept():
+    # every partition of an all-|0> product ties at 0: with the tie list the
+    # DFS holds all of Gamma_6, without it one triple, the same least one
+    psi = build_state(TIE_HEAVY["zeros7"])
+    values = _h_by_mask(MarginalCache(psi), ENTROPY, 7, 6)
+    least, band = _near_minimal("Eprime_k", values, 7, 6, True)
+    assert len(band) == count_k_fineness(7, 6)
+    assert _near_minimal("Eprime_k", values, 7, 6, False) == (least, [])
+    assert least[1] == (0, 0, 0, 0, 0, 0, 1)
 
 # --- invariances ------------------------------------------------------------------------
 
