@@ -9,6 +9,25 @@ qstate.pure_restriction; a state with no split is its own single factor.
 Minimality makes every multi-party factor genuinely entangled: a pure
 proper sub-marginal would have been found at a smaller size first.  The
 producibility of the state is the size of its largest factor.
+
+Subsets that split a clearly correlated pair are never scanned.  If a
+subset S holding party i but not party j had purity >= 1 - eps (eps =
+PURITY_TOL), its largest Schmidt weight would be >= 1 - eps, so the state
+would lie within trace distance sqrt(eps) of a product across S|S^c, and
+partial traces contract that to
+
+    ||rho_ij - rho_i (x) rho_j||_2 <= ||rho_ij - rho_i (x) rho_j||_1 <= 6 sqrt(eps).
+
+A pair above LINK_TOL (10x that bound) therefore lies inside one factor,
+and every pure subset is a union of the components of the graph of such
+links.  Links matter only once a search step goes past pairs, which
+needs at least six parties left, so the pair step of such a search forms
+each pair's marginal once and reads both its purity and its link from
+it.  If no pair is pure, the scan of three or more parties visits only
+unions of components and so finds the same subset as the full scan.
+States whose pairs are uncorrelated (AME-like factors) get no links and
+fall back to the full scan; a generic entangled state collapses to one
+component and needs no scan of three or more parties.
 """
 
 from __future__ import annotations
@@ -18,12 +37,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .partitions import Partition
+from .partitions import Partition, mask_parties
 from .qstate import (
     FIDELITY_TOL,
+    LINK_TOL,
     NumericalContractError,
     PureState,
     PURITY_TOL,
+    _split_matrix,
     marginal_purity,
     pure_restriction,
 )
@@ -69,6 +90,7 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     a NumericalContractError is raised.
     """
     pure: dict[tuple[int, ...], bool] = {}
+    linked: set[tuple[int, int]] = set()
 
     def is_pure(subset: tuple[int, ...]) -> bool:
         got = pure.get(subset)
@@ -76,16 +98,36 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
             got = pure[subset] = marginal_purity(state, subset) >= 1.0 - PURITY_TOL
         return got
 
+    def pair_is_pure(pair: tuple[int, int]) -> bool:
+        got = pure.get(pair)
+        if got is None:
+            purity, distance = _pair_marginal(state, pair)
+            got = pure[pair] = purity >= 1.0 - PURITY_TOL
+            if distance > LINK_TOL:
+                linked.add(pair)
+        return got
+
     blocks: list[tuple[int, ...]] = []
     remaining = tuple(range(state.num_parties))
     while remaining:
         # a proper pure subset pairs with a pure complement, so scanning up
         # to half the parties cannot miss one
-        found = next(
-            (sub for size in range(1, len(remaining) // 2 + 1)
-             for sub in combinations(remaining, size) if is_pure(sub)),
-            remaining,
-        )
+        half = len(remaining) // 2
+        found = next((s for s in combinations(remaining, 1) if is_pure(s)), None)
+        if found is None and half >= 2:
+            test = pair_is_pure if half >= 3 else is_pure
+            found = next((s for s in combinations(remaining, 2) if test(s)), None)
+        if found is None and half >= 3:
+            # every remaining pair has its link now
+            closure = _component_masks(remaining, linked)
+            found = next(
+                (sub for size in range(3, half + 1)
+                 for sub in combinations(remaining, size)
+                 if _is_union(sub, closure) and is_pure(sub)),
+                None,
+            )
+        if found is None:
+            found = remaining
         blocks.append(found)
         remaining = tuple(p for p in remaining if p not in found)
 
@@ -116,6 +158,45 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
         ),
         fidelity=fid,
     )
+
+
+def _pair_marginal(state: PureState, pair: tuple[int, int]) -> tuple[float, float]:
+    """(purity, ||rho_ij - rho_i (x) rho_j||_2) from one pair marginal.
+
+    The purity is computed exactly as qstate.marginal_purity computes it,
+    so the pure/mixed decision does not depend on which route took it.
+    """
+    m = _split_matrix(state, pair)
+    rho = m @ m.conj().T
+    if m.shape[0] > m.shape[1]:
+        purity = marginal_purity(state, pair)
+    else:
+        purity = float(np.real(np.sum(rho * rho.conj())))
+    di, dj = (state.layout.dims[p] for p in pair)
+    t = rho.reshape(di, dj, di, dj)
+    rho_i = t.trace(axis1=1, axis2=3)
+    rho_j = t.trace(axis1=0, axis2=2)
+    return purity, float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
+
+
+def _component_masks(parties: tuple[int, ...], linked: set[tuple[int, int]]) -> dict[int, int]:
+    """Bitmask of each party's component in the graph of linked pairs."""
+    comp = {p: 1 << p for p in parties}
+    for i, j in linked:
+        if i in comp and j in comp and comp[i] != comp[j]:
+            merged = comp[i] | comp[j]
+            for p in mask_parties(merged):
+                comp[p] = merged
+    return comp
+
+
+def _is_union(subset: tuple[int, ...], closure: dict[int, int]) -> bool:
+    """Whether `subset` is a union of whole components."""
+    mask = own = 0
+    for p in subset:
+        mask |= closure[p]
+        own |= 1 << p
+    return mask == own
 
 
 def _reconstruction_fidelity(

@@ -44,6 +44,13 @@ class Partition:
             object.__setattr__(self, "blocks", canon)
 
     @classmethod
+    def _trusted(cls, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """Wrap blocks that are already canonical, skipping validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
+    @classmethod
     def of(cls, blocks: Sequence[Sequence[int]]) -> "Partition":
         return cls(tuple(tuple(b) for b in blocks))
 
@@ -140,7 +147,9 @@ def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
     if n == 0:
         raise ValueError("no parties to partition")
     for masks in iter_block_masks(n, k):
-        yield Partition(tuple(tuple(idx[i] for i in mask_parties(m)) for m in masks))
+        yield Partition._trusted(
+            tuple(tuple(idx[i] for i in mask_parties(m)) for m in masks)
+        )
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ thing everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +25,9 @@ TRACE_TOL = 1e-12         # |tr(rho) - 1|
 EIG_FLOOR = -1e-10        # eigenvalues below this are a contract failure
 SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
 PURITY_TOL = 1e-9         # tr(rho^2) >= 1 - PURITY_TOL counts as pure
+# a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
+# factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
+LINK_TOL = 10 * 6 * math.sqrt(PURITY_TOL)
 FIDELITY_TOL = 1e-8       # product reconstruction in factorize
 DIM_CAP = 2 ** 14         # total Hilbert dimension guard
 PARTY_CAP = 12            # party count guard
@@ -39,18 +42,25 @@ class SystemLayout:
     """Ordered parties, each a (label, local dimension) pair."""
 
     parties: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = [lab for lab, _ in self.parties]
+        labels = tuple(lab for lab, _ in self.parties)
         if not labels:
             raise ValueError("layout needs at least one party")
         if "" in labels:
             raise ValueError("party labels must be non-empty")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate party labels: {labels}")
+            raise ValueError(f"duplicate party labels: {list(labels)}")
         for lab, d in self.parties:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        dims = tuple(d for _, d in self.parties)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", math.prod(dims))
 
     @classmethod
     def of(cls, labels: Sequence[str], dims: Sequence[int]) -> "SystemLayout":
@@ -63,20 +73,8 @@ class SystemLayout:
         return cls.of(labels, [2] * len(labels))
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.parties)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.parties)
-
-    @property
     def num_parties(self) -> int:
         return len(self.parties)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def index_of(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.parties):
@@ -227,6 +225,14 @@ class StateSpec:
                     raise ValueError(f"label {lab!r} used by more than one factor")
                 seen.add(lab)
             _validate_factor(f)
+        # the text forms join labels without a separator, so they only parse
+        # back when no label is a prefix of another; in sorted order such a
+        # label is directly followed by one that extends it (the empty label
+        # is left to the layout's own check)
+        ordered = sorted(seen - {""})
+        for a, b in zip(ordered, ordered[1:]):
+            if b.startswith(a):
+                raise ValueError(f"label {a!r} is a prefix of label {b!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -450,7 +456,8 @@ def _split_matrix(state: PureState, keep: Sequence[int]) -> np.ndarray:
     n = state.num_parties
     keep = sorted(keep)
     _check_party_indices(keep, n)
-    rest = [i for i in range(n) if i not in set(keep)]
+    kept = set(keep)
+    rest = [i for i in range(n) if i not in kept]
     dims = state.layout.dims
     dk = math.prod(dims[i] for i in keep)
     return state.tensor().transpose(keep + rest).reshape(dk, -1)

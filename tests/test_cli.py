@@ -136,6 +136,15 @@ def test_empty_party_label_is_an_input_error(capsys):
     assert captured.out == ""
 
 
+def test_prefix_labels_are_an_input_error(capsys):
+    inline = '{"factors": [{"kind": "ghz", "labels": ["A", "AB", "B"]}]}'
+    assert cli.main(["compute", "--measure", "E", "--k", "2",
+                     "--h", "entropy", "--state", inline]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "label 'A' is a prefix of label 'AB'" in captured.err
+    assert captured.out == ""
+
+
 def test_numerical_contract_exit_code(psi_file, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericalContractError("spectrum sums to 0.5")

@@ -1,6 +1,7 @@
 """Finest tensor factorization and producibility classification."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpem import factorize
+from kpem.audit import _weak_pair
 from kpem.factorize import GENUINE, SINGLE, classify, finest_factorization
 from kpem.measures import MarginalCache, MeasureSpec, evaluate_measure, unified_mem
 from kpem.partitions import Partition
 from kpem.qstate import (
+    LINK_TOL,
+    PURITY_TOL,
     AmplitudesFactor,
     GhzFactor,
     MaxEntFactor,
@@ -21,6 +25,7 @@ from kpem.qstate import (
     WFactor,
     build_state,
     haar_state,
+    marginal_purity,
     permute_parties,
     pure_restriction,
     random_pure,
@@ -144,6 +149,59 @@ def test_pure_restriction():
     assert abs(np.vdot(ac.amplitudes, bell.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
+# --- the pair-linked scan against the plain scan ----------------------------------
+
+
+def scan_factorization(state):
+    """Reference: the size-then-lex scan over every subset of up to half the
+    remaining parties, no pair links.  Returns (blocks, classifications,
+    fidelity) in the form finest_factorization reports them."""
+    blocks, remaining = [], tuple(range(state.num_parties))
+    while remaining:
+        found = next(
+            (sub for size in range(1, len(remaining) // 2 + 1)
+             for sub in combinations(remaining, size)
+             if marginal_purity(state, sub) >= 1.0 - PURITY_TOL),
+            remaining,
+        )
+        blocks.append(found)
+        remaining = tuple(p for p in remaining if p not in found)
+    if len(blocks) == 1:
+        factors = [(blocks[0], state)]
+    else:
+        factors = [(b, pure_restriction(state, b)) for b in sorted(blocks)]
+    return (
+        [b for b, _ in factors],
+        [GENUINE if len(b) >= 2 else SINGLE for b, _ in factors],
+        factorize._reconstruction_fidelity(state, factors),
+    )
+
+
+def assert_matches_scan(state):
+    dec = finest_factorization(state)
+    got = (
+        [f.parties for f in dec.factors],
+        [f.classification for f in dec.factors],
+        dec.fidelity,
+    )
+    assert got == scan_factorization(state)
+    return dec
+
+
+def haar_blocks(sizes, dims, seed, perm=None):
+    """Product of Haar blocks of the given sizes, parties optionally permuted."""
+    rng = np.random.default_rng(seed)
+    factors, at = [], 0
+    for size in sizes:
+        labels = tuple(chr(ord("A") + at + i) for i in range(size))
+        layout = SystemLayout.of(labels, dims[at:at + size])
+        factors.append(AmplitudesFactor(labels, layout.dims,
+                                        tuple(haar_state(layout, rng).amplitudes)))
+        at += size
+    psi = build_state(StateSpec(tuple(factors)))
+    return psi if perm is None else permute_parties(psi, perm)
+
+
 @st.composite
 def planted_products(draw):
     """A tensor product of Haar blocks (local dims 2-3) under a random party
@@ -152,15 +210,7 @@ def planted_products(draw):
     n = sum(sizes)
     dims = draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n))
     perm = draw(st.permutations(range(n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    factors, at = [], 0
-    for size in sizes:
-        labels = tuple(chr(ord("A") + at + i) for i in range(size))
-        layout = SystemLayout.of(labels, dims[at:at + size])
-        amps = haar_state(layout, rng).amplitudes
-        factors.append(AmplitudesFactor(labels, layout.dims, tuple(amps)))
-        at += size
-    psi = permute_parties(build_state(StateSpec(tuple(factors))), perm)
+    psi = haar_blocks(sizes, dims, draw(st.integers(0, 2**32 - 1)), perm)
     position = {p: i for i, p in enumerate(perm)}
     blocks, at = [], 0
     for size in sizes:
@@ -173,7 +223,7 @@ def planted_products(draw):
 @given(planted_products())
 def test_planted_blocks_and_shared_engine(planted):
     psi, blocks = planted
-    dec = finest_factorization(psi)
+    dec = assert_matches_scan(psi)
     assert [f.parties for f in dec.factors] == blocks
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -191,3 +241,85 @@ def test_planted_blocks_and_shared_engine(planted):
                 tol = 1e-12 * max(1.0, abs(fresh))
                 assert shared == pytest.approx(fresh, abs=tol)
                 assert fresh == pytest.approx(per_factor, abs=tol)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5])
+def test_linked_scan_matches_scan_on_weak_pairs(delta):
+    spec = StateSpec((
+        _weak_pair("A", "B", delta),
+        GhzFactor(("C", "D", "E")),
+        WFactor(("F", "G", "H")),
+    ))
+    psi = build_state(spec)
+    assert_matches_scan(psi)
+    assert_matches_scan(permute_parties(psi, (2, 0, 5, 3, 6, 1, 4, 7)))
+    weak_pairs = build_state(StateSpec((
+        _weak_pair("A", "B", delta),
+        _weak_pair("C", "D", delta),
+        _weak_pair("E", "F", delta),
+    )))
+    assert_matches_scan(permute_parties(weak_pairs, (0, 2, 4, 1, 3, 5)))
+
+
+def ame_4_3(labels):
+    """The 4-qutrit AME state sum_{i,j} |i>|j>|i+j>|i+2j> (mod 3), explicit."""
+    amps = np.zeros(81, dtype=np.complex128)
+    for i in range(3):
+        for j in range(3):
+            amps[27 * i + 9 * j + 3 * ((i + j) % 3) + (i + 2 * j) % 3] = 1.0 / 3.0
+    return AmplitudesFactor(labels, (3, 3, 3, 3), tuple(amps))
+
+
+def test_ame_factors_fall_back_to_the_full_scan():
+    psi = permute_parties(
+        build_state(StateSpec((ame_4_3(("A", "B", "C", "D")), ame_4_3(("E", "F", "G", "H"))))),
+        (0, 4, 1, 5, 2, 6, 3, 7),
+    )
+    # every pair marginal of an AME state is maximally mixed: no links
+    assert all(factorize._pair_marginal(psi, pair)[1] <= LINK_TOL
+               for pair in combinations(range(8), 2))
+    dec = assert_matches_scan(psi)
+    assert [f.parties for f in dec.factors] == [(0, 2, 4, 6), (1, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec((GhzFactor(tuple("ABCDEFGH")),)),
+    StateSpec((GhzFactor(tuple("ABCDEF"), dim=3),)),
+    StateSpec((WFactor(tuple("ABCDEFG")),)),
+    StateSpec((GhzFactor(("A", "B", "C")), WFactor(("D", "E", "F")), MaxEntFactor(("G", "H")))),
+], ids=["ghz8", "ghz6-qutrits", "w7", "ghz3-w3-bell"])
+def test_linked_scan_matches_scan_on_ghz_and_w(spec):
+    assert_matches_scan(build_state(spec))
+
+
+@pytest.mark.parametrize("sizes,dims", [
+    ((12,), (2,) * 12),
+    ((7,), (4,) * 7),
+    ((8,), (3,) * 8),
+    ((5, 4, 3), (2,) * 12),
+], ids=["qubits12", "ququarts7", "qutrits8", "product12"])
+def test_linked_scan_matches_scan_on_dense_shapes(sizes, dims):
+    perm = tuple(np.random.default_rng(len(dims)).permutation(len(dims)))
+    assert_matches_scan(haar_blocks(sizes, dims, seed=sum(dims)))
+    assert_matches_scan(haar_blocks(sizes, dims, seed=sum(dims), perm=perm))
+
+
+def test_haar_state_needs_only_singles_and_pairs(monkeypatch):
+    """12 single purities and 66 pair marginals, in place of the 2,509
+    subsets of up to six parties the plain scan visits."""
+    calls = {"purity": 0, "pair": 0}
+    purity, pair = factorize.marginal_purity, factorize._pair_marginal
+
+    def count_purity(*args):
+        calls["purity"] += 1
+        return purity(*args)
+
+    def count_pair(*args):
+        calls["pair"] += 1
+        return pair(*args)
+
+    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
+    monkeypatch.setattr(factorize, "_pair_marginal", count_pair)
+    dec = finest_factorization(random_pure(SystemLayout.qubits("ABCDEFGHIJKL"), seed=5))
+    assert dec.genuine
+    assert calls == {"purity": 12, "pair": 66}

@@ -139,6 +139,16 @@ def test_family_invariants(n, k):
     assert len({p.blocks for p in fam}) == len(fam)
 
 
+def test_walker_output_is_canonical():
+    # iter_k_fineness skips validation, so its blocks must already be in the
+    # form the validating constructor would give them
+    for n in range(1, 7):
+        parties = tuple(range(2 * n - 1, -1, -2))
+        for k in range(1, n + 1):
+            for p in iter_k_fineness(parties, k):
+                assert Partition(p.blocks[::-1]).blocks == p.blocks
+
+
 def test_bad_enumeration_arguments():
     with pytest.raises(ValueError):
         list(iter_k_fineness(range(3), 0))
@@ -226,3 +236,25 @@ def test_partition_from_text_errors():
         partition_from_text("A||B", "AB")
     with pytest.raises(ValueError, match="cannot match"):
         partition_from_text("AX", "AB")
+
+
+@st.composite
+def prefix_free_labelled_partitions(draw):
+    """A partition with multi-character labels, no label a prefix of another."""
+    labels: list[str] = []
+    for c in draw(st.lists(st.text("Aab1", min_size=1, max_size=3), min_size=1, max_size=9)):
+        if not any(c.startswith(lab) or lab.startswith(c) for lab in labels):
+            labels.append(c)
+    n = len(labels)
+    assignment = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for party, b in enumerate(assignment):
+        blocks.setdefault(b, []).append(party)
+    return Partition.of(list(blocks.values())), labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix_free_labelled_partitions())
+def test_partition_text_round_trips_on_prefix_free_labels(drawn):
+    p, labels = drawn
+    assert partition_from_text(partition_to_text(p, labels), labels) == p

@@ -67,6 +67,15 @@ def test_layout_rejects_empty_labels():
         SystemLayout.qubits(("", "B", "C"))
 
 
+def test_spec_rejects_prefix_labels():
+    # {A,B}|{AB} would print as AB|AB
+    with pytest.raises(ValueError, match="label 'A' is a prefix of label 'AB'"):
+        StateSpec((GhzFactor(("A", "AB", "B")),))
+    with pytest.raises(ValueError, match="label 'Q1' is a prefix of label 'Q10'"):
+        StateSpec((GhzFactor(("Q1", "Q2")), WFactor(("Q10", "Q3"))))
+    StateSpec((GhzFactor(("Q01", "Q02")), WFactor(("Q10", "Q3"))))
+
+
 def test_size_caps():
     check_size_caps(qubits(12))
     with pytest.raises(ValueError, match="parties exceeds cap"):
