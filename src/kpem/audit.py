@@ -580,9 +580,9 @@ def tight_b_condition(h: ReducedFunctionSpec) -> tuple[float, float, float, bool
     the merge family above must raise the minimum."""
     psi = build_state(StateSpec((cross_braided_factor(("A", "B", "C", "D")),)))
     cache = MarginalCache(psi)
-    h_last = cache.h_value(h, (3,))
-    h_first = cache.h_value(h, (0,))
-    h_pair = cache.h_value(h, (0, 1))
+    h_last = cache.h_value(h, 0b1000)
+    h_first = cache.h_value(h, 0b0001)
+    h_pair = cache.h_value(h, 0b0011)
     realized = h_last >= h_first - 1e-12 and h_first > h_pair + 1e-9
     return h_last, h_first, h_pair, realized
 

@@ -3,12 +3,13 @@
 The decomposition repeatedly takes the smallest party subset of the
 not yet assigned parties whose marginal is pure (search by subset size,
 then lexicographic on the original party indices); purities are always
-taken on the input state and memoized per subset, so no remainder state
-is ever formed.  Each factor state is then read off the input by
-qstate.pure_restriction; a state with no split is its own single factor.
-Minimality makes every multi-party factor genuinely entangled: a pure
-proper sub-marginal would have been found at a smaller size first.  The
-producibility of the state is the size of its largest factor.
+taken on the input state and memoized by party bitmask (bit i is party
+i), so no remainder state is ever formed.  Each factor state is then
+read off the input by qstate.pure_restriction; a state with no split is
+its own single factor.  Minimality makes every multi-party factor
+genuinely entangled: a pure proper sub-marginal would have been found at
+a smaller size first.  The producibility of the state is the size of its
+largest factor.
 
 Subsets that split a clearly correlated pair are never scanned.  If a
 subset S holding party i but not party j had purity >= 1 - eps (eps =
@@ -23,8 +24,10 @@ and every pure subset is a union of the components of the graph of such
 links.  Links matter only once a search step goes past pairs, which
 needs at least six parties left, so the pair step of such a search forms
 each pair's marginal once and reads both its purity and its link from
-it.  If no pair is pure, the scan of three or more parties visits only
-unions of components and so finds the same subset as the full scan.
+it, merging the two parties' component masks as each link is found.  If
+no pair is pure, the scan of three or more parties visits only unions of
+components and so finds the same subset as the full scan.  No link
+crosses a pure subset, so a component never straddles a found factor.
 States whose pairs are uncorrelated (AME-like factors) get no links and
 fall back to the full scan; a generic entangled state collapses to one
 component and needs no scan of three or more parties.
@@ -89,47 +92,46 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     at least 1 - 1e-8, otherwise the tolerance story has broken down and
     a NumericalContractError is raised.
     """
-    pure: dict[tuple[int, ...], bool] = {}
-    linked: set[tuple[int, int]] = set()
+    pure: dict[int, bool] = {}
+    comp = [1 << p for p in range(state.num_parties)]  # each party's link component
 
-    def is_pure(subset: tuple[int, ...]) -> bool:
-        got = pure.get(subset)
+    def is_pure(mask: int) -> bool:
+        got = pure.get(mask)
         if got is None:
-            got = pure[subset] = marginal_purity(state, subset) >= 1.0 - PURITY_TOL
+            got = pure[mask] = marginal_purity(state, mask_parties(mask)) >= 1.0 - PURITY_TOL
         return got
 
-    def pair_is_pure(pair: tuple[int, int]) -> bool:
-        got = pure.get(pair)
+    def pair_is_pure(mask: int) -> bool:
+        got = pure.get(mask)
         if got is None:
-            purity, distance = _pair_marginal(state, pair)
-            got = pure[pair] = purity >= 1.0 - PURITY_TOL
-            if distance > LINK_TOL:
-                linked.add(pair)
+            i, j = mask_parties(mask)
+            purity, distance = _pair_marginal(state, (i, j))
+            got = pure[mask] = purity >= 1.0 - PURITY_TOL
+            if distance > LINK_TOL and comp[i] != comp[j]:
+                merged = comp[i] | comp[j]
+                for p in mask_parties(merged):
+                    comp[p] = merged
         return got
 
     blocks: list[tuple[int, ...]] = []
-    remaining = tuple(range(state.num_parties))
-    while remaining:
+    left = (1 << state.num_parties) - 1
+    while left:
+        remaining = mask_parties(left)
+        bits = [1 << p for p in remaining]
         # a proper pure subset pairs with a pure complement, so scanning up
         # to half the parties cannot miss one
         half = len(remaining) // 2
-        found = next((s for s in combinations(remaining, 1) if is_pure(s)), None)
+        found = next((bit for bit in bits if is_pure(bit)), None)
         if found is None and half >= 2:
             test = pair_is_pure if half >= 3 else is_pure
-            found = next((s for s in combinations(remaining, 2) if test(s)), None)
+            found = next((m for m in map(sum, combinations(bits, 2)) if test(m)), None)
         if found is None and half >= 3:
             # every remaining pair has its link now
-            closure = _component_masks(remaining, linked)
-            found = next(
-                (sub for size in range(3, half + 1)
-                 for sub in combinations(remaining, size)
-                 if _is_union(sub, closure) and is_pure(sub)),
-                None,
-            )
+            found = next((m for m in _component_unions(remaining, comp, half) if is_pure(m)), None)
         if found is None:
-            found = remaining
-        blocks.append(found)
-        remaining = tuple(p for p in remaining if p not in found)
+            found = left
+        blocks.append(mask_parties(found))
+        left ^= found
 
     if len(blocks) == 1:
         factors = [(blocks[0], state)]
@@ -179,24 +181,18 @@ def _pair_marginal(state: PureState, pair: tuple[int, int]) -> tuple[float, floa
     return purity, float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
 
 
-def _component_masks(parties: tuple[int, ...], linked: set[tuple[int, int]]) -> dict[int, int]:
-    """Bitmask of each party's component in the graph of linked pairs."""
-    comp = {p: 1 << p for p in parties}
-    for i, j in linked:
-        if i in comp and j in comp and comp[i] != comp[j]:
-            merged = comp[i] | comp[j]
-            for p in mask_parties(merged):
-                comp[p] = merged
-    return comp
-
-
-def _is_union(subset: tuple[int, ...], closure: dict[int, int]) -> bool:
-    """Whether `subset` is a union of whole components."""
-    mask = own = 0
-    for p in subset:
-        mask |= closure[p]
-        own |= 1 << p
-    return mask == own
+def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):
+    """Masks of the subsets of 3 to `half` of the `remaining` parties that
+    are unions of whole link components (`comp[p]` is the mask of party p's
+    component), in size-then-lex order."""
+    for size in range(3, half + 1):
+        for sub in combinations(remaining, size):
+            union = own = 0
+            for p in sub:
+                union |= comp[p]
+                own |= 1 << p
+            if union == own:
+                yield own
 
 
 def _reconstruction_fidelity(

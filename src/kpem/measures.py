@@ -14,20 +14,19 @@ Three families:
   witness partition.
 
 Every family goes through one per-state engine, MarginalCache: marginal
-spectra and h values keyed by party subset, and the memoized finest
-factorization.  A factor's quantities are read off the marginals of the
-whole state, so one cache serves every measure and every k evaluated on
-the same state.
+spectra and h values keyed by party bitmask (bit i is party i), and the
+memoized finest factorization.  A factor's quantities are read off the
+marginals of the whole state, so one cache serves every measure and every
+k evaluated on the same state.  Party subsets stay bitmasks throughout;
+they become party tuples only where a spectrum is taken and in the
+reported witnesses and breakdowns.
 
-Both partition families work on party bitmasks (bit i is party i), with
-h read once per subset of at most k-1 parties.  The min family runs an
-O(3^n) subset DP for the least block sum per block count, then a DFS
-bounded by it re-scores, exactly as an exhaustive sweep does, every
-partition that can be the minimizer, keeping only the least: the witness
-is the first minimizer in restricted-growth-string order.  With ties
-requested it keeps every partition that can lie within TIE_TOL of the
-minimum, and co_minimal lists those within it, in that order.  The
-geometric family sums block values over a per-(n, k-1) table of the
+Both partition families read h once per subset of at most k-1 parties.
+The min family runs an O(3^n) subset DP for the least block sum per block
+count, then a DFS bounded by it re-scores, exactly as an exhaustive sweep
+does, every partition that can be the minimizer, keeping only the least:
+the witness is the first minimizer in restricted-growth-string order.
+The geometric family sums block values over a per-(n, k-1) table of the
 family's block masks, cached on first use.
 
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
@@ -40,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,7 +80,6 @@ UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
 PARTITION_COUNT_CAP = 1_000_000   # min-family sweep guard
 GEOMETRIC_PARTY_CAP = 9           # product over Gamma grows like Bell(n)
-TIE_TOL = 1e-12                   # co-minimal band above the min-family minimum
 
 
 def _takes_parameter(row: MeasureKind) -> bool:
@@ -145,28 +143,25 @@ class MeasureResult:
 
 class MarginalCache:
     """Per-state engine: marginal spectra and h values keyed by party
-    subset, plus the state's finest factorization."""
+    bitmask (bit i is party i), plus the state's finest factorization."""
 
     def __init__(self, state: PureState):
         self.state = state
-        self._spectra: dict[tuple[int, ...], np.ndarray] = {}
+        self._spectra: dict[int, np.ndarray] = {}
         self._values: dict[tuple, float] = {}
         self._factorization: Optional[FactorDecomposition] = None
 
-    def spectrum(self, subset: Sequence[int]) -> np.ndarray:
-        key = tuple(sorted(subset))
-        got = self._spectra.get(key)
+    def spectrum(self, mask: int) -> np.ndarray:
+        got = self._spectra.get(mask)
         if got is None:
-            got = marginal_spectrum(self.state, key)
-            self._spectra[key] = got
+            got = self._spectra[mask] = marginal_spectrum(self.state, mask_parties(mask))
         return got
 
-    def h_value(self, h: ReducedFunctionSpec, subset: Sequence[int]) -> float:
-        key = (h.kind, h.parameter, tuple(sorted(subset)))
+    def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
+        key = (h.kind, h.parameter, mask)
         got = self._values.get(key)
         if got is None:
-            got = evaluate_spectrum(h, self.spectrum(key[2]))
-            self._values[key] = got
+            got = self._values[key] = evaluate_spectrum(h, self.spectrum(mask))
         return got
 
     def factorization(self) -> FactorDecomposition:
@@ -187,35 +182,37 @@ def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCach
 # --- underlying whole-state quantities ----------------------------------------
 
 
-def _bipartition_representatives(parties: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """One party subset per bipartition: the smaller side; for an even count
-    the equal halves are represented by the side without the last party; for
-    two parties both singles count, which makes the two-party value equal the
-    plain bipartite entanglement h(rho_A)."""
-    n = len(parties)
+def _bipartition_representatives(bits: list[int]) -> list[int]:
+    """One party bitmask per bipartition of the parties whose single-party
+    masks are `bits`, ascending: the smaller side; for an even count the
+    equal halves are represented by the side without the last party; for
+    two parties both singles count, which makes the two-party value equal
+    the plain bipartite entanglement h(rho_A)."""
+    n = len(bits)
     if n == 2:
-        return [(parties[0],), (parties[1],)]
-    reps: list[tuple[int, ...]] = []
+        return list(bits)
+    reps: list[int] = []
     for s in range(1, (n - 1) // 2 + 1):
-        reps.extend(combinations(parties, s))
+        reps.extend(map(sum, combinations(bits, s)))
     if n % 2 == 0:
-        reps.extend(combinations(parties[:-1], n // 2))
+        reps.extend(map(sum, combinations(bits[:-1], n // 2)))
     return reps
 
 
 def _unified_over(
-    kind: str, h: ReducedFunctionSpec, cache: MarginalCache, parties: tuple[int, ...]
+    kind: str, h: ReducedFunctionSpec, cache: MarginalCache, bits: list[int]
 ) -> float:
-    """unified_mem of the pure sub-state on `parties` (a whole factor, or
-    every party), read from the marginals of the cached state."""
+    """unified_mem of the pure sub-state on the parties whose single-party
+    masks are `bits`, ascending (a whole factor, or every party), read from
+    the marginals of the cached state."""
     if kind == "additive":
-        return 0.5 * sum(cache.h_value(h, (p,)) for p in parties)
+        return 0.5 * sum(cache.h_value(h, bit) for bit in bits)
     if kind == "bipartite_sum":
-        return 0.5 * sum(cache.h_value(h, rep) for rep in _bipartition_representatives(parties))
+        return 0.5 * sum(cache.h_value(h, rep) for rep in _bipartition_representatives(bits))
     return min(
-        cache.h_value(h, sub)
-        for s in range(1, len(parties))
-        for sub in combinations(parties, s)
+        cache.h_value(h, sum(sub))
+        for s in range(1, len(bits))
+        for sub in combinations(bits, s)
     )
 
 
@@ -236,7 +233,7 @@ def unified_mem(
     n = state.num_parties
     if n < 2:
         raise ValueError("unified quantities need at least two parties")
-    return _unified_over(kind, h, _cache_for(state, cache), tuple(range(n)))
+    return _unified_over(kind, h, _cache_for(state, cache), [1 << p for p in range(n)])
 
 
 # --- factor family -------------------------------------------------------------
@@ -254,7 +251,7 @@ def measure_factor_family(
     unified = "additive" if spec.kind == "E_k" else "bipartite_sum"
     h = spec.reduced_function()
     contributions = tuple(
-        (f.parties, _unified_over(unified, h, cache, f.parties))
+        (f.parties, _unified_over(unified, h, cache, [1 << p for p in f.parties]))
         for f in dec.factors
         if f.size >= spec.k
     )
@@ -269,12 +266,13 @@ def measure_factor_family(
 
 
 def _h_by_mask(cache: MarginalCache, h: ReducedFunctionSpec, n: int, b: int) -> list[float]:
-    """h of every party subset of at most b parties, indexed by bitmask (bit
-    i is party i); larger subsets stay 0.0 and are never read as blocks."""
+    """h of every party subset of at most b parties, indexed by bitmask;
+    larger subsets stay 0.0 and are never read as blocks."""
     values = [0.0] * (1 << n)
+    bits = [1 << i for i in range(n)]
     for size in range(1, b + 1):
-        for subset in combinations(range(n), size):
-            values[sum(1 << i for i in subset)] = cache.h_value(h, subset)
+        for mask in map(sum, combinations(bits, size)):
+            values[mask] = cache.h_value(h, mask)
     return values
 
 
@@ -321,35 +319,31 @@ def _min_family_score(kind: str, total: float, m: int) -> float:
     return math.sqrt(total / m)  # Cq_k, Calpha_k
 
 
-def _near_minimal(kind: str, values: list[float], n: int, b: int, collect_ties: bool) -> tuple:
-    """The least (score, restricted growth string, block masks) over Gamma_b,
-    and with collect_ties that triple for every partition whose DP bound
-    (prefix sum plus least completion) lies within TIE_TOL of the DP minimum
-    V.  Bounds get 1e-12 * max(1, |V|) of slack for the DP's summation order,
-    since the scores come from a sweep-order re-sum."""
+def _near_minimal(kind: str, values: list[float], n: int, b: int) -> tuple:
+    """The least (score, restricted growth string, block masks) over Gamma_b.
+    Only partitions whose DP bound (prefix sum plus least completion) lies
+    within 1e-12 * max(1, |V|) of the DP minimum V are re-scored: that slack
+    covers the DP's summation order, since the scores come from a
+    sweep-order re-sum."""
     least = _least_sums(values, n, b)
     full = (1 << n) - 1
     by_count = {m: _min_family_score(kind, total, m) for m, total in least[full].items()}
     floor = min(by_count.values())
-    ceiling = floor + (TIE_TOL if collect_ties else 0.0) + 1e-12 * max(1.0, abs(floor))
+    ceiling = floor + 1e-12 * max(1.0, abs(floor))
     best: tuple = (math.inf,)
-    found: list[tuple] = []
     blocks: list[int] = []
 
     def walk(mask: int, total: float, m: int) -> None:
         nonlocal best
         if not mask:
             score = _min_family_score(kind, sum([values[block] for block in blocks]), m)
-            if score > best[0] and not collect_ties:
+            if score > best[0]:
                 return
             rgs = [0] * n
             for j, block in enumerate(blocks):
                 for i in mask_parties(block):
                     rgs[i] = j
-            entry = (score, tuple(rgs), tuple(blocks))
-            best = min(best, entry)
-            if collect_ties:
-                found.append(entry)
+            best = min(best, (score, tuple(rgs), tuple(blocks)))
             return
         left = m - len(blocks) - 1
         for block in _low_blocks(mask, b):
@@ -367,18 +361,13 @@ def _near_minimal(kind: str, values: list[float], n: int, b: int, collect_ties: 
     for m, score in by_count.items():
         if score <= ceiling:
             walk(full, 0.0, m)
-    return best, found
-
-
-def _mask_partition(blocks: Sequence[int]) -> Partition:
-    return Partition(tuple(mask_parties(block) for block in blocks))
+    return best
 
 
 def measure_min_family(
     spec: MeasureSpec,
     state: PureState,
     cache: Optional[MarginalCache] = None,
-    collect_ties: bool = False,
     unsafe_large: bool = False,
 ) -> MeasureResult:
     """Minimize the per-partition score over all partitions with blocks of
@@ -386,8 +375,6 @@ def measure_min_family(
 
     The witness is the first minimizer in restricted-growth-string order,
     the partition the exhaustive sweep would report; the value is its score.
-    With collect_ties, breakdown["co_minimal"] lists every partition scoring
-    within TIE_TOL of the minimum, in restricted-growth-string order.
     """
     kind, k = spec.kind, spec.k
     n = state.num_parties
@@ -399,17 +386,13 @@ def measure_min_family(
         )
     cache = _cache_for(state, cache)
     values = _h_by_mask(cache, spec.reduced_function(), n, k - 1)
-    (best, _, blocks), found = _near_minimal(kind, values, n, k - 1, collect_ties)
-    witness = _mask_partition(blocks)
+    best, _, blocks = _near_minimal(kind, values, n, k - 1)
+    # the DFS adds blocks by their lowest party, so they are canonical
+    witness = Partition._trusted(tuple(mask_parties(block) for block in blocks))
     breakdown = {
         "terms": tuple(zip(witness.blocks, (values[block] for block in blocks))),
         "num_blocks": witness.num_blocks,
     }
-    if collect_ties:
-        breakdown["co_minimal"] = tuple(
-            _mask_partition(ties) for score, _, ties in sorted(found, key=lambda f: f[1])
-            if score <= best + TIE_TOL
-        )
     return MeasureResult(value=float(best), witness=witness, breakdown=breakdown)
 
 

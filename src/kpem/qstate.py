@@ -50,10 +50,7 @@ class SystemLayout:
         labels = tuple(lab for lab, _ in self.parties)
         if not labels:
             raise ValueError("layout needs at least one party")
-        if "" in labels:
-            raise ValueError("party labels must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate party labels: {list(labels)}")
+        _check_labels(labels)
         for lab, d in self.parties:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
@@ -87,6 +84,23 @@ class SystemLayout:
         idx = sorted(indices)
         _check_party_indices(idx, self.num_parties)
         return SystemLayout(tuple(self.parties[i] for i in idx))
+
+
+def _check_labels(labels: Sequence[str]) -> None:
+    """Party labels must be non-empty, unique and prefix-free.
+
+    The text forms join labels without a separator, so they only parse
+    back when no label is a prefix of another; in sorted order such a
+    label is directly followed by one that extends it.
+    """
+    if "" in labels:
+        raise ValueError("party labels must be non-empty")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate party labels: {list(labels)}")
+    ordered = sorted(labels)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.startswith(a):
+            raise ValueError(f"label {a!r} is a prefix of label {b!r}")
 
 
 def _check_party_indices(indices: Sequence[int], n: int) -> None:
@@ -225,22 +239,11 @@ class StateSpec:
                     raise ValueError(f"label {lab!r} used by more than one factor")
                 seen.add(lab)
             _validate_factor(f)
-        # the text forms join labels without a separator, so they only parse
-        # back when no label is a prefix of another; in sorted order such a
-        # label is directly followed by one that extends it (the empty label
-        # is left to the layout's own check)
-        ordered = sorted(seen - {""})
-        for a, b in zip(ordered, ordered[1:]):
-            if b.startswith(a):
-                raise ValueError(f"label {a!r} is a prefix of label {b!r}")
+        _check_labels(self.labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for f in self.factors for lab in f.labels)
-
-    @property
-    def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(len(f.labels) for f in self.factors)
 
 
 def _validate_factor(f: StateFactor) -> None:
@@ -259,41 +262,46 @@ def _validate_factor(f: StateFactor) -> None:
             raise ValueError("zero amplitude vector")
 
 
-def _factor_dims_vector(f: StateFactor) -> tuple[tuple[int, ...], np.ndarray]:
+def _factor_dims(f: StateFactor) -> tuple[int, ...]:
+    if isinstance(f, AmplitudesFactor):
+        return f.dims
+    return (getattr(f, "dim", 2),) * len(f.labels)  # W factors are qubits
+
+
+def _factor_vector(f: StateFactor) -> np.ndarray:
     if isinstance(f, GhzFactor):
         n, d = len(f.labels), f.dim
         v = np.zeros(d ** n, dtype=np.complex128)
         step = (d ** n - 1) // (d - 1)  # index of |j...j> is j * (1 + d + ... )
         v[np.arange(d) * step] = 1.0 / math.sqrt(d)
-        return (d,) * n, v
+        return v
     if isinstance(f, WFactor):
         n = len(f.labels)
         v = np.zeros(2 ** n, dtype=np.complex128)
         v[[2 ** (n - 1 - i) for i in range(n)]] = 1.0 / math.sqrt(n)
-        return (2,) * n, v
+        return v
     if isinstance(f, MaxEntFactor):
         d = f.dim
         v = np.zeros(d * d, dtype=np.complex128)
         v[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
-        return (d, d), v
+        return v
     if isinstance(f, AmplitudesFactor):
         v = np.asarray(f.amplitudes, dtype=np.complex128)
-        return f.dims, v / np.linalg.norm(v)
+        return v / np.linalg.norm(v)
     raise TypeError(f"unknown factor: {f!r}")
 
 
 def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
-    """Materialize a StateSpec as a PureState in the listed party order."""
-    labels: list[str] = []
-    dims: list[int] = []
+    """Materialize a StateSpec as a PureState in the listed party order.
+
+    The size caps are checked on the layout before any vector is built.
+    """
+    dims = [d for f in spec.factors for d in _factor_dims(f)]
+    layout = SystemLayout.of(spec.labels, dims)
+    check_size_caps(layout, unsafe_large)
     vec = np.ones(1, dtype=np.complex128)
     for f in spec.factors:
-        fdims, fvec = _factor_dims_vector(f)
-        labels.extend(f.labels)
-        dims.extend(fdims)
-        vec = np.kron(vec, fvec)
-    layout = SystemLayout.of(labels, dims)
-    check_size_caps(layout, unsafe_large)
+        vec = np.kron(vec, _factor_vector(f))
     vec /= np.linalg.norm(vec)
     return PureState(layout, vec)
 
@@ -332,7 +340,7 @@ def factor_from_dict(obj: dict, where: str = "factor") -> StateFactor:
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _FACTOR_KEYS:
+    if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
         raise ValueError(f"{where}: unknown kind {kind!r}")
     unknown = set(obj) - _FACTOR_KEYS[kind]
     if unknown:
@@ -354,7 +362,11 @@ def factor_from_dict(obj: dict, where: str = "factor") -> StateFactor:
         raise ValueError(f"{where}: 're' and 'im' differ in length")
     for key in ("re", "im"):
         for x in obj[key]:
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            try:
+                bad = isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
+            except OverflowError:  # an integer beyond the float range
+                bad = True
+            if bad:
                 raise ValueError(f"{where}: {key!r} entries must be finite numbers, got {x!r}")
     amps = tuple(complex(r, i) for r, i in zip(obj["re"], obj["im"]))
     dims = tuple(_json_int(d, "dims", where) for d in obj["dims"])

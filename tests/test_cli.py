@@ -115,6 +115,9 @@ def test_state_file_diagnostics(tmp_path, capsys):
      '"re": [NaN, 0, 0, 0], "im": [0, 0, 0, 0]}', "finite"),
     ('{"kind": "amplitudes", "labels": ["A"], "dims": [2], '
      '"re": [1, 0], "im": [0, Infinity]}', "finite"),
+    pytest.param('{"kind": "amplitudes", "labels": ["A"], "dims": [2], '
+                 '"re": [1' + "0" * 400 + ', 0], "im": [0, 0]}', "finite",
+                 id="int-beyond-float"),
     ('{"kind": "ghz", "labels": ["A", "B"], "dim": 2.9}', "JSON integers"),
     ('{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2.5, 2], '
      '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}', "JSON integers"),

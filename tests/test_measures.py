@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from kpem.factorize import classify
 from kpem.measures import (
     GEOMETRIC_PARTY_CAP,
-    TIE_TOL,
     MarginalCache,
     MeasureSpec,
-    _h_by_mask,
-    _near_minimal,
     convex_roof_upper_bound,
     evaluate_measure,
     measure_geometric_family,
@@ -23,7 +20,7 @@ from kpem.measures import (
     unified_mem,
     value_from_breakdown,
 )
-from kpem.partitions import Partition, count_k_fineness, iter_k_fineness
+from kpem.partitions import Partition, iter_k_fineness, mask_parties
 from kpem.qstate import (
     AmplitudesFactor,
     DensityMatrix,
@@ -35,6 +32,7 @@ from kpem.qstate import (
     apply_local_unitary,
     build_state,
     haar_unitary,
+    marginal_spectrum,
     random_pure,
     reduced_density,
 )
@@ -52,6 +50,11 @@ def zero_qubit(label):
 
 def ghz3():
     return build_state(StateSpec((GhzFactor(("A", "B", "C")),)))
+
+
+def mask_of(block):
+    """Party bitmask (bit i is party i) of a block of party indices."""
+    return sum(1 << p for p in block)
 
 
 # --- spec validation -----------------------------------------------------------
@@ -235,7 +238,7 @@ def test_min_family_witness_recomputes():
         # breakdown terms recompute from the state itself
         h = spec.reduced_function()
         for block, val in res.breakdown["terms"]:
-            assert cache.h_value(h, block) == pytest.approx(val, abs=1e-12)
+            assert cache.h_value(h, mask_of(block)) == pytest.approx(val, abs=1e-12)
 
 
 def test_factor_family_witness():
@@ -267,21 +270,6 @@ def test_min_family_first_witness_is_deterministic():
     assert a.witness == Partition.of([[0, 1], [2, 3], [4, 5], [6, 7]])
 
 
-def test_collect_ties():
-    # co_minimal is every partition scoring within TIE_TOL of the minimum,
-    # in restricted-growth-string order: one partition for two Bell pairs,
-    # every partition for an all-|0> product
-    bell_pairs = build_state(StateSpec((MaxEntFactor(("A", "B")), MaxEntFactor(("C", "D")))))
-    zeros = build_state(StateSpec(tuple(zero_qubit(lab) for lab in "ABCDE")))
-    for psi, want in ((bell_pairs, 1), (zeros, 26)):
-        spec = MeasureSpec("Eprime_k", 3, h=ENTROPY)
-        res = measure_min_family(spec, psi, collect_ties=True)
-        ties = res.breakdown["co_minimal"]
-        assert ties == sweep_min_family(spec, psi, MarginalCache(psi))[2]
-        assert len(ties) == want
-        assert ties[0] == res.witness
-
-
 # --- DP and mask table against the exhaustive sweep --------------------------------
 
 MIN_SCORES = {
@@ -294,16 +282,15 @@ MIN_SCORES = {
 
 def sweep_min_family(spec, psi, cache):
     """Oracle: score every partition of Gamma_{k-1} in enumeration order.
-    Returns (value, first minimizer with its terms, co-minimal partitions)."""
+    Returns (value, first minimizer with its terms)."""
     h = spec.reduced_function()
     scored = []
     for part in iter_k_fineness(range(psi.num_parties), spec.k - 1):
-        terms = [cache.h_value(h, block) for block in part.blocks]
+        terms = [cache.h_value(h, mask_of(block)) for block in part.blocks]
         scored.append((MIN_SCORES[spec.kind](sum(terms), part.num_blocks), part, terms))
     best = min(score for score, _, _ in scored)
     first = next((part, terms) for score, part, terms in scored if score == best)
-    ties = tuple(part for score, part, _ in scored if score <= best + TIE_TOL)
-    return best, first, ties
+    return best, first
 
 
 def sweep_geometric_family(spec, psi, cache):
@@ -311,7 +298,8 @@ def sweep_geometric_family(spec, psi, cache):
     h = spec.reduced_function()
     rows = []
     for part in iter_k_fineness(range(psi.num_parties), spec.k - 1):
-        rows.append((part.num_blocks, sum(cache.h_value(h, block) for block in part.blocks)))
+        rows.append((part.num_blocks,
+                     sum(cache.h_value(h, mask_of(block)) for block in part.blocks)))
     if any(total <= 0.0 for _, total in rows):
         return 0.0, rows
     log_ratio = sum(math.log(total) - math.log(m) for m, total in rows)
@@ -335,18 +323,12 @@ def geometric_specs(k):
 
 
 def assert_min_family_matches_sweep(spec, psi, cache):
-    value, (witness, terms), ties = sweep_min_family(spec, psi, cache)
-    res = measure_min_family(spec, psi, cache, collect_ties=True)
+    value, (witness, terms) = sweep_min_family(spec, psi, cache)
+    res = measure_min_family(spec, psi, cache)
     assert res.witness == witness, (spec, witness, res.witness)
     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert res.breakdown["terms"] == tuple(zip(witness.blocks, terms))
     assert res.breakdown["num_blocks"] == witness.num_blocks
-    assert res.breakdown["co_minimal"] == ties
-    # without the tie list only the running least is kept: same outcome
-    plain = measure_min_family(spec, psi, cache)
-    assert "co_minimal" not in plain.breakdown
-    assert (plain.value, plain.witness) == (res.value, res.witness)
-    assert plain.breakdown["terms"] == res.breakdown["terms"]
 
 
 def assert_geometric_matches_sweep(spec, psi, cache):
@@ -410,17 +392,6 @@ def test_bitmask_core_matches_sweep_on_tie_heavy_states(name):
             for spec in geometric_specs(k):
                 assert_geometric_matches_sweep(spec, psi, cache)
 
-
-
-def test_without_ties_only_the_least_is_kept():
-    # every partition of an all-|0> product ties at 0: with the tie list the
-    # DFS holds all of Gamma_6, without it one triple, the same least one
-    psi = build_state(TIE_HEAVY["zeros7"])
-    values = _h_by_mask(MarginalCache(psi), ENTROPY, 7, 6)
-    least, band = _near_minimal("Eprime_k", values, 7, 6, True)
-    assert len(band) == count_k_fineness(7, 6)
-    assert _near_minimal("Eprime_k", values, 7, 6, False) == (least, [])
-    assert least[1] == (0, 0, 0, 0, 0, 0, 1)
 
 # --- invariances ------------------------------------------------------------------------
 
@@ -538,6 +509,14 @@ def test_cache_factorizes_once(monkeypatch):
             res = evaluate_measure(MeasureSpec(kind, k, h=ENTROPY), psi, cache=cache)
             assert res.witness is cache.factorization()
     assert calls == [psi]
+
+
+def test_cache_spectrum_is_the_marginal_spectrum_of_its_mask():
+    psi = random_pure(SystemLayout.of("ABCDE", (2, 3, 2, 4, 3)), seed=17)
+    cache = MarginalCache(psi)
+    for mask in range(1, 1 << 5):
+        want = marginal_spectrum(psi, mask_parties(mask))
+        assert np.array_equal(cache.spectrum(mask), want), mask
 
 
 def test_cache_gives_identical_values():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kpem import qstate
 from kpem.qstate import (
     AmplitudesFactor,
     DensityMatrix,
@@ -76,6 +77,12 @@ def test_spec_rejects_prefix_labels():
     StateSpec((GhzFactor(("Q01", "Q02")), WFactor(("Q10", "Q3"))))
 
 
+def test_layout_rejects_prefix_labels():
+    # the same rule as StateSpec's, so random states cannot print {A,B}|{AB} as AB|AB
+    with pytest.raises(ValueError, match="label 'A' is a prefix of label 'AB'"):
+        random_pure(SystemLayout.qubits(["A", "AB", "B"]), seed=0)
+
+
 def test_size_caps():
     check_size_caps(qubits(12))
     with pytest.raises(ValueError, match="parties exceeds cap"):
@@ -83,6 +90,19 @@ def test_size_caps():
     with pytest.raises(ValueError, match="dimension .* exceeds cap"):
         check_size_caps(SystemLayout.of(("A", "B"), (200, 200)))
     check_size_caps(qubits(13), unsafe_large=True)
+
+
+def test_size_caps_come_before_any_vector(monkeypatch):
+    def no_vector(f):
+        raise AssertionError(f"vector built before the size caps: {f!r}")
+
+    monkeypatch.setattr(qstate, "_factor_vector", no_vector)
+    for spec in (
+        StateSpec((WFactor(tuple(chr(ord("A") + i) for i in range(26))),)),
+        StateSpec((GhzFactor(("A", "B"), dim=100_000),)),
+    ):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build_state(spec)
 
 
 # --- indexing convention: party 0 is the most significant digit -------------------
@@ -382,10 +402,13 @@ def test_spec_dict_rejects_malformed_factors():
         }]})
     with pytest.raises(ValueError, match="nonempty array"):
         spec_from_dict({"factors": []})
+    with pytest.raises(ValueError, match="unknown kind"):
+        spec_from_dict({"factors": [{"kind": ["ghz"], "labels": ["A", "B"]}]})
 
 
 @pytest.mark.parametrize("field", ["re", "im"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True,
+                                 pytest.param(10 ** 400, id="int-beyond-float")])
 def test_spec_dict_rejects_non_finite_amplitudes(field, bad):
     factor = {"kind": "amplitudes", "labels": ["A"], "dims": [2],
               "re": [1.0, 0.0], "im": [0.0, 0.0]}
@@ -406,3 +429,35 @@ def test_spec_dict_rejects_non_finite_amplitudes(field, bad):
 def test_spec_dict_dimensions_are_json_integers(factor, field):
     with pytest.raises(ValueError, match=f"'{field}' takes JSON integers"):
         spec_from_dict({"factors": [factor]})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers() | st.integers(10 ** 300, 10 ** 400),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def factor_documents(draw):
+    """A valid factor object with some of its fields replaced by arbitrary JSON."""
+    factor = dict(draw(st.sampled_from(spec_to_dict(full_spec())["factors"])))
+    for key in draw(st.lists(st.sampled_from(("kind", "labels", "dim", "dims", "re", "im")),
+                             unique=True)):
+        factor[key] = draw(json_values)
+    return factor
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(
+    json_values,
+    json_values.map(lambda factors: {"factors": factors}),
+    st.lists(factor_documents(), min_size=1, max_size=3).map(lambda fs: {"factors": fs}),
+))
+def test_state_documents_parse_or_raise_value_error(doc):
+    try:
+        spec = spec_from_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(spec, StateSpec)
