@@ -31,6 +31,16 @@ crosses a pure subset, so a component never straddles a found factor.
 States whose pairs are uncorrelated (AME-like factors) get no links and
 fall back to the full scan; a generic entangled state collapses to one
 component and needs no scan of three or more parties.
+
+Only subsets inside one of the state's groups (PureState.groups, across
+which the amplitudes are a tensor product) are scanned.  The first pure
+subset in size-then-lex order is a smallest finest factor: pure subsets
+are unions of finest factors.  The finest factorization refines every
+product split, so no finest factor crosses a group, and a pure subset
+that crosses groups holds at least two finest factors, so it is at least
+twice the smallest size and never comes first.  The restricted scan thus
+finds the same subset; purities are still taken on the input state, so
+every pure/mixed decision and the blocks are those of the full scan.
 """
 
 from __future__ import annotations
@@ -94,6 +104,10 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     """
     pure: dict[int, bool] = {}
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
+    group_of = [g for p in range(state.num_parties) for g in state.groups if g >> p & 1]
+
+    def inside(mask: int) -> bool:
+        return not mask & ~group_of[(mask & -mask).bit_length() - 1]
 
     def is_pure(mask: int) -> bool:
         got = pure.get(mask)
@@ -124,10 +138,15 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
         found = next((bit for bit in bits if is_pure(bit)), None)
         if found is None and half >= 2:
             test = pair_is_pure if half >= 3 else is_pure
-            found = next((m for m in map(sum, combinations(bits, 2)) if test(m)), None)
+            found = next(
+                (m for m in map(sum, combinations(bits, 2)) if inside(m) and test(m)), None
+            )
         if found is None and half >= 3:
-            # every remaining pair has its link now
-            found = next((m for m in _component_unions(remaining, comp, half) if is_pure(m)), None)
+            # every remaining pair inside a group has its link now
+            found = next(
+                (m for m in _component_unions(remaining, comp, half) if inside(m) and is_pure(m)),
+                None,
+            )
         if found is None:
             found = left
         blocks.append(mask_parties(found))

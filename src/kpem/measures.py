@@ -21,6 +21,24 @@ k evaluated on the same state.  Party subsets stay bitmasks throughout;
 they become party tuples only where a spectrum is taken and in the
 reported witnesses and breakdowns.
 
+Spectra are formed from the state's groups (PureState.groups), across
+which the amplitudes are a tensor product, so the marginal on X is the
+product of the marginals of its pieces X & g:
+
+* X a union of whole groups: the spectrum is exactly (1, 0, ...), no SVD;
+* X inside one group: marginal_spectrum of X, bit for bit;
+* otherwise: the clipped product (np.kron) of the spectra of the pieces X
+  cuts out of its groups, padded with zeros for the whole groups in X.
+
+Pieces are cached by mask and shared by every X that cuts them.  A subset
+and its complement share one SVD: its squared singular values are kept
+under the side whose split matrix marginal_spectrum SVDs (the smaller, or
+X itself at equal dimensions) and padded for each side.  The pieces are
+SVD'd on the whole state, not on each group's own vector: reading that
+vector off (pure_restriction) costs more than the SVDs it saves on the
+small groups of audit states, and whole-state SVDs keep every subset
+inside one group bit-identical to marginal_spectrum.
+
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block
 count, then a DFS bounded by it re-scores, exactly as an exhaustive sweep
@@ -45,7 +63,7 @@ import numpy as np
 
 from .factorize import FactorDecomposition, finest_factorization
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
-from .qstate import DensityMatrix, PureState, marginal_spectrum
+from .qstate import DensityMatrix, PureState, marginal_spectrum, pad_spectrum
 from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum, format_redfun
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
@@ -143,19 +161,60 @@ class MeasureResult:
 
 class MarginalCache:
     """Per-state engine: marginal spectra and h values keyed by party
-    bitmask (bit i is party i), plus the state's finest factorization."""
+    bitmask (bit i is party i), plus the state's finest factorization.
+    Spectra are formed from the state's groups (see the module docstring)."""
 
     def __init__(self, state: PureState):
         self.state = state
+        dims = state.layout.dims
+        self._groups = [(g, math.prod(dims[p] for p in mask_parties(g))) for g in state.groups]
         self._spectra: dict[int, np.ndarray] = {}
+        self._weights: dict[int, np.ndarray] = {}  # SVD side -> squared singular values
         self._values: dict[tuple, float] = {}
         self._factorization: Optional[FactorDecomposition] = None
 
     def spectrum(self, mask: int) -> np.ndarray:
         got = self._spectra.get(mask)
         if got is None:
-            got = self._spectra[mask] = marginal_spectrum(self.state, mask_parties(mask))
+            got = self._spectra[mask] = self._form_spectrum(mask)
         return got
+
+    def _form_spectrum(self, mask: int) -> np.ndarray:
+        """The spectrum on `mask`, from the pieces it cuts out of the groups."""
+        cut: list[int] = []
+        whole = 1  # dimension of the whole groups inside mask
+        for g, dim in self._groups:
+            if mask & g == g:
+                whole *= dim
+            elif mask & g:
+                cut.append(mask & g)
+        if not cut:
+            lam = np.zeros(whole)
+            lam[0] = 1.0
+            return lam
+        if len(cut) == 1 and whole == 1:
+            return self._piece_spectrum(mask)
+        lam = self.spectrum(cut[0])
+        for piece in cut[1:]:  # np.kron of 1-d arrays, without its overhead
+            lam = np.multiply.outer(lam, self.spectrum(piece)).ravel()
+        if len(cut) == 1:  # zeros appended to a clipped spectrum keep it clipped
+            padded = np.zeros(lam.size * whole)
+            padded[: lam.size] = lam
+            return padded
+        return pad_spectrum(lam, lam.size * whole)
+
+    def _piece_spectrum(self, piece: int) -> np.ndarray:
+        """marginal_spectrum of a part of one group, bit for bit.  Its SVD
+        runs on the smaller side of the split (on `piece` at equal
+        dimensions), as marginal_spectrum's does, so the squared singular
+        values are kept under that side and serve the complement too."""
+        state = self.state
+        dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
+        side = piece if dim * dim <= state.layout.total_dim else piece ^ ((1 << state.num_parties) - 1)
+        weights = self._weights.get(side)
+        if weights is None:
+            weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
+        return pad_spectrum(weights, dim)
 
     def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
         key = (h.kind, h.parameter, mask)

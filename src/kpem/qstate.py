@@ -4,6 +4,13 @@ Index convention (bit-exact contract): party 0 is the most significant
 digit of the row-major mixed-radix index into the amplitude vector, so for
 qubits ABC the basis state |100> sits at index 4.
 
+A PureState carries `groups`: disjoint party bitmasks (bit i is party i)
+covering every party, across which its amplitudes are a tensor product.
+The default is one group, which claims nothing.  build_state records one
+group per declared factor and the party-wise operations carry the groups
+along (see each of them), so the marginal engine and the factorization
+can work inside one group at a time.
+
 All tolerance constants live here.  The purity threshold is shared with
 the factorization search so that "this marginal is pure" means the same
 thing everywhere.
@@ -17,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .partitions import Partition
+from .partitions import Partition, mask_parties
 
 NORM_TOL = 1e-12          # state vector norm
 HERM_TOL = 1e-12          # elementwise hermiticity of density matrices
@@ -130,10 +137,16 @@ def check_size_caps(layout: SystemLayout, unsafe_large: bool = False) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over a layout."""
+    """Normalized complex amplitude vector over a layout.
+
+    `groups` are disjoint party bitmasks covering every party, ordered by
+    lowest party; the amplitudes are claimed to be a tensor product across
+    them.  The default (None) is the one group of all parties.
+    """
 
     layout: SystemLayout
     amplitudes: np.ndarray
+    groups: Optional[tuple[int, ...]] = field(default=None, kw_only=True, compare=False)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -141,6 +154,18 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amp.size} != total dimension {self.layout.total_dim}"
             )
+        full = (1 << self.layout.num_parties) - 1
+        groups = (full,) if self.groups is None else tuple(self.groups)
+        union = 0
+        for g in groups:
+            if isinstance(g, bool) or not isinstance(g, int) or g <= 0 or g & ~full:
+                raise ValueError(f"group {g!r} is not a nonempty party bitmask")
+            if g & union:
+                raise ValueError(f"groups overlap: {groups}")
+            union |= g
+        if union != full:
+            raise ValueError(f"groups {groups} do not cover all {self.layout.num_parties} parties")
+        object.__setattr__(self, "groups", tuple(sorted(groups, key=lambda g: g & -g)))
         if not np.all(np.isfinite(amp)):
             raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
@@ -258,7 +283,7 @@ def _validate_factor(f: StateFactor) -> None:
             raise ValueError(f"local dimension must be >= 2, got {f.dims}")
         if len(f.amplitudes) != math.prod(f.dims):
             raise ValueError("amplitude length does not match dims")
-        if np.linalg.norm(np.asarray(f.amplitudes)) == 0.0:
+        if not np.any(np.asarray(f.amplitudes)):
             raise ValueError("zero amplitude vector")
 
 
@@ -286,13 +311,13 @@ def _factor_vector(f: StateFactor) -> np.ndarray:
         v[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
         return v
     if isinstance(f, AmplitudesFactor):
-        v = np.asarray(f.amplitudes, dtype=np.complex128)
-        return v / np.linalg.norm(v)
+        return _normalized(np.asarray(f.amplitudes, dtype=np.complex128))
     raise TypeError(f"unknown factor: {f!r}")
 
 
 def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
-    """Materialize a StateSpec as a PureState in the listed party order.
+    """Materialize a StateSpec as a PureState in the listed party order,
+    with one group per factor.
 
     The size caps are checked on the layout before any vector is built.
     """
@@ -300,10 +325,28 @@ def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     layout = SystemLayout.of(spec.labels, dims)
     check_size_caps(layout, unsafe_large)
     vec = np.ones(1, dtype=np.complex128)
+    groups, at = [], 0
     for f in spec.factors:
         vec = np.kron(vec, _factor_vector(f))
+        groups.append(((1 << len(f.labels)) - 1) << at)
+        at += len(f.labels)
+    # a product of unit vectors: its norm is near 1, so no scaling is needed
     vec /= np.linalg.norm(vec)
-    return PureState(layout, vec)
+    return PureState(layout, vec, groups=tuple(groups))
+
+
+def _normalized(vec: np.ndarray) -> np.ndarray:
+    """vec / ||vec|| for a nonzero finite complex vector.
+
+    The vector is first divided by the power of two just above its largest
+    real or imaginary part, so the norm neither overflows nor underflows.
+    Scaling by a power of two is exact, so a vector whose norm was already
+    representable normalizes to the same bits as without the scaling.
+    """
+    parts = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64)
+    _, exp = math.frexp(float(np.abs(parts).max()))
+    scaled = np.ldexp(parts, -exp).view(np.complex128)
+    return scaled / np.linalg.norm(scaled)
 
 
 # --- dictionary form of a StateSpec (used by the CLI state files and by
@@ -402,6 +445,7 @@ def spec_from_dict(obj: dict) -> StateSpec:
 
 
 def haar_state(layout: SystemLayout, rng: np.random.Generator) -> PureState:
+    """Haar-random pure state; one group, since it is generically entangled."""
     z = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
     return PureState(layout, z / np.linalg.norm(z))
 
@@ -423,14 +467,38 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # --- party-wise operations ---------------------------------------------------
 
 
+def _carry_groups(groups: tuple[int, ...], target: dict[int, int]) -> tuple[int, ...]:
+    """The groups after input party p becomes output party target[p].
+
+    Parties missing from `target` are dropped, as are groups left empty;
+    groups that land on a shared output party merge into one.
+    """
+    carried: list[int] = []
+    for g in groups:
+        out = 0
+        for p in mask_parties(g):
+            if p in target:
+                out |= 1 << target[p]
+        if not out:
+            continue
+        # the carried groups are disjoint, so one pass finds every overlap
+        for other in [c for c in carried if c & out]:
+            carried.remove(other)
+            out |= other
+        carried.append(out)
+    return tuple(carried)
+
+
 def permute_parties(state: PureState, perm: Sequence[int]) -> PureState:
-    """Party i of the output is party perm[i] of the input."""
+    """Party i of the output is party perm[i] of the input; the groups are
+    relabeled with the parties."""
     n = state.num_parties
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of range({n}): {perm}")
     parties = tuple(state.layout.parties[p] for p in perm)
     amp = state.tensor().transpose(perm).reshape(-1)
-    return PureState(SystemLayout(parties), amp)
+    groups = _carry_groups(state.groups, {p: i for i, p in enumerate(perm)})
+    return PureState(SystemLayout(parties), amp, groups=groups)
 
 
 def regroup(state: PureState, partition: Partition) -> PureState:
@@ -438,6 +506,7 @@ def regroup(state: PureState, partition: Partition) -> PureState:
 
     Blocks keep canonical order (by smallest member); within a block the
     original party order is kept, so amplitudes are a pure re-indexing.
+    The groups a block touches merge into one group of the output.
     """
     n = state.num_parties
     if partition.parties != tuple(range(n)):
@@ -450,17 +519,21 @@ def regroup(state: PureState, partition: Partition) -> PureState:
     )
     axes = [i for block in partition.blocks for i in block]
     amp = state.tensor().transpose(axes).reshape(-1)
-    return PureState(SystemLayout(parties), amp)
+    groups = _carry_groups(
+        state.groups, {p: j for j, block in enumerate(partition.blocks) for p in block}
+    )
+    return PureState(SystemLayout(parties), amp, groups=groups)
 
 
 def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureState:
+    """u acting on one party; a local unitary keeps every group a product."""
     d = state.layout.dims[party]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} != ({d}, {d})")
     t = np.tensordot(u, state.tensor(), axes=([1], [party]))
     t = np.moveaxis(t, 0, party)
-    return PureState(state.layout, t.reshape(-1))
+    return PureState(state.layout, t.reshape(-1), groups=state.groups)
 
 
 def _split_matrix(state: PureState, keep: Sequence[int]) -> np.ndarray:
@@ -479,13 +552,17 @@ def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureStat
     """The kept parties' own pure state, or None when their marginal is mixed.
 
     The factor vector is the leading left singular vector of the split
-    matrix, phase-fixed by canonical_phase.
+    matrix, phase-fixed by canonical_phase.  Its groups are the nonempty
+    `g & keep`: the marginal of a product is the product of the pieces'
+    marginals, so when it is pure every piece is pure and the kept state is
+    the product of the pieces' own states.
     """
     keep = sorted(keep)
     u, s, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
     if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
         return None
-    return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]))
+    groups = _carry_groups(state.groups, {p: i for i, p in enumerate(keep)})
+    return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]), groups=groups)
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
@@ -517,19 +594,35 @@ def spectrum(dm: DensityMatrix) -> np.ndarray:
     return clip_spectrum(np.linalg.eigvalsh(dm.matrix))
 
 
-def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
+def marginal_spectrum(state: PureState, keep: Sequence[int], *, raw: bool = False) -> np.ndarray:
     """Spectrum of the reduced state on `keep`, via SVD of the split vector.
 
     Same contract as spectrum(reduced_density(...)) but without forming
     the density matrix; the two routes agree within tolerance and are
     cross-checked in the tests.
+
+    With raw=True the squared singular values are returned as the SVD
+    gives them, min(d_keep, d_rest) of them, before padding and clipping.
+    The SVD runs on the smaller side's split matrix (on `keep`'s when the
+    two dimensions are equal), so when `keep` is the larger side these are
+    bit for bit the squared singular values of its complement's split, and
+    pad_spectrum of them to each side's dimension gives that side's
+    spectrum.
     """
     m = _split_matrix(state, keep)
     if m.shape[0] > m.shape[1]:
         m = m.T  # singular values are side-independent; keep SVD small
     lam = np.linalg.svd(m, compute_uv=False) ** 2
-    full = np.zeros(math.prod(state.layout.dims[i] for i in sorted(keep)))
-    full[: lam.size] = lam
+    if raw:
+        return lam
+    return pad_spectrum(lam, math.prod(state.layout.dims[i] for i in keep))
+
+
+def pad_spectrum(weights: np.ndarray, dim: int) -> np.ndarray:
+    """Spectrum of dimension `dim` whose nonzero part is `weights`: padded
+    with zeros, then clip_spectrum."""
+    full = np.zeros(dim)
+    full[: weights.size] = weights
     return clip_spectrum(full)
 
 

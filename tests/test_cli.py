@@ -130,6 +130,23 @@ def test_malformed_numbers_are_input_errors(factor, needle, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e308", "1e-170"])
+def test_extreme_amplitude_scales_match_unit_scale(scale, capsys):
+    """Finite amplitudes near the float limits are no overflow and no zero
+    vector: the output is that of re = [1, 1]."""
+    def run(x):
+        inline = ('{"factors": [{"kind": "amplitudes", "labels": ["A"], "dims": [2], '
+                  f'"re": [{x}, {x}], "im": [0, 0]}}]}}')
+        rc = cli.main(["factorize", "--json", "--state", inline])
+        return rc, capsys.readouterr()
+
+    rc, got = run(scale)
+    unit_rc, unit = run("1")
+    assert (rc, got.out, got.err) == (0, unit.out, "")
+    assert unit_rc == 0
+
+
 def test_empty_party_label_is_an_input_error(capsys):
     inline = '{"factors": [{"kind": "ghz", "labels": ["", "B", "C"]}]}'
     assert cli.main(["compute", "--measure", "E", "--k", "2", "--h", "entropy",

@@ -12,7 +12,7 @@ from kpem import factorize
 from kpem.audit import _weak_pair
 from kpem.factorize import GENUINE, SINGLE, classify, finest_factorization
 from kpem.measures import MarginalCache, MeasureSpec, evaluate_measure, unified_mem
-from kpem.partitions import Partition
+from kpem.partitions import Partition, mask_parties
 from kpem.qstate import (
     LINK_TOL,
     PURITY_TOL,
@@ -20,6 +20,7 @@ from kpem.qstate import (
     GhzFactor,
     MaxEntFactor,
     NumericalContractError,
+    PureState,
     StateSpec,
     SystemLayout,
     WFactor,
@@ -154,8 +155,9 @@ def test_pure_restriction():
 
 def scan_factorization(state):
     """Reference: the size-then-lex scan over every subset of up to half the
-    remaining parties, no pair links.  Returns (blocks, classifications,
-    fidelity) in the form finest_factorization reports them."""
+    remaining parties, no pair links, no groups.  Returns (blocks,
+    classifications, factor amplitudes, fidelity) in the form
+    finest_factorization reports them."""
     blocks, remaining = [], tuple(range(state.num_parties))
     while remaining:
         found = next(
@@ -173,6 +175,7 @@ def scan_factorization(state):
     return (
         [b for b, _ in factors],
         [GENUINE if len(b) >= 2 else SINGLE for b, _ in factors],
+        [fs.amplitudes.tobytes() for _, fs in factors],
         factorize._reconstruction_fidelity(state, factors),
     )
 
@@ -182,6 +185,7 @@ def assert_matches_scan(state):
     got = (
         [f.parties for f in dec.factors],
         [f.classification for f in dec.factors],
+        [f.state.amplitudes.tobytes() for f in dec.factors],
         dec.fidelity,
     )
     assert got == scan_factorization(state)
@@ -302,6 +306,40 @@ def test_linked_scan_matches_scan_on_dense_shapes(sizes, dims):
     perm = tuple(np.random.default_rng(len(dims)).permutation(len(dims)))
     assert_matches_scan(haar_blocks(sizes, dims, seed=sum(dims)))
     assert_matches_scan(haar_blocks(sizes, dims, seed=sum(dims), perm=perm))
+
+
+def test_grouped_scan_matches_scan(grouped_family, monkeypatch):
+    """Scanning inside one group finds the plain scan's factors, bit for
+    bit, and takes fewer purities than the same amplitudes as one group."""
+    for name, psi in grouped_family:
+        assert_matches_scan(psi)
+
+    calls = [0]
+    purity = factorize.marginal_purity
+
+    def count_purity(*args):
+        calls[0] += 1
+        return purity(*args)
+
+    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
+    grouped = one_group = 0
+    for name, psi in grouped_family:
+        calls[0] = 0
+        finest_factorization(psi)
+        grouped += calls[0]
+        calls[0] = 0
+        finest_factorization(PureState(psi.layout, psi.amplitudes))
+        one_group += calls[0]
+    assert grouped < one_group
+
+
+def test_carried_groups_reconstruct_the_amplitudes(grouped_family):
+    """Each state is the tensor product of its groups' own states."""
+    for name, psi in grouped_family:
+        pieces = [(mask_parties(g), pure_restriction(psi, mask_parties(g))) for g in psi.groups]
+        assert all(fs is not None for _, fs in pieces), name
+        fid = factorize._reconstruction_fidelity(psi, pieces)
+        assert fid == pytest.approx(1.0, abs=1e-12), name
 
 
 def test_haar_state_needs_only_singles_and_pairs(monkeypatch):

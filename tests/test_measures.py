@@ -512,11 +512,60 @@ def test_cache_factorizes_once(monkeypatch):
 
 
 def test_cache_spectrum_is_the_marginal_spectrum_of_its_mask():
-    psi = random_pure(SystemLayout.of("ABCDE", (2, 3, 2, 4, 3)), seed=17)
-    cache = MarginalCache(psi)
+    """On a one-group state every spectrum, a complement's read from the
+    shared SVD included, is marginal_spectrum's bit for bit."""
+    for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9):
+        psi = random_pure(SystemLayout.of("ABCDEFGHI"[:len(dims)], dims), seed=17)
+        cache = MarginalCache(psi)
+        for mask in range(1, 1 << psi.num_parties):
+            want = marginal_spectrum(psi, mask_parties(mask))
+            assert np.array_equal(cache.spectrum(mask), want), (dims, mask)
+
+
+def test_grouped_cache_matches_whole_state_spectra(grouped_family):
+    """Oracle: on every mask of every grouped state, the spectrum formed
+    from factor-local pieces has the whole-state SVD's length and agrees
+    with it within 1e-12; a union of whole groups is exactly (1, 0, ...),
+    and a subset inside one group is the whole-state SVD's bit for bit."""
+    for name, psi in grouped_family:
+        cache = MarginalCache(psi)
+        for mask in range(1, 1 << psi.num_parties):
+            got = cache.spectrum(mask)
+            want = marginal_spectrum(psi, mask_parties(mask))
+            assert got.shape == want.shape, (name, mask)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{name} {mask}")
+            if all(mask & g in (0, g) for g in psi.groups):
+                assert got[0] == 1.0 and not got[1:].any(), (name, mask)
+            elif any(not mask & ~g for g in psi.groups):
+                assert np.array_equal(got, want), (name, mask)
+
+
+def test_cache_svds_each_piece_once(monkeypatch):
+    """One SVD per piece of a group; a union of whole groups takes none, and
+    a complement inside the same state shares its piece's SVD."""
+    from kpem import measures
+
+    calls = []
+    original = measures.marginal_spectrum
+
+    def counting(state, keep, raw=False):
+        calls.append(tuple(keep))
+        return original(state, keep, raw=raw)
+
+    monkeypatch.setattr(measures, "marginal_spectrum", counting)
+    product = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
+    cache = MarginalCache(product)
     for mask in range(1, 1 << 5):
-        want = marginal_spectrum(psi, mask_parties(mask))
-        assert np.array_equal(cache.spectrum(mask), want), mask
+        cache.spectrum(mask)
+    # singles, and the pairs inside the GHZ factor, each on its own
+    assert sorted(calls) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,), (3,), (4,)]
+
+    calls.clear()
+    cache = MarginalCache(random_pure(SystemLayout.qubits("ABCD"), seed=3))
+    for mask in range(1, 1 << 4):
+        cache.spectrum(mask)
+    # triples read their single complement's SVD; equal halves take their own
+    assert sorted(calls) == [(0,), (0, 1), (0, 2), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
 
 
 def test_cache_gives_identical_values():

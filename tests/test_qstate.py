@@ -1,6 +1,7 @@
 """State construction, indexing convention, marginals, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_build_amplitudes_normalizes():
     assert psi.amplitudes[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-170])
+def test_build_extreme_amplitude_scales(scale):
+    """Finite amplitudes near the float limits normalize, without warnings,
+    to the very bits of the unit-scale vector."""
+    def single(x):
+        return StateSpec((AmplitudesFactor(("A",), (2,), (x + 0j, x + 0j)),))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = build_state(single(scale))
+    assert np.array_equal(psi.amplitudes, build_state(single(1.0)).amplitudes)
+
+
 def test_build_tensor_order():
     # Bell on AB then |1> on C: support on |001> and |111>
     psi = build_state(StateSpec((
@@ -193,6 +207,51 @@ def test_density_matrix_contracts():
         DensityMatrix(qubits(1), np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(NumericalContractError, match="trace"):
         DensityMatrix(qubits(1), np.eye(2))
+
+
+# --- groups ------------------------------------------------------------------------
+
+
+def test_groups_default_to_one_group():
+    psi = random_pure(qubits(3), seed=1)
+    assert psi.groups == (0b111,)
+    assert PureState(qubits(3), psi.amplitudes, groups=(0b100, 0b011)).groups == (0b011, 0b100)
+
+
+@pytest.mark.parametrize("groups", [
+    (0b011, 0b110),   # overlapping
+    (0b011,),         # party 2 in no group
+    (0b011, 0b100, 0b1000),  # party 3 does not exist
+    (0b111, 0),
+    (3.0, 4),
+    (True, 0b110),
+], ids=["overlap", "uncovered", "out-of-range", "empty", "float", "bool"])
+def test_malformed_groups_raise(groups):
+    psi = random_pure(qubits(3), seed=2)
+    with pytest.raises(ValueError):
+        PureState(qubits(3), psi.amplitudes, groups=groups)
+
+
+def test_build_state_records_one_group_per_factor():
+    psi = build_state(StateSpec((
+        MaxEntFactor(("A", "B")), WFactor(("C", "D", "E")), GhzFactor(("F",)),
+    )))
+    assert psi.groups == (0b000011, 0b011100, 0b100000)
+
+
+def test_party_wise_operations_carry_the_groups():
+    psi = build_state(StateSpec((
+        MaxEntFactor(("A", "B")), WFactor(("C", "D", "E")), GhzFactor(("F", "G")),
+    )))
+    # output party i is input party perm[i]
+    moved = permute_parties(psi, (2, 0, 5, 1, 6, 3, 4))
+    assert moved.groups == (0b1100001, 0b0001010, 0b0010100)  # by lowest party
+    merged = regroup(psi, Partition.of([[0], [1, 2], [3], [4], [5], [6]]))
+    assert merged.groups == (0b001111, 0b110000)
+    kept = qstate.pure_restriction(psi, (0, 1, 5, 6))
+    assert kept.groups == (0b0011, 0b1100)
+    u = haar_unitary(2, np.random.default_rng(0))
+    assert apply_local_unitary(psi, 3, u).groups == psi.groups
 
 
 # --- party-wise operations ---------------------------------------------------------
