@@ -39,7 +39,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .factorize import finest_factorization
 from .measures import FACTOR, GEOMETRIC, MarginalCache, MeasureSpec, evaluate_measure
 from .partitions import Partition
 from .qstate import (
@@ -187,23 +186,40 @@ class AxiomInstance:
         return out
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "AxiomInstance":
-        def tup(key, nested=False):
+    def from_dict(cls, obj) -> "AxiomInstance":
+        """Parse an instance record; types are checked, not coerced."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"axiom instance must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"axiom instance: unknown field(s) {sorted(unknown)}")
+        if obj.get("axiom") not in AXIOMS:
+            raise ValueError(f"axiom instance: unknown axiom {obj.get('axiom')!r}")
+        states, note = obj.get("states"), obj.get("note", "")
+        if not isinstance(states, list) or not states or not isinstance(note, str):
+            raise ValueError("axiom instance: 'states' takes a nonempty array, 'note' a string")
+
+        def tup(key, kind, nested=False):
+            # a list of `kind` (a list of such lists if nested); booleans are not ints
             val = obj.get(key)
             if val is None:
                 return None
-            return tuple(tuple(v) for v in val) if nested else tuple(val)
+            rows = val if nested else [val]
+            if not isinstance(val, list) or not all(isinstance(r, list) and all(
+                    isinstance(x, kind) and not isinstance(x, bool) for x in r) for r in rows):
+                raise ValueError(f"axiom instance: {key!r} has the wrong type: {val!r}")
+            return tuple(map(tuple, val)) if nested else tuple(val)
 
         return cls(
             axiom=obj["axiom"],
-            k=int(obj["k"]),
-            states=tuple(spec_from_dict(s) for s in obj["states"]),
-            perm=tup("perm"),
-            discard=tup("discard"),
-            groups=tup("groups", nested=True),
-            base_blocks=tup("base_blocks", nested=True),
-            inner_drop=tup("inner_drop"),
-            note=obj.get("note", ""),
+            k=_json_int(obj.get("k"), "k", "axiom instance"),
+            states=tuple(spec_from_dict(s) for s in states),
+            perm=tup("perm", int),
+            discard=tup("discard", str),
+            groups=tup("groups", str, nested=True),
+            base_blocks=tup("base_blocks", str, nested=True),
+            inner_drop=tup("inner_drop", str),
+            note=note,
         )
 
 
@@ -315,15 +331,10 @@ def _qubit_factor(rng: np.random.Generator, label: str) -> AmplitudesFactor:
 
 
 def _haar_factor(rng: np.random.Generator, labels: tuple[str, ...]) -> AmplitudesFactor:
-    # redraw until genuinely entangled; Haar states essentially always are
+    # a Haar state is a product with probability zero: one draw is entangled
     layout = SystemLayout.qubits(labels)
-    for _ in range(8):
-        psi = haar_state(layout, rng)
-        dec = finest_factorization(psi)
-        if len(dec.factors) == 1:
-            amps = canonical_phase(psi.amplitudes)
-            return AmplitudesFactor(labels, layout.dims, tuple(amps))
-    raise RuntimeError("could not draw a genuinely entangled factor")
+    amps = canonical_phase(haar_state(layout, rng).amplitudes)
+    return AmplitudesFactor(labels, layout.dims, tuple(amps))
 
 
 def _random_factor(rng: np.random.Generator, labels: tuple[str, ...]):

@@ -1,15 +1,22 @@
 """Finest tensor factorization of a pure state across its parties.
 
-The decomposition repeatedly takes the smallest party subset of the
-not yet assigned parties whose marginal is pure (search by subset size,
-then lexicographic on the original party indices); purities are always
-taken on the input state and memoized by party bitmask (bit i is party
-i), so no remainder state is ever formed.  Each factor state is then
-read off the input by qstate.pure_restriction; a state with no split is
-its own single factor.  Minimality makes every multi-party factor
-genuinely entangled: a pure proper sub-marginal would have been found at
-a smaller size first.  The producibility of the state is the size of its
-largest factor.
+Each of the state's groups (PureState.groups, across which the amplitudes
+are a tensor product) is split on its own, by repeatedly taking the
+smallest subset of its unassigned parties whose marginal is pure (by
+subset size, then lexicographic on the original party indices); purities
+are always taken on the input state and memoized by party bitmask (bit i
+is party i), so no remainder state is ever formed.  Each factor state is
+then read off the input by qstate.pure_restriction; a state with no split
+is its own single factor.  Minimality makes every multi-party factor
+genuinely entangled: a pure proper sub-marginal would have been found at a
+smaller size first.  The producibility is the size of the largest factor.
+
+Scanning up to half of a group's remaining parties is enough: a group's
+marginal is pure and peeling a pure subset off it leaves a pure rest, so a
+pure proper subset of the remaining parties pairs with a pure complement
+in the group.  A lone remaining party is a factor, with no purity taken.
+No finest factor crosses a group, as the finest factorization refines
+every product split, so the blocks are those of a whole-state scan.
 
 Subsets that split a clearly correlated pair are never scanned.  If a
 subset S holding party i but not party j had purity >= 1 - eps (eps =
@@ -22,25 +29,15 @@ partial traces contract that to
 A pair above LINK_TOL (10x that bound) therefore lies inside one factor,
 and every pure subset is a union of the components of the graph of such
 links.  Links matter only once a search step goes past pairs, which
-needs at least six parties left, so the pair step of such a search forms
-each pair's marginal once and reads both its purity and its link from
-it, merging the two parties' component masks as each link is found.  If
-no pair is pure, the scan of three or more parties visits only unions of
-components and so finds the same subset as the full scan.  No link
-crosses a pure subset, so a component never straddles a found factor.
-States whose pairs are uncorrelated (AME-like factors) get no links and
-fall back to the full scan; a generic entangled state collapses to one
-component and needs no scan of three or more parties.
-
-Only subsets inside one of the state's groups (PureState.groups, across
-which the amplitudes are a tensor product) are scanned.  The first pure
-subset in size-then-lex order is a smallest finest factor: pure subsets
-are unions of finest factors.  The finest factorization refines every
-product split, so no finest factor crosses a group, and a pure subset
-that crosses groups holds at least two finest factors, so it is at least
-twice the smallest size and never comes first.  The restricted scan thus
-finds the same subset; purities are still taken on the input state, so
-every pure/mixed decision and the blocks are those of the full scan.
+needs at least six parties left in a group, so the pair step of such a
+search forms each pair's marginal once and reads both its purity and its
+link from it, merging the two parties' component masks as each link is
+found.  If no pair is pure, the scan of three or more parties visits only
+unions of components and so finds the same subset as the full scan.  No
+link crosses a pure subset, so a component never straddles a found
+factor.  States whose pairs are uncorrelated (AME-like factors) get no
+links and fall back to the full scan; a generic entangled state collapses
+to one component and needs no scan of three or more parties.
 """
 
 from __future__ import annotations
@@ -104,10 +101,6 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     """
     pure: dict[int, bool] = {}
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
-    group_of = [g for p in range(state.num_parties) for g in state.groups if g >> p & 1]
-
-    def inside(mask: int) -> bool:
-        return not mask & ~group_of[(mask & -mask).bit_length() - 1]
 
     def is_pure(mask: int) -> bool:
         got = pure.get(mask)
@@ -128,29 +121,23 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
         return got
 
     blocks: list[tuple[int, ...]] = []
-    left = (1 << state.num_parties) - 1
-    while left:
-        remaining = mask_parties(left)
-        bits = [1 << p for p in remaining]
-        # a proper pure subset pairs with a pure complement, so scanning up
-        # to half the parties cannot miss one
-        half = len(remaining) // 2
-        found = next((bit for bit in bits if is_pure(bit)), None)
-        if found is None and half >= 2:
-            test = pair_is_pure if half >= 3 else is_pure
-            found = next(
-                (m for m in map(sum, combinations(bits, 2)) if inside(m) and test(m)), None
-            )
-        if found is None and half >= 3:
-            # every remaining pair inside a group has its link now
-            found = next(
-                (m for m in _component_unions(remaining, comp, half) if inside(m) and is_pure(m)),
-                None,
-            )
-        if found is None:
-            found = left
-        blocks.append(mask_parties(found))
-        left ^= found
+    for left in state.groups:
+        while left:
+            remaining = mask_parties(left)
+            bits = [1 << p for p in remaining]
+            # the rest of a group is pure, so a proper pure subset pairs with
+            # a pure complement and scanning up to half cannot miss one
+            half = len(remaining) // 2
+            found = next(filter(is_pure, bits), None) if half else left
+            if found is None and half >= 2:
+                test = pair_is_pure if half >= 3 else is_pure
+                found = next(filter(test, map(sum, combinations(bits, 2))), None)
+            if found is None and half >= 3:
+                # every remaining pair has its link now
+                found = next(filter(is_pure, _component_unions(remaining, comp, half)), None)
+            found = found or left
+            blocks.append(mask_parties(found))
+            left ^= found
 
     if len(blocks) == 1:
         factors = [(blocks[0], state)]

@@ -155,15 +155,14 @@ def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def count_k_fineness(n: int, k: int) -> int:
     """|Gamma_k| for an n-set, by recursion on the block containing the
-    first element (closed count, no enumeration)."""
+    first element (closed count, no enumeration), filled in bottom-up so
+    that no n exhausts the interpreter's stack."""
     if k < 1 or n < 0:
         raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 1
-    return sum(
-        comb(n - 1, s - 1) * count_k_fineness(n - s, k)
-        for s in range(1, min(k, n) + 1)
-    )
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(comb(m - 1, s - 1) * counts[m - s] for s in range(1, min(k, m) + 1)))
+    return counts[n]
 
 
 def bell_number(n: int) -> int:

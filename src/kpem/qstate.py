@@ -135,18 +135,19 @@ def check_size_caps(layout: SystemLayout, unsafe_large: bool = False) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over a layout.
 
     `groups` are disjoint party bitmasks covering every party, ordered by
     lowest party; the amplitudes are claimed to be a tensor product across
-    them.  The default (None) is the one group of all parties.
+    them.  The default (None) is the one group of all parties.  States
+    compare and hash by identity, as arrays have no truth value.
     """
 
     layout: SystemLayout
     amplitudes: np.ndarray
-    groups: Optional[tuple[int, ...]] = field(default=None, kw_only=True, compare=False)
+    groups: Optional[tuple[int, ...]] = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -184,9 +185,9 @@ class PureState:
         return self.amplitudes.reshape(self.layout.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian trace-one matrix over a layout."""
+    """Hermitian trace-one matrix over a layout; compares by identity."""
 
     layout: SystemLayout
     matrix: np.ndarray
@@ -559,7 +560,8 @@ def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureStat
     """
     keep = sorted(keep)
     u, s, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
-    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
+    # tr(rho^2) is the sum of the squared Schmidt weights
+    if float(np.sum(s**4)) < 1.0 - PURITY_TOL:
         return None
     groups = _carry_groups(state.groups, {p: i for i, p in enumerate(keep)})
     return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]), groups=groups)

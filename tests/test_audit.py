@@ -285,6 +285,48 @@ def test_instance_dict_round_trip():
     assert again == inst
 
 
+def test_every_instance_field_round_trips():
+    inst = AxiomInstance(
+        "partial_trace_monotone_c", 2, (StateSpec((GhzFactor(("A", "B", "C")),)),),
+        perm=(2, 0, 1), discard=("C",), base_blocks=(("A", "B"), ("C",)),
+        inner_drop=("B",), note="all fields",
+    )
+    assert AxiomInstance.from_dict(json.loads(json.dumps(inst.to_dict()))) == inst
+
+
+@pytest.mark.parametrize("change", [
+    {"axiom": "nonsense"},
+    {"axiom": None},
+    {"k": 2.9},
+    {"k": "3"},
+    {"k": True},
+    {"k": None},
+    {"bogus": 1},
+    {"states": []},
+    {"states": {"factors": []}},
+    {"perm": ["0", 1]},
+    {"perm": [True, 0]},
+    {"perm": 3},
+    {"discard": "A"},
+    {"discard": [1]},
+    {"groups": ["A", "B"]},
+    {"groups": [["A"], "B"]},
+    {"base_blocks": [[1.0]]},
+    {"inner_drop": {"A": 1}},
+    {"note": 5},
+], ids=repr)
+def test_malformed_instance_documents_raise(change):
+    doc = {**engineered_tight_b_instance().to_dict(), **change}
+    with pytest.raises(ValueError):
+        AxiomInstance.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [None, [], "instance", 3])
+def test_instance_document_must_be_an_object(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        AxiomInstance.from_dict(doc)
+
+
 def test_unknown_axiom_rejected():
     inst = AxiomInstance("monogamy", 2, (StateSpec((GhzFactor(("A", "B")),)),))
     with pytest.raises(ValueError, match="unknown check"):

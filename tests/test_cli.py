@@ -1,12 +1,17 @@
 """Command-line surface: golden outputs, exit codes, JSON records."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpem import cli
+from kpem.measures import MEASURE_TABLE
 from kpem.qstate import NumericalContractError
 
 PSI = {
@@ -354,3 +359,72 @@ def test_installed_entry_point_matches_module(psi_file):
                            "--state", psi_file)
     assert code == 0
     assert "value     0.853553390593" in out
+
+
+# --- exit codes on arbitrary input -----------------------------------------------
+#
+# Whatever the arguments, main returns 0, 1 or 2 and never raises.
+
+GHZ3 = json.dumps({"factors": [{"kind": "ghz", "labels": ["A", "B", "C"]}]})
+
+
+def quiet_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def int_args(lo, hi):
+    """An integer in [lo, hi] as text, or a short text that holds no digit."""
+    return st.integers(lo, hi).map(str) | st.text(
+        st.characters(blacklist_categories=("Nd",)), max_size=3)
+
+
+parameters = st.floats().map(repr) | st.text(max_size=4)
+tokens = st.sampled_from([row.token for row in MEASURE_TABLE.values()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.booleans(), data=st.data())
+def test_partitions_exit_codes(count, data):
+    argv = ["partitions", "--n", data.draw(int_args(-2, 30 if count else 8))]
+    fineness = data.draw(st.none() | int_args(-2, 32))
+    if fineness is not None:
+        argv += ["--fineness", fineness]
+    if count:
+        argv.append("--count")
+    assert quiet_exit_code(argv) in (0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    measure=tokens | st.tuples(tokens, parameters).map(":".join) | st.text(max_size=6),
+    k=int_args(-1, 5),
+    h=st.none() | st.sampled_from(("entropy", "concurrence")) | st.text(max_size=6)
+    | st.tuples(st.sampled_from(("q", "alpha")), parameters).map(":".join),
+)
+def test_compute_exit_codes(measure, k, h):
+    argv = ["compute", "--measure", measure, "--k", k, "--state", GHZ3]
+    if h is not None:
+        argv += ["--h", h]
+    assert quiet_exit_code(argv) in (0, 1, 2)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+factors = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("ghz", "w", "maxent", "amplitudes")),
+     "labels": st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)},
+    optional={"dim": st.integers(-1, 4), "dims": st.lists(st.integers(-1, 3), max_size=3),
+              "re": st.lists(st.floats(), max_size=8), "im": st.lists(st.floats(), max_size=8),
+              "extra": json_values},
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=json_values | st.lists(factors, max_size=3).map(lambda fs: {"factors": fs}))
+def test_factorize_exit_codes(doc):
+    assert quiet_exit_code(["factorize", "--json", "--state", json.dumps(doc)]) in (0, 1, 2)

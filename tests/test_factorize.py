@@ -342,9 +342,9 @@ def test_carried_groups_reconstruct_the_amplitudes(grouped_family):
         assert fid == pytest.approx(1.0, abs=1e-12), name
 
 
-def test_haar_state_needs_only_singles_and_pairs(monkeypatch):
-    """12 single purities and 66 pair marginals, in place of the 2,509
-    subsets of up to six parties the plain scan visits."""
+@pytest.fixture()
+def scan_calls(monkeypatch):
+    """Counts of the single purities and the pair marginals a scan takes."""
     calls = {"purity": 0, "pair": 0}
     purity, pair = factorize.marginal_purity, factorize._pair_marginal
 
@@ -358,6 +358,41 @@ def test_haar_state_needs_only_singles_and_pairs(monkeypatch):
 
     monkeypatch.setattr(factorize, "marginal_purity", count_purity)
     monkeypatch.setattr(factorize, "_pair_marginal", count_pair)
+    return calls
+
+
+def test_haar_state_needs_only_singles_and_pairs(scan_calls):
+    """12 single purities and 66 pair marginals, in place of the 2,509
+    subsets of up to six parties the plain scan visits."""
     dec = finest_factorization(random_pure(SystemLayout.qubits("ABCDEFGHIJKL"), seed=5))
     assert dec.genuine
-    assert calls == {"purity": 12, "pair": 66}
+    assert scan_calls == {"purity": 12, "pair": 66}
+
+
+def test_single_party_groups_take_no_purity(scan_calls):
+    dec = finest_factorization(haar_blocks((1,) * 8, (2,) * 8, seed=8))
+    assert [f.parties for f in dec.factors] == [(p,) for p in range(8)]
+    assert scan_calls == {"purity": 0, "pair": 0}
+
+
+def test_each_group_is_scanned_to_half_its_size(scan_calls):
+    """Haar6 (x) |0> (x) Bell: the six-party group takes 6 singles and 15
+    linked pairs, |0> nothing, and the Bell pair its 2 singles."""
+    rng = np.random.default_rng(9)
+    layout = SystemLayout.qubits("ABCDEF")
+    psi = build_state(StateSpec((
+        AmplitudesFactor(layout.labels, layout.dims, tuple(haar_state(layout, rng).amplitudes)),
+        AmplitudesFactor(("G",), (2,), (1.0 + 0j, 0j)),
+        MaxEntFactor(("H", "I")),
+    )))
+    dec = assert_matches_scan(psi)
+    assert [f.parties for f in dec.factors] == [(0, 1, 2, 3, 4, 5), (6,), (7, 8)]
+    assert scan_calls == {"purity": 8, "pair": 15}
+
+
+def test_decompositions_compare_without_raising():
+    psi = build_state(StateSpec((MaxEntFactor(("A", "B")), GhzFactor(("C", "D", "E")))))
+    dec, again = finest_factorization(psi), finest_factorization(psi)
+    # the factor states are new objects each time, and states compare by identity
+    assert dec == dec and dec != again and dec.factors[0] != again.factors[0]
+    assert hash(dec) == hash(dec)

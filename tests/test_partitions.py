@@ -124,6 +124,15 @@ def test_census_values():
     assert bell_number(9) == 21147
 
 
+def test_count_runs_without_deep_recursion():
+    # blocks of at most two parties: the involution numbers
+    # t(n) = t(n - 1) + (n - 1) t(n - 2)
+    t = [1, 1]
+    for n in range(2, 1501):
+        t.append(t[-1] + (n - 1) * t[-2])
+    assert count_k_fineness(1500, 2) == t[1500]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),

@@ -209,6 +209,16 @@ def test_density_matrix_contracts():
         DensityMatrix(qubits(1), np.eye(2))
 
 
+def test_states_compare_and_hash_by_identity():
+    psi = random_pure(qubits(3), seed=1)
+    copy = PureState(psi.layout, psi.amplitudes)
+    assert psi == psi and not psi == copy and psi != copy
+    assert len({psi, copy, psi}) == 2
+    rho = reduced_density(psi, (0,))
+    assert rho == rho and rho != reduced_density(psi, (0,))
+    assert hash(rho) == hash(rho)
+
+
 # --- groups ------------------------------------------------------------------------
 
 
@@ -361,6 +371,18 @@ def test_purity_and_is_pure():
     )))
     assert is_pure(reduced_density(prod, (2,)))
     assert marginal_purity(prod, (0, 1)) == pytest.approx(1.0)
+
+
+def test_pure_restriction_takes_the_purity_rule():
+    # Schmidt weights 1 - 7e-10 and 7e-10: the largest weight is within
+    # PURITY_TOL of 1, but the purity, about 1 - 1.4e-9, is not
+    delta = math.sqrt(7e-10 / (1 - 7e-10))
+    psi = build_state(StateSpec((
+        AmplitudesFactor(("A", "B"), (2, 2), (1.0 + 0j, 0j, 0j, delta + 0j)),
+    )))
+    assert marginal_purity(psi, (0,)) < 1.0 - qstate.PURITY_TOL
+    assert qstate.pure_restriction(psi, (0,)) is None
+    assert qstate.pure_restriction(psi, (0, 1)) is not None
 
 
 # --- randomness ------------------------------------------------------------------
