@@ -51,7 +51,7 @@ from .qstate import (
     _json_int,
     build_state,
     canonical_phase,
-    haar_state,
+    haar_vector,
     permute_parties,
     pure_restriction,
     regroup,
@@ -64,16 +64,19 @@ VIOLATION_TOL = 1e-7   # margins above this count as violations
 REPLAY_TOL = 1e-9      # witness re-evaluation must reproduce the margin this tightly
 ATTEMPT_FACTOR = 8     # a check draws at most this many instances per target one
 
-AXIOMS = (
-    "symmetry",
-    "additivity",
-    "k_monotone",
-    "coarsening_monotone_a",
-    "tight_coarsening_monotone_b_k2",
-    "tight_coarsening_monotone_b_k3plus",
-    "partial_trace_monotone_c",
-    "ordering_chain",
-)
+# each postulate, with the transformation fields its replay reads, its
+# number of states and its least k
+_REPLAY_NEEDS = {
+    "symmetry": (("perm",), 1, 2),
+    "additivity": ((), 2, 2),
+    "k_monotone": ((), 1, 3),
+    "coarsening_monotone_a": (("discard",), 1, 2),
+    "tight_coarsening_monotone_b_k2": (("groups",), 1, 2),
+    "tight_coarsening_monotone_b_k3plus": (("groups",), 1, 2),
+    "partial_trace_monotone_c": (("base_blocks", "inner_drop"), 1, 2),
+    "ordering_chain": ((), 1, 2),
+}
+AXIOMS = tuple(_REPLAY_NEEDS)
 
 PASS, VIOLATED, REPORT = "pass", "violated", "report"
 
@@ -210,7 +213,7 @@ class AxiomInstance:
                 raise ValueError(f"axiom instance: {key!r} has the wrong type: {val!r}")
             return tuple(map(tuple, val)) if nested else tuple(val)
 
-        return cls(
+        inst = cls(
             axiom=obj["axiom"],
             k=_json_int(obj.get("k"), "k", "axiom instance"),
             states=tuple(spec_from_dict(s) for s in states),
@@ -221,6 +224,17 @@ class AxiomInstance:
             inner_drop=tup("inner_drop", str),
             note=note,
         )
+        needs, count, least_k = _REPLAY_NEEDS[inst.axiom]
+        if len(inst.states) != count or inst.k < least_k or any(
+                getattr(inst, key) is None for key in needs):
+            raise ValueError(f"axiom instance: {inst.axiom} replays {count} state(s) "
+                             f"at k >= {least_k} and needs the field(s) {list(needs)}")
+        named = chain(inst.discard or (), inst.inner_drop or (),
+                      *(inst.groups or ()), *(inst.base_blocks or ()))
+        strangers = sorted(set(named) - set(inst.states[0].labels))
+        if strangers:
+            raise ValueError(f"axiom instance: {strangers} are not parties of its state")
+        return inst
 
 
 @dataclass(frozen=True)
@@ -324,23 +338,16 @@ def _labels(n: int, offset: int = 0) -> tuple[str, ...]:
     return tuple(_ALPHABET[offset + i] for i in range(n))
 
 
-def _qubit_factor(rng: np.random.Generator, label: str) -> AmplitudesFactor:
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    z = canonical_phase(z / np.linalg.norm(z))
-    return AmplitudesFactor((label,), (2,), tuple(z))
-
-
 def _haar_factor(rng: np.random.Generator, labels: tuple[str, ...]) -> AmplitudesFactor:
     # a Haar state is a product with probability zero: one draw is entangled
-    layout = SystemLayout.qubits(labels)
-    amps = canonical_phase(haar_state(layout, rng).amplitudes)
-    return AmplitudesFactor(labels, layout.dims, tuple(amps))
+    amps = canonical_phase(haar_vector(2 ** len(labels), rng))
+    return AmplitudesFactor(labels, (2,) * len(labels), tuple(amps))
 
 
 def _random_factor(rng: np.random.Generator, labels: tuple[str, ...]):
     size = len(labels)
-    if size == 1:
-        return _qubit_factor(rng, labels[0])
+    if size == 1:  # no roll for a single party: the seeded streams depend on it
+        return _haar_factor(rng, labels)
     roll = rng.random()
     if size == 2:
         return MaxEntFactor(labels) if roll < 0.35 else _haar_factor(rng, labels)

@@ -100,7 +100,7 @@ def _breakdown_json(result: MeasureResult, labels: Sequence[str]) -> dict:
             {"parties": "".join(labels[i] for i in parties), "value": val}
             for parties, val in br["factors"]
         ]
-    if "partitions" in br:
+    if "cardinality" in br:
         out["aggregated_partitions"] = br["cardinality"]
     return out
 

@@ -44,8 +44,8 @@ The min family runs an O(3^n) subset DP for the least block sum per block
 count, then a DFS bounded by it re-scores, exactly as an exhaustive sweep
 does, every partition that can be the minimizer, keeping only the least:
 the witness is the first minimizer in restricted-growth-string order.
-The geometric family sums block values over a per-(n, k-1) table of the
-family's block masks, cached on first use.
+The geometric family sums block values over a per-(n, k-1) table of block
+masks, cached with the family's sum of log m; its breakdown is the family size.
 
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
 token, its family and the reduced function it fixes, if any.
@@ -459,10 +459,10 @@ def measure_min_family(
 
 
 @lru_cache(maxsize=64)
-def _mask_table(n: int, b: int) -> np.ndarray:
+def _mask_table(n: int, b: int) -> tuple[np.ndarray, float]:
     """Gamma_b of n parties as a read-only (n, |Gamma_b|) array of block
-    masks: column i holds the blocks of the i-th partition in restricted-
-    growth-string order, then zeros (the empty mask, whose h is 0.0)."""
+    masks (column i: the i-th partition's blocks in restricted-growth-string
+    order, then zeros, the empty mask whose h is 0.0) and sum_i log m_i."""
     count = count_k_fineness(n, b)
     pad = (0,) * n
     flat = np.fromiter(
@@ -472,7 +472,8 @@ def _mask_table(n: int, b: int) -> np.ndarray:
     )
     table = flat.reshape(count, n).T.copy()
     table.flags.writeable = False
-    return table
+    log_blocks = sum(map(math.log, np.count_nonzero(table, axis=0).tolist()))
+    return table, log_blocks
 
 
 def measure_geometric_family(
@@ -498,22 +499,17 @@ def measure_geometric_family(
         )
     cache = _cache_for(state, cache)
     values = np.array(_h_by_mask(cache, spec.reduced_function(), n, spec.k - 1))
-    table = _mask_table(n, spec.k - 1)
+    table, log_blocks = _mask_table(n, spec.k - 1)
     sums = values[table[0]]
     for blocks in table[1:]:  # one block at a time keeps the temporaries small
         sums = sums + values[blocks]
     totals = sums.tolist()
-    counts = np.count_nonzero(table, axis=0).tolist()
     if min(totals) <= 0.0:
         value = 0.0
     else:
-        log_ratio = sum(map(math.log, totals)) - sum(map(math.log, counts))
+        log_ratio = sum(map(math.log, totals)) - log_blocks
         value = math.exp(log_ratio / (2.0 * len(totals)))
-    return MeasureResult(
-        value=value,
-        witness=None,
-        breakdown={"partitions": tuple(zip(counts, totals)), "cardinality": len(totals)},
-    )
+    return MeasureResult(value=value, witness=None, breakdown={"cardinality": len(totals)})
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -535,20 +531,6 @@ def evaluate_measure(
     if spec.family == MIN:
         return measure_min_family(spec, state, cache, unsafe_large=unsafe_large)
     return measure_geometric_family(spec, state, cache, unsafe_large=unsafe_large)
-
-
-def value_from_breakdown(spec: MeasureSpec, result: MeasureResult) -> float:
-    """Recompute the value from witness + breakdown; tests hold this to 1e-10."""
-    if spec.family == FACTOR:
-        return float(sum(v for _, v in result.breakdown["factors"]))
-    if spec.family == MIN:
-        total = sum(v for _, v in result.breakdown["terms"])
-        return _min_family_score(spec.kind, total, result.breakdown["num_blocks"])
-    rows = result.breakdown["partitions"]
-    if any(total <= 0.0 for _, total in rows):
-        return 0.0
-    log_sum = sum(math.log(total) - math.log(m) for m, total in rows)
-    return math.exp(log_sum / (2.0 * len(rows)))
 
 
 def parse_measure(text: str, k: int, h: Optional[ReducedFunctionSpec] = None) -> MeasureSpec:

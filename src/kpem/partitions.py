@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -156,12 +156,15 @@ def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
 def count_k_fineness(n: int, k: int) -> int:
     """|Gamma_k| for an n-set, by recursion on the block containing the
     first element (closed count, no enumeration), filled in bottom-up so
-    that no n exhausts the interpreter's stack."""
+    that no n exhausts the interpreter's stack; the binomials of each step
+    are one Pascal row, advanced by additions."""
     if k < 1 or n < 0:
         raise ValueError("need n >= 0 and k >= 1")
     counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(comb(m - 1, s - 1) * counts[m - s] for s in range(1, min(k, m) + 1)))
+    row = [1]  # comb(m - 1, s - 1) for s <= min(k, m) at step m
+    for _ in range(n):
+        counts.append(sum(map(mul, row, reversed(counts))))
+        row = [a + b for a, b in zip([0] + row, row + [0])][:k]
     return counts[n]
 
 

@@ -445,10 +445,15 @@ def spec_from_dict(obj: dict) -> StateSpec:
 # --- random states -----------------------------------------------------------
 
 
+def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit vector of length dim."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
 def haar_state(layout: SystemLayout, rng: np.random.Generator) -> PureState:
     """Haar-random pure state; one group, since it is generically entangled."""
-    z = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
-    return PureState(layout, z / np.linalg.norm(z))
+    return PureState(layout, haar_vector(layout.total_dim, rng))
 
 
 def random_pure(layout: SystemLayout, seed: int, unsafe_large: bool = False) -> PureState:

@@ -4,6 +4,7 @@ import json
 from itertools import repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpem.audit import (
     ATTEMPT_FACTOR,
@@ -314,11 +315,54 @@ def test_every_instance_field_round_trips():
     {"base_blocks": [[1.0]]},
     {"inner_drop": {"A": 1}},
     {"note": 5},
+    # records their axiom cannot replay
+    {"axiom": "symmetry"},
+    {"axiom": "coarsening_monotone_a"},
+    {"axiom": "partial_trace_monotone_c"},
+    {"axiom": "partial_trace_monotone_c", "base_blocks": [["A", "B"], ["C"]]},
+    {"axiom": "additivity"},
+    {"axiom": "k_monotone", "k": 2},
+    {"k": 1},
+    {"axiom": "coarsening_monotone_a", "discard": ["Z"]},
+    {"groups": [["A", "B", "C", "D"], ["Z"]]},
+    {"axiom": "partial_trace_monotone_c", "base_blocks": [["A"]], "inner_drop": ["Z"]},
 ], ids=repr)
 def test_malformed_instance_documents_raise(change):
     doc = {**engineered_tight_b_instance().to_dict(), **change}
     with pytest.raises(ValueError):
         AxiomInstance.from_dict(doc)
+
+
+_GHZ3 = {"factors": [{"kind": "ghz", "labels": ["A", "B", "C"]}]}
+_BELL_DE = {"factors": [{"kind": "maxent", "labels": ["D", "E"]}]}
+_FIELD_VALUES = {
+    "perm": [[2, 0, 1], [0, 0, 1], [0, 1], []],
+    "discard": [["A"], ["Z"], [], ["A", "A"], ["A", "B", "C"]],
+    "groups": [[["A", "B"], ["C"]], [["A"]], [["Z"], ["A", "B", "C"]], [], [["A", "B"], ["B", "C"]]],
+    "base_blocks": [[["A", "B"], ["C"]], [["A", "B", "C"]], [["Z"]], [], [[]]],
+    "inner_drop": [["B"], ["Z"], [], ["A", "B"], ["A", "B", "C"]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    axiom=st.sampled_from(AXIOMS),
+    k=st.integers(1, 4),
+    states=st.sampled_from([[_GHZ3], [_GHZ3, _BELL_DE], [_GHZ3, _GHZ3], [_BELL_DE]]),
+    extra=st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in _FIELD_VALUES.items()}),
+)
+def test_accepted_instance_documents_replay(axiom, k, states, extra):
+    try:
+        inst = AxiomInstance.from_dict({"axiom": axiom, "k": k, "states": states, **extra})
+    except ValueError:
+        return
+    for variant in (VARIANTS["E[entropy]"], VARIANTS["C"]):
+        try:
+            out = replay(variant, inst)
+        except ValueError:
+            continue
+        assert out.skipped or out.margin is not None
 
 
 @pytest.mark.parametrize("doc", [None, [], "instance", 3])

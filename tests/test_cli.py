@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpem import cli
+from kpem.audit import AXIOMS, DEFAULT_VARIANTS
 from kpem.measures import MEASURE_TABLE
 from kpem.qstate import NumericalContractError
 
@@ -428,3 +429,23 @@ factors = st.fixed_dictionaries(
 @given(doc=json_values | st.lists(factors, max_size=3).map(lambda fs: {"factors": fs}))
 def test_factorize_exit_codes(doc):
     assert quiet_exit_code(["factorize", "--json", "--state", json.dumps(doc)]) in (0, 1, 2)
+
+
+audit_configs = st.fixed_dictionaries({}, optional={
+    "master_seed": st.integers(-2, 2**64) | json_values,
+    "instances_per_check": st.integers(-1, 3) | json_values,
+    "threshold": st.floats() | json_values,
+    "axioms": st.lists(st.sampled_from(AXIOMS) | st.text(max_size=3), max_size=3) | json_values,
+    "variants": st.lists(st.sampled_from([v.name for v in DEFAULT_VARIANTS])
+                         | st.text(max_size=3), max_size=3) | json_values,
+    "bogus": json_values,
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=audit_configs | json_values)
+def test_audit_config_exit_codes(tmp_path_factory, doc):
+    cfg = tmp_path_factory.mktemp("audit") / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    # --trials 1 keeps a full suite near a third of a second
+    assert quiet_exit_code(["audit", "--config", str(cfg), "--trials", "1"]) in (0, 1, 4)

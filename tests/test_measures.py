@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kpem.factorize import classify
 from kpem.measures import (
     GEOMETRIC_PARTY_CAP,
+    _mask_table,
     MarginalCache,
     MeasureSpec,
     convex_roof_upper_bound,
@@ -18,7 +19,6 @@ from kpem.measures import (
     measure_min_family,
     parse_measure,
     unified_mem,
-    value_from_breakdown,
 )
 from kpem.partitions import Partition, iter_k_fineness, mask_parties
 from kpem.qstate import (
@@ -234,10 +234,13 @@ def test_min_family_witness_recomputes():
         res = evaluate_measure(spec, psi, cache=cache)
         assert res.witness.fineness <= spec.k - 1
         assert res.witness.parties == tuple(range(8))
-        assert value_from_breakdown(spec, res) == pytest.approx(res.value, abs=1e-10)
+        terms = res.breakdown["terms"]
+        total = sum(val for _, val in terms)
+        assert MIN_SCORES[spec.kind](total, res.breakdown["num_blocks"]) == pytest.approx(
+            res.value, abs=1e-10)
         # breakdown terms recompute from the state itself
         h = spec.reduced_function()
-        for block, val in res.breakdown["terms"]:
+        for block, val in terms:
             assert cache.h_value(h, mask_of(block)) == pytest.approx(val, abs=1e-12)
 
 
@@ -253,7 +256,7 @@ def test_factor_family_witness():
     sizes = {parties: val for parties, val in res.breakdown["factors"]}
     assert sizes[(0, 1, 2, 3)] == pytest.approx(2.0)
     assert sizes[(4, 5, 6)] == pytest.approx(1.5 * L3 - 1.0)
-    assert value_from_breakdown(spec, res) == pytest.approx(res.value, abs=1e-12)
+    assert sum(sizes.values()) == pytest.approx(res.value, abs=1e-12)
 
 
 def test_min_family_first_witness_is_deterministic():
@@ -336,10 +339,17 @@ def assert_geometric_matches_sweep(spec, psi, cache):
     res = measure_geometric_family(spec, psi, cache)
     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert (res.value == 0.0) == (value == 0.0)
-    assert res.breakdown["cardinality"] == len(rows)
-    assert [m for m, _ in res.breakdown["partitions"]] == [m for m, _ in rows]
-    for (_, got), (_, want) in zip(res.breakdown["partitions"], rows):
+    assert res.breakdown == {"cardinality": len(rows)}
+    # row-level oracle: each column of the cached table against its partition
+    table, log_blocks = _mask_table(psi.num_parties, spec.k - 1)
+    assert table.shape[1] == len(rows)
+    h = spec.reduced_function()
+    for column, (m, want) in zip(table.T.tolist(), rows):
+        blocks = [mask for mask in column if mask]
+        assert len(blocks) == m
+        got = sum(cache.h_value(h, mask) for mask in blocks)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert log_blocks == sum(math.log(m) for m, _ in rows)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Partition machinery: canonical form, enumeration order, counts, coarsening."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,16 @@ def test_counts_match_brute_force():
     for n in range(1, 8):
         for k in range(1, n + 1):
             assert count_k_fineness(n, k) == brute_force_count(n, k), (n, k)
+
+
+def test_count_matches_binomial_recurrence():
+    # oracle: the recurrence with one comb per term
+    for k in range(1, 62):
+        counts = [1]
+        for m in range(1, 61):
+            counts.append(sum(comb(m - 1, s - 1) * counts[m - s] for s in range(1, min(k, m) + 1)))
+        for n in range(61):
+            assert count_k_fineness(n, k) == counts[n], (n, k)
 
 
 def test_census_values():
