@@ -6,44 +6,52 @@ Three families:
   factors and add a per-factor quantity over every genuinely entangled
   factor of size >= k; zero when no factor is that large.
 * min family (Eprime_k, C_k, Cq_k, Calpha_k): minimize a per-partition
-  score over every partition of the parties into blocks of at most k-1,
-  reporting the first minimizer in enumeration order as witness.
+  score over every partition of the parties into blocks of at most k-1;
+  the witness is the first partition in enumeration (restricted-growth-
+  string) order that scores within WITNESS_TOL of the minimum, and the
+  value is its score.
 * geometric family (CGq_k, CGalpha_k): a normalized geometric mean of the
   per-partition block sums over that same partition family; one partition
   with a vanishing sum annihilates the whole product, and there is no
   witness partition.
 
-Every family goes through one per-state engine, MarginalCache: marginal
-spectra and h values keyed by party bitmask (bit i is party i), and the
-memoized finest factorization.  A factor's quantities are read off the
-marginals of the whole state, so one cache serves every measure and every
-k evaluated on the same state.  Party subsets stay bitmasks throughout;
-they become party tuples only where a spectrum is taken and in the
-reported witnesses and breakdowns.
+Every family goes through one per-state engine, MarginalCache: h values
+keyed by party bitmask (bit i is party i), and the memoized finest
+factorization.  A factor's quantities are read off the marginals of the
+whole state, so one cache serves every measure and every k evaluated on
+the same state.  Party subsets stay bitmasks throughout; they become party
+tuples only where a spectrum is taken and in the reported witnesses and
+breakdowns.
 
-Spectra are formed from the state's groups (PureState.groups), across
-which the amplitudes are a tensor product, so the marginal on X is the
-product of the marginals of its pieces X & g:
+h is formed from the state's groups (PureState.groups), across which the
+amplitudes are a tensor product, so the marginal on X is the product of
+the marginals of the pieces X & g that X cuts out of its groups.  Every h
+is a function of two spectral sums (redfun.spectral_sums) that combine
+simply across a product: purities and power sums multiply, entropies add.
+So h on X is redfun.finish of the combined raw sums of its pieces
+(redfun.product_sums), and the purity threshold is applied once, to the
+combined purity; no product spectrum is formed.  In particular:
 
-* X a union of whole groups: the spectrum is exactly (1, 0, ...), no SVD;
-* X inside one group: marginal_spectrum of X, bit for bit;
-* otherwise: the clipped product (np.kron) of the spectra of the pieces X
-  cuts out of its groups, padded with zeros for the whole groups in X.
+* X a union of whole groups: h is exactly 0.0, with no SVD;
+* X inside one group: evaluate_spectrum of marginal_spectrum of X, bit
+  for bit.
 
-Pieces are cached by mask and shared by every X that cuts them.  A subset
-and its complement share one SVD: its squared singular values are kept
-under the side whose split matrix marginal_spectrum SVDs (the smaller, or
-X itself at equal dimensions) and padded for each side.  The pieces are
-SVD'd on the whole state, not on each group's own vector: reading that
-vector off (pure_restriction) costs more than the SVDs it saves on the
-small groups of audit states, and whole-state SVDs keep every subset
-inside one group bit-identical to marginal_spectrum.
+Piece sums are cached by (h, piece) and shared by every X that cuts the
+piece.  A subset and its complement share one SVD: its squared singular
+values are kept under the side whose split matrix marginal_spectrum SVDs
+(the smaller, or X itself at equal dimensions) and padded for each side.
+The pieces are SVD'd on the whole state, not on each group's own vector:
+reading that vector off (pure_restriction) costs more than the SVDs it
+saves on the small groups of audit states, and whole-state SVDs keep
+every subset inside one group bit-identical to marginal_spectrum.
 
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block
-count, then a DFS bounded by it re-scores, exactly as an exhaustive sweep
-does, every partition that can be the minimizer, keeping only the least:
-the witness is the first minimizer in restricted-growth-string order.
+count V, then a DFS bounded by it visits every partition that scores
+within tau = WITNESS_TOL * max(1, |V|) of the minimum and keeps the least
+in restricted-growth-string (RGS) order.  That partition is the witness
+and its score is the value: partitions that tie up to rounding cannot
+change the witness, whichever last bits the SVDs give.
 The geometric family sums block values over a per-(n, k-1) table of block
 masks, cached with the family's sum of log m; its breakdown is the family size.
 
@@ -64,7 +72,14 @@ import numpy as np
 from .factorize import FactorDecomposition, finest_factorization
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
 from .qstate import DensityMatrix, PureState, marginal_spectrum, pad_spectrum
-from .redfun import CONCURRENCE, ReducedFunctionSpec, evaluate_spectrum, format_redfun
+from .redfun import (
+    CONCURRENCE,
+    ReducedFunctionSpec,
+    finish,
+    format_redfun,
+    product_sums,
+    spectral_sums,
+)
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
 
@@ -98,6 +113,7 @@ UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
 PARTITION_COUNT_CAP = 1_000_000   # min-family sweep guard
 GEOMETRIC_PARTY_CAP = 9           # product over Gamma grows like Bell(n)
+WITNESS_TOL = 1e-12               # tau: min-family witness band, relative to max(1, |V|)
 
 
 def _takes_parameter(row: MeasureKind) -> bool:
@@ -160,67 +176,47 @@ class MeasureResult:
 
 
 class MarginalCache:
-    """Per-state engine: marginal spectra and h values keyed by party
-    bitmask (bit i is party i), plus the state's finest factorization.
-    Spectra are formed from the state's groups (see the module docstring)."""
+    """Per-state engine: h values keyed by party bitmask (bit i is party i),
+    formed from the state's groups (see the module docstring), plus the
+    state's finest factorization."""
 
     def __init__(self, state: PureState):
         self.state = state
-        dims = state.layout.dims
-        self._groups = [(g, math.prod(dims[p] for p in mask_parties(g))) for g in state.groups]
-        self._spectra: dict[int, np.ndarray] = {}
         self._weights: dict[int, np.ndarray] = {}  # SVD side -> squared singular values
+        self._sums: dict[tuple, tuple[float, float]] = {}  # (h, piece) -> spectral_sums
         self._values: dict[tuple, float] = {}
         self._factorization: Optional[FactorDecomposition] = None
 
-    def spectrum(self, mask: int) -> np.ndarray:
-        got = self._spectra.get(mask)
-        if got is None:
-            got = self._spectra[mask] = self._form_spectrum(mask)
-        return got
-
-    def _form_spectrum(self, mask: int) -> np.ndarray:
-        """The spectrum on `mask`, from the pieces it cuts out of the groups."""
-        cut: list[int] = []
-        whole = 1  # dimension of the whole groups inside mask
-        for g, dim in self._groups:
-            if mask & g == g:
-                whole *= dim
-            elif mask & g:
-                cut.append(mask & g)
-        if not cut:
-            lam = np.zeros(whole)
-            lam[0] = 1.0
-            return lam
-        if len(cut) == 1 and whole == 1:
-            return self._piece_spectrum(mask)
-        lam = self.spectrum(cut[0])
-        for piece in cut[1:]:  # np.kron of 1-d arrays, without its overhead
-            lam = np.multiply.outer(lam, self.spectrum(piece)).ravel()
-        if len(cut) == 1:  # zeros appended to a clipped spectrum keep it clipped
-            padded = np.zeros(lam.size * whole)
-            padded[: lam.size] = lam
-            return padded
-        return pad_spectrum(lam, lam.size * whole)
-
-    def _piece_spectrum(self, piece: int) -> np.ndarray:
-        """marginal_spectrum of a part of one group, bit for bit.  Its SVD
-        runs on the smaller side of the split (on `piece` at equal
-        dimensions), as marginal_spectrum's does, so the squared singular
-        values are kept under that side and serve the complement too."""
-        state = self.state
-        dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
-        side = piece if dim * dim <= state.layout.total_dim else piece ^ ((1 << state.num_parties) - 1)
-        weights = self._weights.get(side)
-        if weights is None:
-            weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
-        return pad_spectrum(weights, dim)
-
     def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
+        """h of the marginal on `mask`, from the raw spectral sums of the
+        pieces it cuts out of the groups (redfun.product_sums); the purity
+        threshold is applied once, at the end (redfun.finish)."""
         key = (h.kind, h.parameter, mask)
         got = self._values.get(key)
         if got is None:
-            got = self._values[key] = evaluate_spectrum(h, self.spectrum(mask))
+            # a whole group inside mask is pure and adds nothing
+            pieces = [self._piece_sums(h, mask & g) for g in self.state.groups
+                      if mask & g not in (0, g)]
+            got = self._values[key] = finish(h, product_sums(h, pieces))
+        return got
+
+    def _piece_sums(self, h: ReducedFunctionSpec, piece: int) -> tuple[float, float]:
+        """spectral_sums of the marginal_spectrum of a part of one group,
+        bit for bit.  Its SVD runs on the smaller side of the split (on
+        `piece` at equal dimensions), as marginal_spectrum's does, so the
+        squared singular values are kept under that side and serve the
+        complement too."""
+        key = (h.kind, h.parameter, piece)
+        got = self._sums.get(key)
+        if got is None:
+            state = self.state
+            dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
+            full = (1 << state.num_parties) - 1
+            side = piece if dim * dim <= state.layout.total_dim else piece ^ full
+            weights = self._weights.get(side)
+            if weights is None:
+                weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
+            got = self._sums[key] = spectral_sums(h, pad_spectrum(weights, dim))
         return got
 
     def factorization(self) -> FactorDecomposition:
@@ -379,30 +375,33 @@ def _min_family_score(kind: str, total: float, m: int) -> float:
 
 
 def _near_minimal(kind: str, values: list[float], n: int, b: int) -> tuple:
-    """The least (score, restricted growth string, block masks) over Gamma_b.
-    Only partitions whose DP bound (prefix sum plus least completion) lies
-    within 1e-12 * max(1, |V|) of the DP minimum V are re-scored: that slack
-    covers the DP's summation order, since the scores come from a
-    sweep-order re-sum."""
+    """The witness of the min family over Gamma_b, as (score, restricted
+    growth string, block masks): the first partition in RGS order whose
+    score lies within WITNESS_TOL * max(1, |V|) of the DP minimum V.
+
+    A DFS adds blocks by their lowest party and drops every prefix whose DP
+    bound (score of the prefix sum plus the least completion) is above that
+    band.  At a leaf the bound is the partition's own score, its block
+    values added in RGS block order, so every leaf reached is in the band:
+    no leaf is re-scored, and only the least RGS is kept."""
     least = _least_sums(values, n, b)
     full = (1 << n) - 1
     by_count = {m: _min_family_score(kind, total, m) for m, total in least[full].items()}
     floor = min(by_count.values())
-    ceiling = floor + 1e-12 * max(1.0, abs(floor))
-    best: tuple = (math.inf,)
+    ceiling = floor + WITNESS_TOL * max(1.0, abs(floor))
+    best: Optional[tuple] = None
     blocks: list[int] = []
 
     def walk(mask: int, total: float, m: int) -> None:
         nonlocal best
         if not mask:
-            score = _min_family_score(kind, sum([values[block] for block in blocks]), m)
-            if score > best[0]:
-                return
-            rgs = [0] * n
+            labels = [0] * n
             for j, block in enumerate(blocks):
                 for i in mask_parties(block):
-                    rgs[i] = j
-            best = min(best, (score, tuple(rgs), tuple(blocks)))
+                    labels[i] = j
+            rgs = tuple(labels)
+            if best is None or rgs < best[1]:
+                best = (_min_family_score(kind, total, m), rgs, tuple(blocks))
             return
         left = m - len(blocks) - 1
         for block in _low_blocks(mask, b):
@@ -432,8 +431,9 @@ def measure_min_family(
     """Minimize the per-partition score over all partitions with blocks of
     at most k-1 parties, by the subset DP and bounded DFS of `_near_minimal`.
 
-    The witness is the first minimizer in restricted-growth-string order,
-    the partition the exhaustive sweep would report; the value is its score.
+    The witness is the first partition in restricted-growth-string order
+    whose score lies within WITNESS_TOL * max(1, |V|) of the minimum V;
+    the value is its score.
     """
     kind, k = spec.kind, spec.k
     n = state.num_parties

@@ -94,14 +94,18 @@ class SystemLayout:
 
 
 def _check_labels(labels: Sequence[str]) -> None:
-    """Party labels must be non-empty, unique and prefix-free.
+    """Party labels must be non-empty, unique, prefix-free and free of '|'.
 
-    The text forms join labels without a separator, so they only parse
-    back when no label is a prefix of another; in sorted order such a
-    label is directly followed by one that extends it.
+    The text forms join labels without a separator and blocks with '|',
+    so they only parse back when no label holds '|' and no label is a
+    prefix of another; in sorted order such a label is directly followed
+    by one that extends it.
     """
     if "" in labels:
         raise ValueError("party labels must be non-empty")
+    for label in labels:
+        if "|" in label:
+            raise ValueError(f"party label {label!r} contains the block separator '|'")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate party labels: {list(labels)}")
     ordered = sorted(labels)

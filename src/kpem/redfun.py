@@ -1,22 +1,28 @@
 """Reduced functions: scalar maps on density-matrix spectra.
 
-Every kind evaluates through the clipped spectrum, one numerical pathway:
+Every kind is a function of two raw spectral sums, the purity sum lam^2
+and a kind sum:
 
-    concurrence   sqrt(2 (1 - sum lam^2))
+    concurrence   sqrt(2 (1 - sum lam^2))    kind sum: the purity
     entropy       -sum lam log2 lam          (0 log 0 = 0)
     q_family      1 - sum lam^q              (q > 1)
     alpha_family  sum lam^alpha - 1          (0 < alpha < 1)
 
-A spectrum whose purity reaches the shared 1e-9 threshold evaluates to
-exactly 0.0, which keeps "this marginal is pure" consistent between the
-measures and the factorization search.
+spectral_sums takes both sums off a clipped spectrum and finish turns them
+into h.  On a tensor product of spectra the purities and power sums
+multiply and the entropies add (product_sums), so h of a product is finish
+of the combined sums of its pieces, with no product spectrum formed.
+
+finish applies the shared 1e-9 purity threshold, once, to the (combined)
+purity: at or above it h is exactly 0.0, which keeps "this marginal is
+pure" consistent between the measures and the factorization search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -57,20 +63,51 @@ CONCURRENCE = ReducedFunctionSpec("concurrence")
 ENTROPY = ReducedFunctionSpec("entropy")
 
 
-def evaluate_spectrum(h: ReducedFunctionSpec, lam: np.ndarray) -> float:
-    """Evaluate h on an already clipped spectrum."""
+def spectral_sums(h: ReducedFunctionSpec, lam: np.ndarray) -> tuple[float, float]:
+    """(purity, kind sum) of a clipped spectrum, raw: no threshold applied."""
     lam = np.asarray(lam)
     pur = float(np.sum(lam * lam))
+    if h.kind == "concurrence":
+        return pur, pur
+    if h.kind == "entropy":
+        pos = lam[lam > 0.0]
+        return pur, float(-np.sum(pos * np.log2(pos)))
+    if h.kind == "q_family":
+        return pur, float(np.sum(lam ** h.parameter))
+    return pur, float(np.sum(lam[lam > 0.0] ** h.parameter))
+
+
+def product_sums(
+    h: ReducedFunctionSpec, pieces: Iterable[tuple[float, float]]
+) -> tuple[float, float]:
+    """spectral_sums of a tensor product from those of its factors, in
+    order: purities and power sums multiply, entropies add.  No factors
+    give the sums of a pure state."""
+    entropy = h.kind == "entropy"
+    pur, total = 1.0, (0.0 if entropy else 1.0)
+    for piece_pur, piece_total in pieces:
+        pur *= piece_pur
+        total = total + piece_total if entropy else total * piece_total
+    return pur, total
+
+
+def finish(h: ReducedFunctionSpec, sums: tuple[float, float]) -> float:
+    """h from (purity, kind sum): exactly 0.0 at or above the purity threshold."""
+    pur, total = sums
     if pur >= 1.0 - PURITY_TOL:
         return 0.0
     if h.kind == "concurrence":
         return math.sqrt(2.0 * (1.0 - pur))
     if h.kind == "entropy":
-        pos = lam[lam > 0.0]
-        return float(-np.sum(pos * np.log2(pos)))
+        return total
     if h.kind == "q_family":
-        return float(1.0 - np.sum(lam ** h.parameter))
-    return float(np.sum(lam[lam > 0.0] ** h.parameter) - 1.0)
+        return 1.0 - total
+    return total - 1.0
+
+
+def evaluate_spectrum(h: ReducedFunctionSpec, lam: np.ndarray) -> float:
+    """Evaluate h on an already clipped spectrum."""
+    return finish(h, spectral_sums(h, lam))
 
 
 def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:

@@ -83,6 +83,41 @@ def test_compute_factor_family_breakdown(psi_file, capsys):
     assert record["witness"] == "ABCD|EFG|H"
 
 
+# state 121 of 400 audit.random_product_spec draws from default_rng(7),
+# n drawn from 3..8: W on ABCD times two Haar qubits
+CORPUS_121 = {"factors": [
+    {"kind": "w", "labels": ["A", "B", "C", "D"]},
+    {"kind": "amplitudes", "labels": ["E"], "dims": [2],
+     "re": [0.9002385844270706, 0.2168318481809265],
+     "im": [-1.4888648937399643e-17, 0.3775638233771709]},
+    {"kind": "amplitudes", "labels": ["F"], "dims": [2],
+     "re": [0.8680714766859138, -0.4732139078354424],
+     "im": [-6.491641320801983e-17, 0.1500683470804096]},
+]}
+
+
+@pytest.mark.parametrize("state,argv,witness,value", [
+    # AB|CD|E and AB|C|DE score 0.96 up to the SVDs' last bits
+    ({"factors": [{"kind": "w", "labels": list("ABCDE")}]},
+     ["--measure", "Eprime", "--h", "q:3", "--k", "3"], "AB|CD|E", 0.96),
+    # every partition into singles and W pairs scores 0.5 up to rounding
+    (CORPUS_121, ["--measure", "Cq:2", "--k", "3"], "AB|CD|E|F", 0.5),
+], ids=["w5", "corpus121"])
+def test_compute_witness_is_first_in_rgs_order_within_tolerance(state, argv, witness, value, capsys):
+    assert cli.main(["compute", *argv, "--state", json.dumps(state), "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["witness"] == witness
+    assert record["value"] == pytest.approx(value, rel=0, abs=1e-12)
+
+
+def test_compute_refuses_a_label_with_the_block_separator(capsys):
+    inline = json.dumps({"factors": [{"kind": "maxent", "labels": ["A|", "B"]},
+                                     {"kind": "ghz", "labels": ["C", "D", "E"]}]})
+    assert cli.main(["compute", "--measure", "C", "--k", "2", "--state", inline]) \
+        == cli.USAGE_ERROR
+    assert "block separator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["compute", "--measure", "E", "--k", "2", "--state"], "needs --h"),
     (["compute", "--measure", "Nope", "--k", "2", "--state"], "cannot parse measure"),

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kpem.audit import _weak_pair
 from kpem.factorize import classify
 from kpem.measures import (
     GEOMETRIC_PARTY_CAP,
+    WITNESS_TOL,
+    _h_by_mask,
     _mask_table,
+    _near_minimal,
     MarginalCache,
     MeasureSpec,
     convex_roof_upper_bound,
@@ -36,7 +40,7 @@ from kpem.qstate import (
     random_pure,
     reduced_density,
 )
-from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate
+from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate, evaluate_spectrum
 
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)
@@ -285,15 +289,16 @@ MIN_SCORES = {
 
 def sweep_min_family(spec, psi, cache):
     """Oracle: score every partition of Gamma_{k-1} in enumeration order.
-    Returns (value, first minimizer with its terms)."""
+    Returns (score, (partition, terms)) of the first partition whose score
+    lies within WITNESS_TOL * max(1, |V|) of the least score V."""
     h = spec.reduced_function()
     scored = []
     for part in iter_k_fineness(range(psi.num_parties), spec.k - 1):
         terms = [cache.h_value(h, mask_of(block)) for block in part.blocks]
         scored.append((MIN_SCORES[spec.kind](sum(terms), part.num_blocks), part, terms))
-    best = min(score for score, _, _ in scored)
-    first = next((part, terms) for score, part, terms in scored if score == best)
-    return best, first
+    least = min(score for score, _, _ in scored)
+    ceiling = least + WITNESS_TOL * max(1.0, abs(least))
+    return next((score, (part, terms)) for score, part, terms in scored if score <= ceiling)
 
 
 def sweep_geometric_family(spec, psi, cache):
@@ -401,6 +406,36 @@ def test_bitmask_core_matches_sweep_on_tie_heavy_states(name):
         if psi.num_parties <= 7:
             for spec in geometric_specs(k):
                 assert_geometric_matches_sweep(spec, psi, cache)
+
+
+@st.composite
+def nudge_states(draw):
+    """Haar states, and the tie-heavy all-|0>, GHZ and W states, on n <= 7."""
+    family = draw(st.sampled_from(("haar", "zeros", "ghz", "w")))
+    if family == "haar":
+        return draw(haar_states())
+    labels = tuple("ABCDEFG"[:draw(st.integers(2 if family == "zeros" else 3, 7))])
+    if family == "zeros":
+        return build_state(StateSpec(tuple(zero_qubit(lab) for lab in labels)))
+    return build_state(StateSpec(((GhzFactor if family == "ghz" else WFactor)(labels),)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(psi=nudge_states(), data=st.data())
+def test_witness_survives_last_bit_nudges(psi, data):
+    """The witness is the first partition in RGS order within WITNESS_TOL of
+    the minimum, so nudging every h value by at most 1e-15 relative, far
+    inside that band, never changes it."""
+    n = psi.num_parties
+    k = data.draw(st.integers(2, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cache = MarginalCache(psi)
+    for spec in min_family_specs(k):
+        values = _h_by_mask(cache, spec.reduced_function(), n, k - 1)
+        nudged = [v * (1.0 + e) for v, e in zip(values, rng.uniform(-1e-15, 1e-15, len(values)))]
+        _, want, _ = _near_minimal(spec.kind, values, n, k - 1)
+        _, got, _ = _near_minimal(spec.kind, nudged, n, k - 1)
+        assert got == want, (spec, want, got)
 
 
 # --- invariances ------------------------------------------------------------------------
@@ -521,38 +556,50 @@ def test_cache_factorizes_once(monkeypatch):
     assert calls == [psi]
 
 
-def test_cache_spectrum_is_the_marginal_spectrum_of_its_mask():
-    """On a one-group state every spectrum, a complement's read from the
-    shared SVD included, is marginal_spectrum's bit for bit."""
+# alpha = 0.5, as in Calpha(0.5): a whole-state SVD leaves ~1e-33 where a
+# pure piece has exact zeros, which sum lam^alpha lifts to ~1e-16 at 0.5 but
+# to ~1e-8 at 0.25, so a smaller alpha would test the oracle's noise floor
+H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
+           ReducedFunctionSpec("alpha_family", 0.5))
+
+
+def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
+    """On a one-group state every h value, a complement's read from the
+    shared SVD included, is evaluate_spectrum of marginal_spectrum's
+    spectrum bit for bit, for every kind of h."""
     for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9):
         psi = random_pure(SystemLayout.of("ABCDEFGHI"[:len(dims)], dims), seed=17)
         cache = MarginalCache(psi)
         for mask in range(1, 1 << psi.num_parties):
-            want = marginal_spectrum(psi, mask_parties(mask))
-            assert np.array_equal(cache.spectrum(mask), want), (dims, mask)
+            lam = marginal_spectrum(psi, mask_parties(mask))
+            for h in H_KINDS:
+                assert cache.h_value(h, mask) == evaluate_spectrum(h, lam), (dims, mask, h)
 
 
 def test_grouped_cache_matches_whole_state_spectra(grouped_family):
-    """Oracle: on every mask of every grouped state, the spectrum formed
-    from factor-local pieces has the whole-state SVD's length and agrees
-    with it within 1e-12; a union of whole groups is exactly (1, 0, ...),
-    and a subset inside one group is the whole-state SVD's bit for bit."""
+    """Oracle: on every mask of every grouped state, h formed from the
+    pieces' spectral sums agrees within 1e-12 with h of the whole-state
+    SVD's spectrum; a union of whole groups gives exactly 0.0, and a subset
+    inside one group gives the whole-state SVD's h bit for bit."""
     for name, psi in grouped_family:
         cache = MarginalCache(psi)
         for mask in range(1, 1 << psi.num_parties):
-            got = cache.spectrum(mask)
-            want = marginal_spectrum(psi, mask_parties(mask))
-            assert got.shape == want.shape, (name, mask)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{name} {mask}")
-            if all(mask & g in (0, g) for g in psi.groups):
-                assert got[0] == 1.0 and not got[1:].any(), (name, mask)
-            elif any(not mask & ~g for g in psi.groups):
-                assert np.array_equal(got, want), (name, mask)
+            lam = marginal_spectrum(psi, mask_parties(mask))
+            whole_groups = all(mask & g in (0, g) for g in psi.groups)
+            in_one_group = any(not mask & ~g for g in psi.groups)
+            for h in H_KINDS:
+                got, want = cache.h_value(h, mask), evaluate_spectrum(h, lam)
+                assert abs(got - want) <= 1e-12, (name, mask, h, got, want)
+                if whole_groups:
+                    assert got == 0.0, (name, mask, h)
+                elif in_one_group:
+                    assert got == want, (name, mask, h)
 
 
 def test_cache_svds_each_piece_once(monkeypatch):
-    """One SVD per piece of a group; a union of whole groups takes none, and
-    a complement inside the same state shares its piece's SVD."""
+    """One SVD per piece of a group, shared by every kind of h; a union of
+    whole groups takes none, and a complement inside the same state shares
+    its piece's SVD."""
     from kpem import measures
 
     calls = []
@@ -565,17 +612,34 @@ def test_cache_svds_each_piece_once(monkeypatch):
     monkeypatch.setattr(measures, "marginal_spectrum", counting)
     product = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
     cache = MarginalCache(product)
-    for mask in range(1, 1 << 5):
-        cache.spectrum(mask)
+    for h in H_KINDS:
+        for mask in range(1, 1 << 5):
+            cache.h_value(h, mask)
     # singles, and the pairs inside the GHZ factor, each on its own
     assert sorted(calls) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,), (3,), (4,)]
 
     calls.clear()
     cache = MarginalCache(random_pure(SystemLayout.qubits("ABCD"), seed=3))
-    for mask in range(1, 1 << 4):
-        cache.spectrum(mask)
+    for h in H_KINDS:
+        for mask in range(1, 1 << 4):
+            cache.h_value(h, mask)
     # triples read their single complement's SVD; equal halves take their own
     assert sorted(calls) == [(0,), (0, 1), (0, 2), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+
+
+def test_purity_threshold_applies_once_to_raw_piece_sums():
+    """A weak pair on AB whose piece A has purity 1 - 5e-10, times a Bell
+    pair on CD.  A alone counts as pure, but on {A, C} its ~8.3e-9 bits of
+    entropy add to the Bell pair's 1: a threshold applied per piece would
+    give exactly 1.0 there."""
+    psi = build_state(StateSpec((_weak_pair("A", "B", math.sqrt(2.5e-10)),
+                                 MaxEntFactor(("C", "D")))))
+    cache = MarginalCache(psi)
+    lam = marginal_spectrum(psi, (0, 2))
+    for h in H_KINDS:
+        assert cache.h_value(h, 0b0001) == 0.0, h
+        assert abs(cache.h_value(h, 0b0101) - evaluate_spectrum(h, lam)) <= 1e-12, h
+    assert cache.h_value(ENTROPY, 0b0101) - 1.0 == pytest.approx(8.3e-9, rel=0.01)
 
 
 def test_cache_gives_identical_values():

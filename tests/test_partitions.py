@@ -19,6 +19,7 @@ from kpem.partitions import (
     partition_from_text,
     partition_to_text,
 )
+from kpem.qstate import SystemLayout
 
 
 # --- independent oracle: plain recursive listing, no growth strings ------------
@@ -260,12 +261,10 @@ def test_partition_from_text_errors():
 
 
 @st.composite
-def prefix_free_labelled_partitions(draw):
-    """A partition with multi-character labels, no label a prefix of another."""
-    labels: list[str] = []
-    for c in draw(st.lists(st.text("Aab1", min_size=1, max_size=3), min_size=1, max_size=9)):
-        if not any(c.startswith(lab) or lab.startswith(c) for lab in labels):
-            labels.append(c)
+def labelled_partitions(draw):
+    """A partition with multi-character labels drawn from an alphabet that
+    holds the block separator '|'."""
+    labels = draw(st.lists(st.text("Aab1|", min_size=1, max_size=3), min_size=1, max_size=9))
     n = len(labels)
     assignment = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     blocks: dict[int, list[int]] = {}
@@ -275,7 +274,16 @@ def prefix_free_labelled_partitions(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(prefix_free_labelled_partitions())
+@given(labelled_partitions())
 def test_partition_text_round_trips_on_prefix_free_labels(drawn):
+    """The label rule admits exactly the label sets whose text forms parse
+    back: no '|' and no label a prefix of another (nor equal to it)."""
     p, labels = drawn
+    admissible = not any("|" in lab for lab in labels) and not any(
+        a.startswith(b) for i, a in enumerate(labels) for j, b in enumerate(labels) if i != j)
+    if not admissible:
+        with pytest.raises(ValueError):
+            SystemLayout.qubits(labels)
+        return
+    SystemLayout.qubits(labels)
     assert partition_from_text(partition_to_text(p, labels), labels) == p

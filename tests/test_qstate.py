@@ -78,6 +78,14 @@ def test_spec_rejects_prefix_labels():
     StateSpec((GhzFactor(("Q01", "Q02")), WFactor(("Q10", "Q3"))))
 
 
+def test_labels_reject_the_block_separator():
+    # {A|, B} would print a witness A||B that partition_from_text refuses
+    with pytest.raises(ValueError, match="block separator"):
+        SystemLayout.qubits(("A|", "B"))
+    with pytest.raises(ValueError, match="block separator"):
+        StateSpec((MaxEntFactor(("A|", "B")),))
+
+
 def test_layout_rejects_prefix_labels():
     # the same rule as StateSpec's, so random states cannot print {A,B}|{AB} as AB|AB
     with pytest.raises(ValueError, match="label 'A' is a prefix of label 'AB'"):

@@ -12,9 +12,12 @@ from kpem.redfun import (
     ReducedFunctionSpec,
     evaluate,
     evaluate_spectrum,
+    finish,
     format_redfun,
     parse_redfun,
+    product_sums,
     sample_check,
+    spectral_sums,
 )
 
 HALF = np.array([0.5, 0.5])
@@ -50,6 +53,17 @@ def test_pure_spectrum_gives_exact_zero():
         assert evaluate_spectrum(h, np.array([1.0, 0.0])) == 0.0
         # near-pure within the shared purity threshold snaps to exactly 0
         assert evaluate_spectrum(h, np.array([1.0 - 1e-10, 1e-10])) == 0.0
+
+
+def test_product_sums_are_the_sums_of_the_kron_spectrum():
+    pieces = (W_SINGLE, np.array([0.7, 0.2, 0.1]), np.array([0.6, 0.4]))
+    kron = np.sort(np.kron(np.kron(pieces[0], pieces[1]), pieces[2]))[::-1]
+    for h in (CONCURRENCE, ENTROPY,
+              ReducedFunctionSpec("q_family", 3.0),
+              ReducedFunctionSpec("alpha_family", 0.25)):
+        got = product_sums(h, [spectral_sums(h, lam) for lam in pieces])
+        np.testing.assert_allclose(got, spectral_sums(h, kron), rtol=1e-14, err_msg=str(h))
+        assert finish(h, product_sums(h, [])) == 0.0
 
 
 def test_evaluate_on_density_matrix():
