@@ -3,13 +3,17 @@
 Each of the state's groups (PureState.groups, across which the amplitudes
 are a tensor product) is split on its own, by repeatedly taking the
 smallest subset of its unassigned parties whose marginal is pure (by
-subset size, then lexicographic on the original party indices); purities
-are always taken on the input state and memoized by party bitmask (bit i
-is party i), so no remainder state is ever formed.  Each factor state is
-then read off the input by qstate.pure_restriction; a state with no split
-is its own single factor.  Minimality makes every multi-party factor
-genuinely entangled: a pure proper sub-marginal would have been found at a
-smaller size first.  The producibility is the size of the largest factor.
+subset size, then lexicographic on the original party indices).  Purities
+come from the per-state marginal engine, MarginalCache, which lives here
+so that kpem.measures can import it without a cycle: they are taken on
+the input state and memoized by party bitmask (bit i is party i), so no
+remainder state is ever formed, and they are the numbers h's zero rule
+reads (MarginalCache.purity).  Each factor state is then read off the
+input as the leading singular vector of its split, with no purity taken a
+second time; the reconstruction fidelity check is the safety net.  A
+state with no split is its own single factor.  Minimality makes every
+multi-party factor genuinely entangled: a pure proper sub-marginal would
+have been found at a smaller size first.  The producibility is the size of the largest factor.
 
 Scanning up to half of a group's remaining parties is enough: a group's
 marginal is pure and peeling a pure subset off it leaves a pure rest, so a
@@ -29,11 +33,12 @@ partial traces contract that to
 A pair above LINK_TOL (10x that bound) therefore lies inside one factor,
 and every pure subset is a union of the components of the graph of such
 links.  Links matter only once a search step goes past pairs, which
-needs at least six parties left in a group, so the pair step of such a
-search forms each pair's marginal once and reads both its purity and its
-link from it, merging the two parties' component masks as each link is
-found.  If no pair is pure, the scan of three or more parties visits only
-unions of components and so finds the same subset as the full scan.  No
+needs at least six parties left in a group, so the first such step of a
+group forms the marginal of each remaining pair once, for its link alone,
+merging the two parties' component masks as each link is found; later
+steps of the group visit fewer parties.  The scan of three or more
+parties visits only unions of components and so finds the same subset as
+the full scan.  No
 link crosses a pure subset, so a component never straddles a found
 factor.  States whose pairs are uncorrelated (AME-like factors) get no
 links and fall back to the full scan; a generic entangled state collapses
@@ -42,8 +47,10 @@ to one component and needs no scan of three or more parties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -54,10 +61,12 @@ from .qstate import (
     NumericalContractError,
     PureState,
     PURITY_TOL,
+    _restriction,
     _split_matrix,
-    marginal_purity,
-    pure_restriction,
+    marginal_spectrum,
+    pad_spectrum,
 )
+from .redfun import CONCURRENCE, ReducedFunctionSpec, finish, product_sums, spectral_sums
 
 SINGLE = "single"
 GENUINE = "genuinely_entangled"
@@ -91,37 +100,93 @@ class FactorDecomposition:
         return Partition.of([f.parties for f in self.factors])
 
 
-def finest_factorization(state: PureState) -> FactorDecomposition:
+class MarginalCache:
+    """Per-state marginal engine: h values and purities keyed by party
+    bitmask (bit i is party i), h formed from the state's groups (see
+    kpem.measures), plus the state's finest factorization.  Every subset
+    is SVD'd once, for the factorization and for h together."""
+
+    def __init__(self, state: PureState):
+        self.state = state
+        self._weights: dict[int, np.ndarray] = {}  # SVD side -> squared singular values
+        self._sums: dict[tuple, tuple[float, float]] = {}  # (h, piece) -> spectral_sums
+        self._values: dict[tuple, float] = {}
+        self._factorization: Optional[FactorDecomposition] = None
+
+    def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
+        """h of the marginal on `mask`, from the raw spectral sums of the
+        pieces it cuts out of the groups (redfun.product_sums); the purity
+        threshold is applied once, at the end (redfun.finish)."""
+        key = (h.kind, h.parameter, mask)
+        got = self._values.get(key)
+        if got is None:
+            # a whole group inside mask is pure and adds nothing
+            pieces = [self._piece_sums(h, mask & g) for g in self.state.groups
+                      if mask & g not in (0, g)]
+            got = self._values[key] = finish(h, product_sums(h, pieces))
+        return got
+
+    def purity(self, mask: int) -> float:
+        """tr(rho^2) of the marginal on `mask`: the purity spectral_sums
+        takes off its spectrum, so on a part of one group "pure" here is
+        h's zero rule, and marginal_purity bit for bit."""
+        return self._piece_sums(CONCURRENCE, mask)[0]
+
+    def _piece_sums(self, h: ReducedFunctionSpec, piece: int) -> tuple[float, float]:
+        """spectral_sums of the marginal_spectrum of `piece`, bit for bit.
+        Its SVD runs on the smaller side of the split (on `piece` at equal
+        dimensions or when it holds every party), as marginal_spectrum's
+        does, so the squared singular values are kept under that side and
+        serve the complement too."""
+        key = (h.kind, h.parameter, piece)
+        got = self._sums.get(key)
+        if got is None:
+            state = self.state
+            dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
+            rest = piece ^ ((1 << state.num_parties) - 1)
+            side = piece if dim * dim <= state.layout.total_dim or not rest else rest
+            weights = self._weights.get(side)
+            if weights is None:
+                weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
+            got = self._sums[key] = spectral_sums(h, pad_spectrum(weights, dim))
+        return got
+
+    def factorization(self) -> FactorDecomposition:
+        """finest_factorization of the state, computed on first use."""
+        if self._factorization is None:
+            self._factorization = finest_factorization(self.state, self)
+        return self._factorization
+
+
+def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:
+    if cache is None:
+        return MarginalCache(state)
+    if cache.state is not state:
+        raise ValueError("cache belongs to a different state")
+    return cache
+
+
+def finest_factorization(
+    state: PureState, cache: Optional[MarginalCache] = None
+) -> FactorDecomposition:
     """Decompose into the finest tuple of pure tensor factors.
 
-    Factors are reported in ascending order of their first party.  The
-    tensor product of the factors must reproduce the input with fidelity
-    at least 1 - 1e-8, otherwise the tolerance story has broken down and
-    a NumericalContractError is raised.
+    Purities come from `cache` (a MarginalCache of `state`, new when None),
+    so a factor-family evaluation SVDs each subset once.  Factors are
+    reported in ascending order of their first party.  The tensor product
+    of the factors must reproduce the input with fidelity at least
+    1 - 1e-8, otherwise the tolerance story has broken down and a
+    NumericalContractError is raised.
     """
-    pure: dict[int, bool] = {}
+    cache = _cache_for(state, cache)
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
 
     def is_pure(mask: int) -> bool:
-        got = pure.get(mask)
-        if got is None:
-            got = pure[mask] = marginal_purity(state, mask_parties(mask)) >= 1.0 - PURITY_TOL
-        return got
-
-    def pair_is_pure(mask: int) -> bool:
-        got = pure.get(mask)
-        if got is None:
-            i, j = mask_parties(mask)
-            purity, distance = _pair_marginal(state, (i, j))
-            got = pure[mask] = purity >= 1.0 - PURITY_TOL
-            if distance > LINK_TOL and comp[i] != comp[j]:
-                merged = comp[i] | comp[j]
-                for p in mask_parties(merged):
-                    comp[p] = merged
-        return got
+        return cache.purity(mask) >= 1.0 - PURITY_TOL
 
     blocks: list[tuple[int, ...]] = []
     for left in state.groups:
+        linked = False  # links of the group's remaining pairs taken
         while left:
             remaining = mask_parties(left)
             bits = [1 << p for p in remaining]
@@ -130,10 +195,15 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
             half = len(remaining) // 2
             found = next(filter(is_pure, bits), None) if half else left
             if found is None and half >= 2:
-                test = pair_is_pure if half >= 3 else is_pure
-                found = next(filter(test, map(sum, combinations(bits, 2))), None)
+                found = next(filter(is_pure, map(sum, combinations(bits, 2))), None)
             if found is None and half >= 3:
-                # every remaining pair has its link now
+                if not linked:  # later scans of the group visit fewer parties
+                    for i, j in combinations(remaining, 2):
+                        if _link_distance(state, (i, j)) > LINK_TOL:
+                            merged = comp[i] | comp[j]
+                            for p in mask_parties(merged):
+                                comp[p] = merged
+                    linked = True
                 found = next(filter(is_pure, _component_unions(remaining, comp, half)), None)
             found = found or left
             blocks.append(mask_parties(found))
@@ -142,14 +212,8 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     if len(blocks) == 1:
         factors = [(blocks[0], state)]
     else:
-        factors = []
-        for parties in sorted(blocks):
-            fs = pure_restriction(state, parties)
-            if fs is None:
-                raise NumericalContractError(
-                    f"factor marginal on parties {parties} is not pure"
-                )
-            factors.append((parties, fs))
+        # each block was found pure (or is a pure rest): read its vector off
+        factors = [(parties, _restriction(state, parties)) for parties in sorted(blocks)]
     fid = _reconstruction_fidelity(state, factors)
     if not fid >= 1.0 - FIDELITY_TOL:
         raise NumericalContractError(
@@ -168,23 +232,15 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     )
 
 
-def _pair_marginal(state: PureState, pair: tuple[int, int]) -> tuple[float, float]:
-    """(purity, ||rho_ij - rho_i (x) rho_j||_2) from one pair marginal.
-
-    The purity is computed exactly as qstate.marginal_purity computes it,
-    so the pure/mixed decision does not depend on which route took it.
-    """
+def _link_distance(state: PureState, pair: tuple[int, int]) -> float:
+    """||rho_ij - rho_i (x) rho_j||_2 of one pair marginal."""
     m = _split_matrix(state, pair)
     rho = m @ m.conj().T
-    if m.shape[0] > m.shape[1]:
-        purity = marginal_purity(state, pair)
-    else:
-        purity = float(np.real(np.sum(rho * rho.conj())))
     di, dj = (state.layout.dims[p] for p in pair)
     t = rho.reshape(di, dj, di, dj)
     rho_i = t.trace(axis1=1, axis2=3)
     rho_j = t.trace(axis1=0, axis2=2)
-    return purity, float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
+    return float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
 
 
 def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):

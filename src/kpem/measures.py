@@ -15,13 +15,15 @@ Three families:
   with a vanishing sum annihilates the whole product, and there is no
   witness partition.
 
-Every family goes through one per-state engine, MarginalCache: h values
-keyed by party bitmask (bit i is party i), and the memoized finest
-factorization.  A factor's quantities are read off the marginals of the
-whole state, so one cache serves every measure and every k evaluated on
-the same state.  Party subsets stay bitmasks throughout; they become party
-tuples only where a spectrum is taken and in the reported witnesses and
-breakdowns.
+Every family goes through one per-state engine, MarginalCache (defined in
+kpem.factorize, whose scan it serves too): h values and purities keyed by
+party bitmask (bit i is party i), and the memoized finest factorization.
+The factorization takes its purities from the engine and a factor's
+quantities are read off the marginals of the whole state, so one cache
+serves every measure and every k evaluated on the same state, and each
+subset is SVD'd once.  Party subsets stay bitmasks throughout; they
+become party tuples only where a spectrum is taken and in the reported
+witnesses and breakdowns.
 
 h is formed from the state's groups (PureState.groups), across which the
 amplitudes are a tensor product, so the marginal on X is the product of
@@ -69,17 +71,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .factorize import FactorDecomposition, finest_factorization
+from .factorize import FactorDecomposition, MarginalCache, _cache_for
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
-from .qstate import DensityMatrix, PureState, marginal_spectrum, pad_spectrum
-from .redfun import (
-    CONCURRENCE,
-    ReducedFunctionSpec,
-    finish,
-    format_redfun,
-    product_sums,
-    spectral_sums,
-)
+from .qstate import DensityMatrix, PureState
+from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
 
@@ -175,65 +170,6 @@ class MeasureResult:
     breakdown: dict
 
 
-class MarginalCache:
-    """Per-state engine: h values keyed by party bitmask (bit i is party i),
-    formed from the state's groups (see the module docstring), plus the
-    state's finest factorization."""
-
-    def __init__(self, state: PureState):
-        self.state = state
-        self._weights: dict[int, np.ndarray] = {}  # SVD side -> squared singular values
-        self._sums: dict[tuple, tuple[float, float]] = {}  # (h, piece) -> spectral_sums
-        self._values: dict[tuple, float] = {}
-        self._factorization: Optional[FactorDecomposition] = None
-
-    def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
-        """h of the marginal on `mask`, from the raw spectral sums of the
-        pieces it cuts out of the groups (redfun.product_sums); the purity
-        threshold is applied once, at the end (redfun.finish)."""
-        key = (h.kind, h.parameter, mask)
-        got = self._values.get(key)
-        if got is None:
-            # a whole group inside mask is pure and adds nothing
-            pieces = [self._piece_sums(h, mask & g) for g in self.state.groups
-                      if mask & g not in (0, g)]
-            got = self._values[key] = finish(h, product_sums(h, pieces))
-        return got
-
-    def _piece_sums(self, h: ReducedFunctionSpec, piece: int) -> tuple[float, float]:
-        """spectral_sums of the marginal_spectrum of a part of one group,
-        bit for bit.  Its SVD runs on the smaller side of the split (on
-        `piece` at equal dimensions), as marginal_spectrum's does, so the
-        squared singular values are kept under that side and serve the
-        complement too."""
-        key = (h.kind, h.parameter, piece)
-        got = self._sums.get(key)
-        if got is None:
-            state = self.state
-            dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
-            full = (1 << state.num_parties) - 1
-            side = piece if dim * dim <= state.layout.total_dim else piece ^ full
-            weights = self._weights.get(side)
-            if weights is None:
-                weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
-            got = self._sums[key] = spectral_sums(h, pad_spectrum(weights, dim))
-        return got
-
-    def factorization(self) -> FactorDecomposition:
-        """finest_factorization of the state, computed on first use."""
-        if self._factorization is None:
-            self._factorization = finest_factorization(self.state)
-        return self._factorization
-
-
-def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:
-    if cache is None:
-        return MarginalCache(state)
-    if cache.state is not state:
-        raise ValueError("cache belongs to a different state")
-    return cache
-
-
 # --- underlying whole-state quantities ----------------------------------------
 
 
@@ -271,12 +207,7 @@ def _unified_over(
     )
 
 
-def unified_mem(
-    kind: str,
-    h: ReducedFunctionSpec,
-    state: PureState,
-    cache: Optional[MarginalCache] = None,
-) -> float:
+def unified_mem(kind: str, h: ReducedFunctionSpec, state: PureState) -> float:
     """Whole-state quantities the factor family is built from.
 
     additive:       (1/2) sum_i h(rho_i) over single parties
@@ -288,7 +219,7 @@ def unified_mem(
     n = state.num_parties
     if n < 2:
         raise ValueError("unified quantities need at least two parties")
-    return _unified_over(kind, h, _cache_for(state, cache), [1 << p for p in range(n)])
+    return _unified_over(kind, h, MarginalCache(state), [1 << p for p in range(n)])
 
 
 # --- factor family -------------------------------------------------------------

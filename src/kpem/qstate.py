@@ -11,9 +11,10 @@ group per declared factor and the party-wise operations carry the groups
 along (see each of them), so the marginal engine and the factorization
 can work inside one group at a time.
 
-All tolerance constants live here.  The purity threshold is shared with
-the factorization search so that "this marginal is pure" means the same
-thing everywhere.
+All tolerance constants live here.  "This marginal is pure" is decided
+by one number, the sum of the squares of marginal_spectrum (what
+marginal_purity returns), against PURITY_TOL: pure_restriction, the
+factorization search and h's zero rule all take it off the same SVD.
 """
 
 from __future__ import annotations
@@ -559,19 +560,24 @@ def _split_matrix(state: PureState, keep: Sequence[int]) -> np.ndarray:
 
 
 def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
-    """The kept parties' own pure state, or None when their marginal is mixed.
+    """The kept parties' own pure state, or None when their marginal is
+    mixed: marginal_purity below 1 - PURITY_TOL, the same number the
+    factorization and h's threshold decide by."""
+    if marginal_purity(state, keep) < 1.0 - PURITY_TOL:
+        return None
+    return _restriction(state, keep)
 
-    The factor vector is the leading left singular vector of the split
+
+def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
+    """The kept parties' state, read off without deciding whether their
+    marginal is pure: the leading left singular vector of the split
     matrix, phase-fixed by canonical_phase.  Its groups are the nonempty
     `g & keep`: the marginal of a product is the product of the pieces'
     marginals, so when it is pure every piece is pure and the kept state is
     the product of the pieces' own states.
     """
     keep = sorted(keep)
-    u, s, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
-    # tr(rho^2) is the sum of the squared Schmidt weights
-    if float(np.sum(s**4)) < 1.0 - PURITY_TOL:
-        return None
+    u, _, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
     groups = _carry_groups(state.groups, {p: i for i, p in enumerate(keep)})
     return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]), groups=groups)
 
@@ -610,7 +616,10 @@ def marginal_spectrum(state: PureState, keep: Sequence[int], *, raw: bool = Fals
 
     Same contract as spectrum(reduced_density(...)) but without forming
     the density matrix; the two routes agree within tolerance and are
-    cross-checked in the tests.
+    cross-checked in the tests.  Singular values at or below
+    numpy.linalg.matrix_rank's default tolerance (the largest one times
+    the larger matrix dimension times the float epsilon) are SVD round-off
+    and become exact zeros, so they add nothing to any h.
 
     With raw=True the squared singular values are returned as the SVD
     gives them, min(d_keep, d_rest) of them, before padding and clipping.
@@ -623,7 +632,9 @@ def marginal_spectrum(state: PureState, keep: Sequence[int], *, raw: bool = Fals
     m = _split_matrix(state, keep)
     if m.shape[0] > m.shape[1]:
         m = m.T  # singular values are side-independent; keep SVD small
-    lam = np.linalg.svd(m, compute_uv=False) ** 2
+    s = np.linalg.svd(m, compute_uv=False)
+    s[s <= s[0] * max(m.shape) * np.finfo(s.dtype).eps] = 0.0
+    lam = s**2
     if raw:
         return lam
     return pad_spectrum(lam, math.prod(state.layout.dims[i] for i in keep))
@@ -642,12 +653,10 @@ def purity(dm: DensityMatrix) -> float:
 
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
-    """tr(rho_keep^2) straight from the split vector."""
-    m = _split_matrix(state, keep)
-    if m.shape[0] > m.shape[1]:
-        m = m.T
-    g = m @ m.conj().T
-    return float(np.real(np.sum(g * g.conj())))
+    """tr(rho_keep^2) as the sum of the squares of marginal_spectrum, the
+    purity redfun.spectral_sums takes off the same spectrum."""
+    lam = marginal_spectrum(state, keep)
+    return float(np.sum(lam * lam))
 
 
 def is_pure(dm: DensityMatrix) -> bool:

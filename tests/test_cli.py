@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,21 @@ def test_factorize_json(psi_file, capsys):
     assert record["fidelity"] == pytest.approx(1.0, abs=1e-12)
     sizes = sorted(f["size"] for f in record["factors"])
     assert sizes == [1, 3, 4]
+
+
+NEAR_THRESHOLD = str(Path(__file__).parent / "data" / "near_threshold_5q.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize"],
+    ["compute", "--measure", "E", "--h", "entropy", "--k", "2"],
+    ["compute", "--measure", "calE", "--h", "concurrence", "--k", "3"],
+], ids=["factorize", "E-entropy-k2", "calE-concurrence-k3"])
+def test_near_threshold_state_is_valid_input(argv, capsys):
+    """Party A's purity sits within a few ulps of 1 - 1e-9: one purity
+    decides whether it is a factor, so no second test can reject it."""
+    assert cli.main([*argv, "--state", NEAR_THRESHOLD]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- partitions ----------------------------------------------------------------

@@ -31,7 +31,7 @@ from kpem.qstate import (
     pure_restriction,
     random_pure,
 )
-from kpem.redfun import CONCURRENCE, ENTROPY
+from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
 
 
 def test_product_state_decomposition():
@@ -280,7 +280,7 @@ def test_ame_factors_fall_back_to_the_full_scan():
         (0, 4, 1, 5, 2, 6, 3, 7),
     )
     # every pair marginal of an AME state is maximally mixed: no links
-    assert all(factorize._pair_marginal(psi, pair)[1] <= LINK_TOL
+    assert all(factorize._link_distance(psi, pair) <= LINK_TOL
                for pair in combinations(range(8), 2))
     dec = assert_matches_scan(psi)
     assert [f.parties for f in dec.factors] == [(0, 2, 4, 6), (1, 3, 5, 7)]
@@ -308,28 +308,40 @@ def test_linked_scan_matches_scan_on_dense_shapes(sizes, dims):
     assert_matches_scan(haar_blocks(sizes, dims, seed=sum(dims), perm=perm))
 
 
-def test_grouped_scan_matches_scan(grouped_family, monkeypatch):
+@pytest.fixture()
+def scan_calls(monkeypatch):
+    """Counts of the engine purities and the pair link marginals a scan takes."""
+    calls = {"purity": 0, "link": 0}
+    purity, link = factorize.MarginalCache.purity, factorize._link_distance
+
+    def count_purity(*args):
+        calls["purity"] += 1
+        return purity(*args)
+
+    def count_link(*args):
+        calls["link"] += 1
+        return link(*args)
+
+    monkeypatch.setattr(factorize.MarginalCache, "purity", count_purity)
+    monkeypatch.setattr(factorize, "_link_distance", count_link)
+    return calls
+
+
+def test_grouped_scan_matches_scan(grouped_family, scan_calls):
     """Scanning inside one group finds the plain scan's factors, bit for
-    bit, and takes fewer purities than the same amplitudes as one group."""
+    bit, and takes fewer engine purities and link marginals than the same
+    amplitudes as one group."""
     for name, psi in grouped_family:
         assert_matches_scan(psi)
 
-    calls = [0]
-    purity = factorize.marginal_purity
-
-    def count_purity(*args):
-        calls[0] += 1
-        return purity(*args)
-
-    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
     grouped = one_group = 0
     for name, psi in grouped_family:
-        calls[0] = 0
+        scan_calls.update(purity=0, link=0)
         finest_factorization(psi)
-        grouped += calls[0]
-        calls[0] = 0
+        grouped += scan_calls["purity"] + scan_calls["link"]
+        scan_calls.update(purity=0, link=0)
         finest_factorization(PureState(psi.layout, psi.amplitudes))
-        one_group += calls[0]
+        one_group += scan_calls["purity"] + scan_calls["link"]
     assert grouped < one_group
 
 
@@ -342,37 +354,18 @@ def test_carried_groups_reconstruct_the_amplitudes(grouped_family):
         assert fid == pytest.approx(1.0, abs=1e-12), name
 
 
-@pytest.fixture()
-def scan_calls(monkeypatch):
-    """Counts of the single purities and the pair marginals a scan takes."""
-    calls = {"purity": 0, "pair": 0}
-    purity, pair = factorize.marginal_purity, factorize._pair_marginal
-
-    def count_purity(*args):
-        calls["purity"] += 1
-        return purity(*args)
-
-    def count_pair(*args):
-        calls["pair"] += 1
-        return pair(*args)
-
-    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
-    monkeypatch.setattr(factorize, "_pair_marginal", count_pair)
-    return calls
-
-
 def test_haar_state_needs_only_singles_and_pairs(scan_calls):
-    """12 single purities and 66 pair marginals, in place of the 2,509
-    subsets of up to six parties the plain scan visits."""
+    """12 single and 66 pair purities and 66 pair links, in place of the
+    2,509 subsets of up to six parties the plain scan visits."""
     dec = finest_factorization(random_pure(SystemLayout.qubits("ABCDEFGHIJKL"), seed=5))
     assert dec.genuine
-    assert scan_calls == {"purity": 12, "pair": 66}
+    assert scan_calls == {"purity": 12 + 66, "link": 66}
 
 
 def test_single_party_groups_take_no_purity(scan_calls):
     dec = finest_factorization(haar_blocks((1,) * 8, (2,) * 8, seed=8))
     assert [f.parties for f in dec.factors] == [(p,) for p in range(8)]
-    assert scan_calls == {"purity": 0, "pair": 0}
+    assert scan_calls == {"purity": 0, "link": 0}
 
 
 def test_each_group_is_scanned_to_half_its_size(scan_calls):
@@ -387,7 +380,67 @@ def test_each_group_is_scanned_to_half_its_size(scan_calls):
     )))
     dec = assert_matches_scan(psi)
     assert [f.parties for f in dec.factors] == [(0, 1, 2, 3, 4, 5), (6,), (7, 8)]
-    assert scan_calls == {"purity": 8, "pair": 15}
+    assert scan_calls == {"purity": 8 + 15, "link": 15}
+
+
+# --- one purity number per subset ---------------------------------------------------
+
+
+def near_threshold_states(count=201):
+    """Seeded 5-qubit states cos(t) |0>|q0> + sin(t) |1>|q1> (q0, q1
+    orthonormal), whose party-0 purity cos^4 t + sin^4 t sits at the pure
+    threshold: t is bisected to the edge of marginal_purity(state, (0,)) >=
+    1 - PURITY_TOL, then swept over `count` values within 2e-8 relative."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2)))
+    layout = SystemLayout.qubits("ABCDE")
+
+    def state(t):
+        return PureState(layout, np.concatenate([np.cos(t) * q[:, 0], np.sin(t) * q[:, 1]]))
+
+    pure, mixed = 0.0, 1e-4
+    for _ in range(60):
+        t = (pure + mixed) / 2
+        if marginal_purity(state(t), (0,)) >= 1.0 - PURITY_TOL:
+            pure = t
+        else:
+            mixed = t
+    return [state(pure * (1.0 + 2e-8 * x)) for x in np.linspace(-1.0, 1.0, count)]
+
+
+@pytest.fixture(scope="module")
+def near_threshold():
+    return near_threshold_states()
+
+
+def test_near_threshold_states_factorize(near_threshold):
+    """Whichever side of the threshold party 0 lands on, the scan's decision
+    stands: a pure party 0 is a factor, a mixed one leaves one factor."""
+    for psi in near_threshold:
+        dec = finest_factorization(psi)
+        pure = marginal_purity(psi, (0,)) >= 1.0 - PURITY_TOL
+        assert [f.parties for f in dec.factors] == ([(0,), (1, 2, 3, 4)] if pure else [(0, 1, 2, 3, 4)])
+
+
+def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
+    """On every subset inside one group, the engine's purity is
+    marginal_purity bit for bit, and its threshold is exactly where every
+    kind of h reads 0.0 and where pure_restriction gives a state."""
+    kinds = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
+             ReducedFunctionSpec("alpha_family", 0.25))
+    states = [psi for _, psi in grouped_family] + near_threshold
+    for psi in states:
+        cache = MarginalCache(psi)
+        for g in psi.groups:
+            mask = g
+            while mask:
+                parties = mask_parties(mask)
+                purity = cache.purity(mask)
+                assert purity == marginal_purity(psi, parties)
+                pure = purity >= 1.0 - PURITY_TOL
+                assert all((cache.h_value(h, mask) == 0.0) == pure for h in kinds)
+                assert (pure_restriction(psi, parties) is not None) == pure
+                mask = (mask - 1) & g
 
 
 def test_decompositions_compare_without_raising():

@@ -537,16 +537,16 @@ def test_cache_must_match_state():
 
 
 def test_cache_factorizes_once(monkeypatch):
-    from kpem import measures
+    from kpem import factorize
 
     calls = []
-    original = measures.finest_factorization
+    original = factorize.finest_factorization
 
-    def counting(state):
+    def counting(state, cache=None):
         calls.append(state)
-        return original(state)
+        return original(state, cache)
 
-    monkeypatch.setattr(measures, "finest_factorization", counting)
+    monkeypatch.setattr(factorize, "finest_factorization", counting)
     psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
     cache = MarginalCache(psi)
     for k in range(2, 6):
@@ -556,11 +556,8 @@ def test_cache_factorizes_once(monkeypatch):
     assert calls == [psi]
 
 
-# alpha = 0.5, as in Calpha(0.5): a whole-state SVD leaves ~1e-33 where a
-# pure piece has exact zeros, which sum lam^alpha lifts to ~1e-16 at 0.5 but
-# to ~1e-8 at 0.25, so a smaller alpha would test the oracle's noise floor
 H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
-           ReducedFunctionSpec("alpha_family", 0.5))
+           ReducedFunctionSpec("alpha_family", 0.25))
 
 
 def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
@@ -600,16 +597,16 @@ def test_cache_svds_each_piece_once(monkeypatch):
     """One SVD per piece of a group, shared by every kind of h; a union of
     whole groups takes none, and a complement inside the same state shares
     its piece's SVD."""
-    from kpem import measures
+    from kpem import factorize
 
     calls = []
-    original = measures.marginal_spectrum
+    original = factorize.marginal_spectrum
 
     def counting(state, keep, raw=False):
         calls.append(tuple(keep))
         return original(state, keep, raw=raw)
 
-    monkeypatch.setattr(measures, "marginal_spectrum", counting)
+    monkeypatch.setattr(factorize, "marginal_spectrum", counting)
     product = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
     cache = MarginalCache(product)
     for h in H_KINDS:
@@ -640,6 +637,19 @@ def test_purity_threshold_applies_once_to_raw_piece_sums():
         assert cache.h_value(h, 0b0001) == 0.0, h
         assert abs(cache.h_value(h, 0b0101) - evaluate_spectrum(h, lam)) <= 1e-12, h
     assert cache.h_value(ENTROPY, 0b0101) - 1.0 == pytest.approx(8.3e-9, rel=0.01)
+
+
+def test_rank_deficient_marginal_has_no_round_off_weights():
+    """The W4 pair marginal has spectrum (1/2, 1/2, 0, 0); the SVD's
+    round-off singular values are floored to zero, so alpha = 0.25 reads
+    2 * 0.5^0.25 - 1, not (1e-33)^0.25 above it."""
+    psi = build_state(StateSpec((WFactor(("A", "B", "C", "D")),)))
+    alpha = ReducedFunctionSpec("alpha_family", 0.25)
+    exact = 2.0 * 0.5 ** 0.25 - 1.0
+    value = evaluate_spectrum(alpha, marginal_spectrum(psi, (0, 1)))
+    assert value == 0.6817928305074292
+    assert abs(value - exact) <= 1e-15
+    assert MarginalCache(psi).h_value(alpha, 0b0011) == value
 
 
 def test_cache_gives_identical_values():
