@@ -5,15 +5,17 @@ are a tensor product) is split on its own, by repeatedly taking the
 smallest subset of its unassigned parties whose marginal is pure (by
 subset size, then lexicographic on the original party indices).  Purities
 come from the per-state marginal engine, MarginalCache, which lives here
-so that kpem.measures can import it without a cycle: they are taken on
-the input state and memoized by party bitmask (bit i is party i), so no
-remainder state is ever formed, and they are the numbers h's zero rule
-reads (MarginalCache.purity).  Each factor state is then read off the
-input as the leading singular vector of its split, with no purity taken a
-second time; the reconstruction fidelity check is the safety net.  A
-state with no split is its own single factor.  Minimality makes every
-multi-party factor genuinely entangled: a pure proper sub-marginal would
-have been found at a smaller size first.  The producibility is the size of the largest factor.
+so that kpem.measures can import it without a cycle: they are keyed by
+party bitmask (bit i is party i) and taken on the group's own vector
+(PureState.group_vectors), so no remainder state is ever formed, and they
+are the numbers h's zero rule reads (MarginalCache.purity).  A block that
+is a whole group is that group's vector, with no SVD; a block cut out of a
+group is the leading singular vector of its group vector's split, with no
+purity taken a second time (qstate._restriction).  The reconstruction
+fidelity check is the safety net.  A state with no split is its own single
+factor.  Minimality makes every multi-party factor genuinely entangled: a
+pure proper sub-marginal would have been found at a smaller size first.
+The producibility is the size of the largest factor.
 
 Scanning up to half of a group's remaining parties is enough: a group's
 marginal is pure and peeling a pure subset off it leaves a pure rest, so a
@@ -34,20 +36,19 @@ A pair above LINK_TOL (10x that bound) therefore lies inside one factor,
 and every pure subset is a union of the components of the graph of such
 links.  Links matter only once a search step goes past pairs, which
 needs at least six parties left in a group, so the first such step of a
-group forms the marginal of each remaining pair once, for its link alone,
-merging the two parties' component masks as each link is found; later
-steps of the group visit fewer parties.  The scan of three or more
-parties visits only unions of components and so finds the same subset as
-the full scan.  No
-link crosses a pure subset, so a component never straddles a found
-factor.  States whose pairs are uncorrelated (AME-like factors) get no
-links and fall back to the full scan; a generic entangled state collapses
-to one component and needs no scan of three or more parties.
+group forms the marginal of each remaining pair once, on the group
+vector, for its link alone, merging the two parties' component masks as
+each link is found; later steps of the group visit fewer parties.  The
+scan of three or more parties visits only unions of components and so
+finds the same subset as the full scan.  No link crosses a pure subset, so
+a component never straddles a found factor.  States whose pairs are
+uncorrelated (AME-like factors) get no links and fall back to the full
+scan; a generic entangled state collapses to one component and needs no
+scan of three or more parties.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -61,10 +62,10 @@ from .qstate import (
     NumericalContractError,
     PureState,
     PURITY_TOL,
+    GroupVector,
+    _product_vector,
     _restriction,
-    _split_matrix,
-    marginal_spectrum,
-    pad_spectrum,
+    _split,
 )
 from .redfun import CONCURRENCE, ReducedFunctionSpec, finish, product_sums, spectral_sums
 
@@ -102,14 +103,14 @@ class FactorDecomposition:
 
 class MarginalCache:
     """Per-state marginal engine: h values and purities keyed by party
-    bitmask (bit i is party i), h formed from the state's groups (see
-    kpem.measures), plus the state's finest factorization.  Every subset
-    is SVD'd once, for the factorization and for h together."""
+    bitmask (bit i is party i), h formed from the pieces a mask cuts out of
+    the state's groups (see kpem.measures), plus the state's finest
+    factorization.  A piece's spectral sums are memoized on its
+    GroupVector, so every state holding that object shares them, and each
+    piece is SVD'd once, for the factorization and for h together."""
 
     def __init__(self, state: PureState):
         self.state = state
-        self._weights: dict[int, np.ndarray] = {}  # SVD side -> squared singular values
-        self._sums: dict[tuple, tuple[float, float]] = {}  # (h, piece) -> spectral_sums
         self._values: dict[tuple, float] = {}
         self._factorization: Optional[FactorDecomposition] = None
 
@@ -121,41 +122,31 @@ class MarginalCache:
         got = self._values.get(key)
         if got is None:
             # a whole group inside mask is pure and adds nothing
-            pieces = [self._piece_sums(h, mask & g) for g in self.state.groups
-                      if mask & g not in (0, g)]
+            pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
             got = self._values[key] = finish(h, product_sums(h, pieces))
         return got
 
     def purity(self, mask: int) -> float:
-        """tr(rho^2) of the marginal on `mask`: the purity spectral_sums
-        takes off its spectrum, so on a part of one group "pure" here is
-        h's zero rule, and marginal_purity bit for bit."""
-        return self._piece_sums(CONCURRENCE, mask)[0]
-
-    def _piece_sums(self, h: ReducedFunctionSpec, piece: int) -> tuple[float, float]:
-        """spectral_sums of the marginal_spectrum of `piece`, bit for bit.
-        Its SVD runs on the smaller side of the split (on `piece` at equal
-        dimensions or when it holds every party), as marginal_spectrum's
-        does, so the squared singular values are kept under that side and
-        serve the complement too."""
-        key = (h.kind, h.parameter, piece)
-        got = self._sums.get(key)
-        if got is None:
-            state = self.state
-            dim = math.prod(state.layout.dims[p] for p in mask_parties(piece))
-            rest = piece ^ ((1 << state.num_parties) - 1)
-            side = piece if dim * dim <= state.layout.total_dim or not rest else rest
-            weights = self._weights.get(side)
-            if weights is None:
-                weights = self._weights[side] = marginal_spectrum(state, mask_parties(side), raw=True)
-            got = self._sums[key] = spectral_sums(h, pad_spectrum(weights, dim))
-        return got
+        """tr(rho^2) of the marginal on `mask`: the combined purity h's zero
+        rule reads, and qstate.marginal_purity bit for bit."""
+        pieces = [_piece_sums(CONCURRENCE, gv, local) for gv, local in self.state.cuts(mask)]
+        return product_sums(CONCURRENCE, pieces)[0]
 
     def factorization(self) -> FactorDecomposition:
         """finest_factorization of the state, computed on first use."""
         if self._factorization is None:
             self._factorization = finest_factorization(self.state, self)
         return self._factorization
+
+
+def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
+    """spectral_sums of GroupVector.spectrum of a local piece, memoized on
+    the GroupVector."""
+    key = (h.kind, h.parameter, gv.key(local))
+    got = gv.sums.get(key)
+    if got is None:
+        got = gv.sums[key] = spectral_sums(h, gv.spectrum(local))
+    return got
 
 
 def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:
@@ -233,14 +224,20 @@ def finest_factorization(
 
 
 def _link_distance(state: PureState, pair: tuple[int, int]) -> float:
-    """||rho_ij - rho_i (x) rho_j||_2 of one pair marginal."""
-    m = _split_matrix(state, pair)
-    rho = m @ m.conj().T
-    di, dj = (state.layout.dims[p] for p in pair)
-    t = rho.reshape(di, dj, di, dj)
-    rho_i = t.trace(axis1=1, axis2=3)
-    rho_j = t.trace(axis1=0, axis2=2)
-    return float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
+    """||rho_ij - rho_i (x) rho_j||_2 of one pair marginal (i < j), formed
+    on the group vector holding both parties; 0.0 across groups."""
+    i, j = pair
+    for g, gv in zip(state.groups, state.group_vectors()):
+        if g >> i & 1 and g >> j & 1:
+            parties = mask_parties(g)
+            m = _split(gv.tensor(), (parties.index(i), parties.index(j)))
+            rho = m @ m.conj().T
+            di, dj = (state.layout.dims[p] for p in pair)
+            t = rho.reshape(di, dj, di, dj)
+            rho_i = t.trace(axis1=1, axis2=3)
+            rho_j = t.trace(axis1=0, axis2=2)
+            return float(np.linalg.norm(t - rho_i[:, None, :, None] * rho_j[None, :, None, :]))
+    return 0.0
 
 
 def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):
@@ -260,14 +257,11 @@ def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):
 def _reconstruction_fidelity(
     state: PureState, factors: list[tuple[tuple[int, ...], PureState]]
 ) -> float:
-    order: list[int] = []
-    rec = np.ones(1, dtype=np.complex128)
-    for parties, fs in factors:
-        rec = np.multiply.outer(rec, fs.amplitudes.reshape(fs.layout.dims))
-        order.extend(parties)
-    rec = rec.reshape([1] + [d for _, fs in factors for d in fs.layout.dims])[0]
-    inv = np.argsort(order)
-    rec = rec.transpose(inv).reshape(-1)
+    rec = _product_vector(
+        state.layout.dims,
+        [sum(1 << p for p in parties) for parties, _ in factors],
+        [fs.amplitudes for _, fs in factors],
+    )
     return float(abs(np.vdot(rec, state.amplitudes)) ** 2)
 
 

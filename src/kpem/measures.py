@@ -20,10 +20,9 @@ kpem.factorize, whose scan it serves too): h values and purities keyed by
 party bitmask (bit i is party i), and the memoized finest factorization.
 The factorization takes its purities from the engine and a factor's
 quantities are read off the marginals of the whole state, so one cache
-serves every measure and every k evaluated on the same state, and each
-subset is SVD'd once.  Party subsets stay bitmasks throughout; they
-become party tuples only where a spectrum is taken and in the reported
-witnesses and breakdowns.
+serves every measure and every k evaluated on the same state.  Party
+subsets stay bitmasks throughout; they become party tuples only where a
+spectrum is taken and in the reported witnesses and breakdowns.
 
 h is formed from the state's groups (PureState.groups), across which the
 amplitudes are a tensor product, so the marginal on X is the product of
@@ -38,14 +37,16 @@ combined purity; no product spectrum is formed.  In particular:
 * X inside one group: evaluate_spectrum of marginal_spectrum of X, bit
   for bit.
 
-Piece sums are cached by (h, piece) and shared by every X that cuts the
-piece.  A subset and its complement share one SVD: its squared singular
-values are kept under the side whose split matrix marginal_spectrum SVDs
-(the smaller, or X itself at equal dimensions) and padded for each side.
-The pieces are SVD'd on the whole state, not on each group's own vector:
-reading that vector off (pure_restriction) costs more than the SVDs it
-saves on the small groups of audit states, and whole-state SVDs keep
-every subset inside one group bit-identical to marginal_spectrum.
+Each piece is SVD'd on its own group's vector (qstate.GroupVector), not on
+the whole state.  Its squared singular values are kept under the side of
+the group's split that the SVD ran on (the smaller, or the piece itself at
+equal dimensions) and serve the piece and its complement in the group;
+its spectral sums are cached by (h, piece).  Both memos live on the
+GroupVector object, so every state holding that object shares them: the
+permuted, regrouped and restricted copies a postulate check makes keep
+the objects of the groups they leave alone, and the named factors (GHZ,
+W, maxent) share one object per shape, keyed by subset size, as their
+vectors do not change under reordering.
 
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block

@@ -5,16 +5,29 @@ digit of the row-major mixed-radix index into the amplitude vector, so for
 qubits ABC the basis state |100> sits at index 4.
 
 A PureState carries `groups`: disjoint party bitmasks (bit i is party i)
-covering every party, across which its amplitudes are a tensor product.
-The default is one group, which claims nothing.  build_state records one
-group per declared factor and the party-wise operations carry the groups
-along (see each of them), so the marginal engine and the factorization
-can work inside one group at a time.
+covering every party, across which its amplitudes are a tensor product,
+and one GroupVector per group: the group's own unit vector, over its
+parties in ascending order.  The default is one group, whose vector is the
+amplitudes themselves, which claims nothing.  build_state records one
+group per declared factor and keeps each factor's vector; the named
+factors (GHZ, W, maxent) take one shared GroupVector per (kind, size,
+dimension).  The party-wise operations carry the groups and their vectors
+along (see _carry), so a permuted, regrouped or restricted copy of a state
+holds the same GroupVector objects for the groups it leaves alone.  A
+state built without vectors reads each group's vector once, on first use.
+
+Every marginal of a party subset X is taken on the group vectors: X cuts a
+piece out of each group it meets, and its marginal is the product of the
+pieces' marginals.  A piece's spectrum is the SVD of its own group
+vector's split (GroupVector.spectrum), memoized on the GroupVector, so
+every state holding the same object shares it; a union of whole groups is
+exactly pure.
 
 All tolerance constants live here.  "This marginal is pure" is decided
-by one number, the sum of the squares of marginal_spectrum (what
-marginal_purity returns), against PURITY_TOL: pure_restriction, the
-factorization search and h's zero rule all take it off the same SVD.
+by one number, marginal_purity: the product of the cut pieces' purities,
+each the sum of the squares of the piece's spectrum, against PURITY_TOL.
+pure_restriction, the factorization search and h's zero rule all take it
+off the same group SVDs.
 """
 
 from __future__ import annotations
@@ -140,19 +153,95 @@ def check_size_caps(layout: SystemLayout, unsafe_large: bool = False) -> None:
         )
 
 
+class GroupVector:
+    """One group's own state and the memo of its marginals.
+
+    `vector` is a unit vector over the group's parties in ascending order,
+    with local dimensions `dims`; local party i is the group's i-th lowest
+    party, and a local mask has bit i for it.  `symmetric` marks a vector
+    that no reordering of its parties changes (the named GHZ, W and maxent
+    factors): a local subset's spectrum then depends on its size alone, so
+    the memo keys it by the lowest parties of that size (`key`), and the
+    party-wise operations keep the object under any reordering.
+
+    The memo lives on the object and serves every state holding it:
+    `weights` maps an SVD'd side (a local mask) to its squared singular
+    values, and `sums` is filled by the marginal engine
+    (kpem.factorize.MarginalCache) with redfun.spectral_sums by
+    (h kind, parameter, key of the local piece).
+    """
+
+    __slots__ = ("vector", "dims", "symmetric", "weights", "sums")
+
+    def __init__(self, vector: np.ndarray, dims: Sequence[int], symmetric: bool = False):
+        vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
+        self.dims = tuple(dims)
+        if vec.size != math.prod(self.dims):
+            raise ValueError(f"group vector length {vec.size} != dimension {math.prod(self.dims)}")
+        if vec.flags.writeable:
+            vec = vec.copy()
+            vec.flags.writeable = False
+        self.vector = vec
+        self.symmetric = symmetric
+        self.weights: dict[int, np.ndarray] = {}
+        self.sums: dict[tuple, tuple[float, float]] = {}
+
+    def tensor(self) -> np.ndarray:
+        return self.vector.reshape(self.dims)
+
+    def key(self, local: int) -> int:
+        """The local mask the memo files `local` under."""
+        return (1 << local.bit_count()) - 1 if self.symmetric else local
+
+    def spectrum(self, local: int) -> np.ndarray:
+        """Clipped spectrum of the marginal on a local subset, padded to its
+        dimension.  The SVD runs on the smaller side of the group's split
+        (on `local` at equal dimensions or when it is the whole group), as
+        in _svd_weights, and its weights serve the complement too."""
+        local = self.key(local)
+        dim = math.prod(self.dims[i] for i in mask_parties(local))
+        rest = local ^ ((1 << len(self.dims)) - 1)
+        side = local if dim * dim <= self.vector.size or not rest else self.key(rest)
+        weights = self.weights.get(side)
+        if weights is None:
+            weights = self.weights[side] = _svd_weights(self.tensor(), mask_parties(side))
+        return pad_spectrum(weights, dim)
+
+
+# shared GroupVectors of the named factors, one per (kind, size, dimension),
+# for the life of the process.  Their memos hold spectra and spectral sums,
+# which are the same whichever state asks first, so sharing cannot change a
+# value; they grow with the named shapes and h parameters in use.
+_NAMED_GROUPS: dict[tuple, GroupVector] = {}
+
+
+def _span(g: int) -> tuple[int, int, Optional[tuple[int, ...]]]:
+    """(g, shift, parties): a piece of g has the local mask piece >> shift
+    when g's parties are consecutive (parties None), else its bits are
+    read off `parties`."""
+    shift = (g & -g).bit_length() - 1
+    run = g >> shift
+    return g, shift, (None if run & (run + 1) == 0 else mask_parties(g))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over a layout.
 
     `groups` are disjoint party bitmasks covering every party, ordered by
     lowest party; the amplitudes are claimed to be a tensor product across
-    them.  The default (None) is the one group of all parties.  States
-    compare and hash by identity, as arrays have no truth value.
+    them.  The default (None) is the one group of all parties.  `vectors`,
+    when given, holds one GroupVector per group, in the order of `groups`,
+    and claims that the amplitudes are their product up to a global phase;
+    when None they are read off the amplitudes on first use
+    (group_vectors).  States compare and hash by identity, as arrays have
+    no truth value.
     """
 
     layout: SystemLayout
     amplitudes: np.ndarray
     groups: Optional[tuple[int, ...]] = field(default=None, kw_only=True)
+    vectors: Optional[tuple[GroupVector, ...]] = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -171,7 +260,17 @@ class PureState:
             union |= g
         if union != full:
             raise ValueError(f"groups {groups} do not cover all {self.layout.num_parties} parties")
-        object.__setattr__(self, "groups", tuple(sorted(groups, key=lambda g: g & -g)))
+        order = sorted(range(len(groups)), key=lambda i: groups[i] & -groups[i])
+        object.__setattr__(self, "groups", tuple(groups[i] for i in order))
+        if self.vectors is not None:
+            vectors = tuple(self.vectors)
+            if len(vectors) != len(groups):
+                raise ValueError(f"{len(vectors)} group vectors for {len(groups)} groups")
+            for g, gv in zip(groups, vectors):
+                if not isinstance(gv, GroupVector) or gv.dims != self._dims_of(g):
+                    raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
+            object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
+        object.__setattr__(self, "_spans", tuple(map(_span, self.groups)))
         if not np.all(np.isfinite(amp)):
             raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
@@ -188,6 +287,39 @@ class PureState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amplitudes.reshape(self.layout.dims)
+
+    def _dims_of(self, g: int) -> tuple[int, ...]:
+        return tuple(self.layout.dims[p] for p in mask_parties(g))
+
+    def group_vectors(self) -> tuple[GroupVector, ...]:
+        """One GroupVector per group.  Without carried vectors, a one-group
+        state's vector is its amplitudes, and each group of a state with
+        more is read off once, as the leading left singular vector of the
+        amplitudes' split."""
+        if self.vectors is None:
+            if len(self.groups) == 1:
+                vectors = (GroupVector(self.amplitudes, self.layout.dims),)
+            else:
+                vectors = tuple(
+                    GroupVector(_leading_vector(self.tensor(), mask_parties(g)), self._dims_of(g))
+                    for g in self.groups
+                )
+            object.__setattr__(self, "vectors", vectors)
+        return self.vectors
+
+    def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
+        """(group vector, local piece) of every group that `mask` meets but
+        does not hold whole, in group order: the marginal on `mask` is the
+        product of these pieces' marginals."""
+        out = []
+        for (g, shift, parties), gv in zip(self._spans, self.group_vectors()):
+            piece = mask & g
+            if piece and piece != g:
+                if parties is None:
+                    out.append((gv, piece >> shift))
+                else:
+                    out.append((gv, sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,22 +455,58 @@ def _factor_vector(f: StateFactor) -> np.ndarray:
 
 def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     """Materialize a StateSpec as a PureState in the listed party order,
-    with one group per factor.
+    with one group per factor, carrying each factor's vector (a state of
+    one explicit factor reads it off its amplitudes, see group_vectors).
 
     The size caps are checked on the layout before any vector is built.
     """
     dims = [d for f in spec.factors for d in _factor_dims(f)]
     layout = SystemLayout.of(spec.labels, dims)
     check_size_caps(layout, unsafe_large)
-    vec = np.ones(1, dtype=np.complex128)
     groups, at = [], 0
     for f in spec.factors:
-        vec = np.kron(vec, _factor_vector(f))
         groups.append(((1 << len(f.labels)) - 1) << at)
         at += len(f.labels)
+    vectors = tuple(map(_group_vector, spec.factors))
+    vec = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
     # a product of unit vectors: its norm is near 1, so no scaling is needed
     vec /= np.linalg.norm(vec)
-    return PureState(layout, vec, groups=tuple(groups))
+    if len(vectors) == 1 and not vectors[0].symmetric:
+        vectors = None  # one explicit factor: the amplitudes are its vector, kept once
+    return PureState(layout, vec, groups=tuple(groups), vectors=vectors)
+
+
+def _group_vector(f: StateFactor) -> GroupVector:
+    """A factor's GroupVector: a new one for explicit amplitudes, the
+    shared one of its (kind, size, dimension) for a named factor."""
+    if isinstance(f, AmplitudesFactor):
+        return GroupVector(_factor_vector(f), f.dims)
+    key = (type(f).__name__, len(f.labels), getattr(f, "dim", 2))
+    gv = _NAMED_GROUPS.get(key)
+    if gv is None:
+        gv = _NAMED_GROUPS[key] = GroupVector(_factor_vector(f), _factor_dims(f), symmetric=True)
+    return gv
+
+
+def _product_vector(
+    dims: Sequence[int],
+    groups: Sequence[int],
+    vectors: Sequence[np.ndarray],
+    order: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Amplitudes of the tensor product of `vectors` (vector i over the
+    parties of groups[i], ascending), with its axes in ascending party
+    order, or in `order` (a list of those parties).  The products are formed
+    as np.kron forms them, factor by factor."""
+    vec = np.ones(1, dtype=np.complex128)
+    for v in vectors:
+        vec = np.multiply.outer(vec, v).reshape(-1)
+    axes = [p for g in groups for p in mask_parties(g)]
+    order = sorted(axes) if order is None else list(order)
+    if axes == order:
+        return vec
+    at = {p: a for a, p in enumerate(axes)}
+    return vec.reshape([dims[p] for p in axes]).transpose([at[p] for p in order]).reshape(-1)
 
 
 def _normalized(vec: np.ndarray) -> np.ndarray:
@@ -478,38 +646,60 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # --- party-wise operations ---------------------------------------------------
 
 
-def _carry_groups(groups: tuple[int, ...], target: dict[int, int]) -> tuple[int, ...]:
-    """The groups after input party p becomes output party target[p].
+def _carry(
+    sources: Sequence[tuple[int, GroupVector]],
+    blocks: Sequence[Sequence[int]],
+    dims: Sequence[int],
+) -> tuple[tuple[int, ...], tuple[GroupVector, ...]]:
+    """The groups and group vectors of an output whose party j joins the
+    input parties blocks[j], its digits in that order.  `sources` are
+    (input party mask, vector) pairs covering the input parties the blocks
+    name; `dims` are the input dimensions.
 
-    Parties missing from `target` are dropped, as are groups left empty;
-    groups that land on a shared output party merge into one.
+    Sources that meet in one output party merge into one group.  A source
+    that stays alone, each of its parties an output party of its own, keeps
+    its GroupVector object when the order inside it is kept, and always
+    when the vector is symmetric; any other output group gets a new vector,
+    the product of its sources' vectors in the output order.
     """
-    carried: list[int] = []
-    for g in groups:
-        out = 0
-        for p in mask_parties(g):
-            if p in target:
-                out |= 1 << target[p]
-        if not out:
-            continue
-        # the carried groups are disjoint, so one pass finds every overlap
-        for other in [c for c in carried if c & out]:
-            carried.remove(other)
-            out |= other
-        carried.append(out)
-    return tuple(carried)
+    owner = {p: j for j, block in enumerate(blocks) for p in block}
+    merged: list[tuple[int, list[int]]] = []  # (output mask, source indices)
+    for i, (mask, _) in enumerate(sources):
+        out, members = 0, [i]
+        for p in mask_parties(mask):
+            out |= 1 << owner[p]
+        # the output masks kept so far are disjoint: one pass finds every overlap
+        for other in [m for m in merged if m[0] & out]:
+            merged.remove(other)
+            out |= other[0]
+            members = other[1] + members
+        merged.append((out, members))
+    groups, vectors = [], []
+    for out, members in merged:
+        members.sort()
+        outs = mask_parties(out)
+        order = [p for j in outs for p in blocks[j]]
+        gv = sources[members[0]][1]
+        if not (len(members) == 1 and len(outs) == len(order)
+                and (gv.symmetric or order == sorted(order))):
+            vec = _product_vector(dims, [sources[i][0] for i in members],
+                                  [sources[i][1].vector for i in members], order)
+            gv = GroupVector(vec, [math.prod(dims[p] for p in blocks[j]) for j in outs])
+        groups.append(out)
+        vectors.append(gv)
+    return tuple(groups), tuple(vectors)
 
 
 def permute_parties(state: PureState, perm: Sequence[int]) -> PureState:
     """Party i of the output is party perm[i] of the input; the groups are
-    relabeled with the parties."""
+    relabeled with the parties and keep their vectors (see _carry)."""
     n = state.num_parties
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of range({n}): {perm}")
     parties = tuple(state.layout.parties[p] for p in perm)
     amp = state.tensor().transpose(perm).reshape(-1)
-    groups = _carry_groups(state.groups, {p: i for i, p in enumerate(perm)})
-    return PureState(SystemLayout(parties), amp, groups=groups)
+    groups, vectors = _carry(_sources(state), [(p,) for p in perm], state.layout.dims)
+    return PureState(SystemLayout(parties), amp, groups=groups, vectors=vectors)
 
 
 def regroup(state: PureState, partition: Partition) -> PureState:
@@ -517,7 +707,8 @@ def regroup(state: PureState, partition: Partition) -> PureState:
 
     Blocks keep canonical order (by smallest member); within a block the
     original party order is kept, so amplitudes are a pure re-indexing.
-    The groups a block touches merge into one group of the output.
+    The groups a block touches merge into one group of the output; a group
+    the blocks leave untouched keeps its vector (see _carry).
     """
     n = state.num_parties
     if partition.parties != tuple(range(n)):
@@ -530,33 +721,62 @@ def regroup(state: PureState, partition: Partition) -> PureState:
     )
     axes = [i for block in partition.blocks for i in block]
     amp = state.tensor().transpose(axes).reshape(-1)
-    groups = _carry_groups(
-        state.groups, {p: j for j, block in enumerate(partition.blocks) for p in block}
-    )
-    return PureState(SystemLayout(parties), amp, groups=groups)
+    groups, vectors = _carry(_sources(state), partition.blocks, dims)
+    return PureState(SystemLayout(parties), amp, groups=groups, vectors=vectors)
+
+
+def _sources(state: PureState) -> list[tuple[int, GroupVector]]:
+    return list(zip(state.groups, state.group_vectors()))
 
 
 def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureState:
-    """u acting on one party; a local unitary keeps every group a product."""
+    """u acting on one party; a local unitary keeps every group a product,
+    and only the vector of the group holding the party changes."""
     d = state.layout.dims[party]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} != ({d}, {d})")
-    t = np.tensordot(u, state.tensor(), axes=([1], [party]))
-    t = np.moveaxis(t, 0, party)
-    return PureState(state.layout, t.reshape(-1), groups=state.groups)
+    vectors = list(state.group_vectors())
+    i = next(i for i, g in enumerate(state.groups) if g >> party & 1)
+    local = mask_parties(state.groups[i]).index(party)
+    vectors[i] = GroupVector(_act(u, vectors[i].tensor(), local), vectors[i].dims)
+    return PureState(state.layout, _act(u, state.tensor(), party),
+                     groups=state.groups, vectors=tuple(vectors))
 
 
-def _split_matrix(state: PureState, keep: Sequence[int]) -> np.ndarray:
-    """Reshape amplitudes to (dim of kept parties, dim of the rest)."""
-    n = state.num_parties
-    keep = sorted(keep)
-    _check_party_indices(keep, n)
-    kept = set(keep)
-    rest = [i for i in range(n) if i not in kept]
-    dims = state.layout.dims
-    dk = math.prod(dims[i] for i in keep)
-    return state.tensor().transpose(keep + rest).reshape(dk, -1)
+def _act(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """u applied to one axis of a tensor, flattened."""
+    return np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis).reshape(-1)
+
+
+def _split(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """A tensor reshaped to (dim of the kept axes, dim of the rest); `keep`
+    ascending."""
+    rest = [i for i in range(t.ndim) if i not in keep]
+    dk = math.prod(t.shape[i] for i in keep)
+    return t.transpose(list(keep) + rest).reshape(dk, -1)
+
+
+def _svd_weights(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Squared singular values of a tensor's split, SVD'd on the smaller
+    side, min(d_keep, d_rest) of them.  Values at or below
+    numpy.linalg.matrix_rank's default tolerance (the largest one times the
+    larger matrix dimension times the float epsilon) are SVD round-off and
+    become exact zeros, so they add nothing to any h.  Read-only."""
+    m = _split(t, keep)
+    if m.shape[0] > m.shape[1]:
+        m = m.T  # singular values are side-independent; keep SVD small
+    s = np.linalg.svd(m, compute_uv=False)
+    s[s <= s[0] * max(m.shape) * np.finfo(s.dtype).eps] = 0.0
+    lam = s**2
+    lam.flags.writeable = False
+    return lam
+
+
+def _leading_vector(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Leading left singular vector of a tensor's split; `keep` ascending."""
+    u, _, _ = np.linalg.svd(_split(t, keep), full_matrices=False)
+    return u[:, 0]
 
 
 def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
@@ -570,24 +790,43 @@ def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureStat
 
 def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
     """The kept parties' state, read off without deciding whether their
-    marginal is pure: the leading left singular vector of the split
-    matrix, phase-fixed by canonical_phase.  Its groups are the nonempty
-    `g & keep`: the marginal of a product is the product of the pieces'
-    marginals, so when it is pure every piece is pure and the kept state is
-    the product of the pieces' own states.
+    marginal is pure, phase-fixed by canonical_phase.  The marginal of a
+    product is the product of the pieces' marginals, so when it is pure the
+    kept state is the product of the pieces' own states: a group kept whole
+    keeps its GroupVector, with no SVD, and a piece cut out of a group is
+    the leading left singular vector of its group vector's split, one SVD
+    per group cut.
     """
     keep = sorted(keep)
-    u, _, _ = np.linalg.svd(_split_matrix(state, keep), full_matrices=False)
-    groups = _carry_groups(state.groups, {p: i for i, p in enumerate(keep)})
-    return PureState(state.layout.sub_layout(keep), canonical_phase(u[:, 0]), groups=groups)
+    _check_party_indices(keep, state.num_parties)
+    mask = sum(1 << p for p in keep)
+    dims = state.layout.dims
+    sources = []
+    for g, gv in _sources(state):
+        piece = g & mask
+        if piece == g:
+            sources.append((g, gv))
+        elif piece:
+            (_, local), = state.cuts(piece)
+            vec = _leading_vector(gv.tensor(), mask_parties(local))
+            sources.append((piece, GroupVector(vec, [dims[p] for p in mask_parties(piece)])))
+    layout = state.layout.sub_layout(keep)
+    if len(sources) == 1:  # one group, or one piece: the state is its vector
+        vectors = (sources[0][1],)
+        return PureState(layout, canonical_phase(vectors[0].vector), vectors=vectors)
+    groups, vectors = _carry(sources, [(p,) for p in keep], dims)
+    amp = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
+    return PureState(layout, canonical_phase(amp), groups=groups, vectors=vectors)
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace onto the kept parties (ascending original order)."""
-    m = _split_matrix(state, keep)
+    keep = sorted(keep)
+    _check_party_indices(keep, state.num_parties)
+    m = _split(state.tensor(), keep)
     rho = m @ m.conj().T
     rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(state.layout.sub_layout(sorted(keep)), rho)
+    return DensityMatrix(state.layout.sub_layout(keep), rho)
 
 
 def clip_spectrum(raw: np.ndarray) -> np.ndarray:
@@ -611,33 +850,27 @@ def spectrum(dm: DensityMatrix) -> np.ndarray:
     return clip_spectrum(np.linalg.eigvalsh(dm.matrix))
 
 
-def marginal_spectrum(state: PureState, keep: Sequence[int], *, raw: bool = False) -> np.ndarray:
-    """Spectrum of the reduced state on `keep`, via SVD of the split vector.
+def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
+    """Spectrum of the reduced state on `keep`, taken on the group vectors.
 
-    Same contract as spectrum(reduced_density(...)) but without forming
-    the density matrix; the two routes agree within tolerance and are
-    cross-checked in the tests.  Singular values at or below
-    numpy.linalg.matrix_rank's default tolerance (the largest one times
-    the larger matrix dimension times the float epsilon) are SVD round-off
-    and become exact zeros, so they add nothing to any h.
-
-    With raw=True the squared singular values are returned as the SVD
-    gives them, min(d_keep, d_rest) of them, before padding and clipping.
-    The SVD runs on the smaller side's split matrix (on `keep`'s when the
-    two dimensions are equal), so when `keep` is the larger side these are
-    bit for bit the squared singular values of its complement's split, and
-    pad_spectrum of them to each side's dimension gives that side's
-    spectrum.
+    Same contract as spectrum(reduced_density(...)), which the tests use as
+    the independent oracle, but without forming the density matrix.  On a
+    subset inside one group it is the GroupVector's spectrum of the piece
+    (the SVD of the group vector's split, see _svd_weights), the spectrum
+    every engine value of that subset is taken from; on a union of whole
+    groups it is exactly (1, 0, ..., 0); otherwise it is the product of the
+    cut pieces' spectra.
     """
-    m = _split_matrix(state, keep)
-    if m.shape[0] > m.shape[1]:
-        m = m.T  # singular values are side-independent; keep SVD small
-    s = np.linalg.svd(m, compute_uv=False)
-    s[s <= s[0] * max(m.shape) * np.finfo(s.dtype).eps] = 0.0
-    lam = s**2
-    if raw:
-        return lam
-    return pad_spectrum(lam, math.prod(state.layout.dims[i] for i in keep))
+    keep = sorted(keep)
+    _check_party_indices(keep, state.num_parties)
+    dim = math.prod(state.layout.dims[p] for p in keep)
+    weights = np.ones(1)
+    for gv, local in state.cuts(sum(1 << p for p in keep)):
+        lam = gv.spectrum(local)
+        if lam.size == dim:
+            return lam  # `keep` lies inside this group
+        weights = np.multiply.outer(weights, lam[lam > 0.0]).reshape(-1)
+    return pad_spectrum(weights, dim)
 
 
 def pad_spectrum(weights: np.ndarray, dim: int) -> np.ndarray:
@@ -649,14 +882,23 @@ def pad_spectrum(weights: np.ndarray, dim: int) -> np.ndarray:
 
 
 def purity(dm: DensityMatrix) -> float:
-    return float(np.real(np.sum(dm.matrix * dm.matrix.conj().T)))
+    """tr(rho^2) = sum |rho_ij|^2 of a Hermitian matrix."""
+    return float(np.real(np.vdot(dm.matrix, dm.matrix)))
 
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
-    """tr(rho_keep^2) as the sum of the squares of marginal_spectrum, the
-    purity redfun.spectral_sums takes off the same spectrum."""
-    lam = marginal_spectrum(state, keep)
-    return float(np.sum(lam * lam))
+    """tr(rho_keep^2) as the product, in group order, of the purities of
+    the pieces `keep` cuts out of its groups, each the sum of the squares
+    of the piece's spectrum: the purity redfun.spectral_sums takes off the
+    same spectra and redfun.product_sums combines, and on a subset inside
+    one group the sum of the squares of marginal_spectrum."""
+    keep = sorted(keep)
+    _check_party_indices(keep, state.num_parties)
+    pur = 1.0
+    for gv, local in state.cuts(sum(1 << p for p in keep)):
+        lam = gv.spectrum(local)
+        pur *= float(np.sum(lam * lam))
+    return pur
 
 
 def is_pure(dm: DensityMatrix) -> bool:

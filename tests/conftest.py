@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kpem import qstate
 from kpem.audit import random_product_spec
 from kpem.partitions import Partition, mask_parties
 from kpem.qstate import (
@@ -11,8 +12,24 @@ from kpem.qstate import (
     haar_unitary,
     permute_parties,
     pure_restriction,
+    reduced_density,
     regroup,
+    spectrum,
 )
+
+# eigvalsh puts the zero eigenvalues of a density matrix near +-1e-16, which
+# alpha_family raises to a small power (1e-16 ** 0.25 = 1e-4), so the oracle
+# reads eigenvalues below this as zeros; no test state has a nonzero
+# Schmidt weight anywhere near it
+ORACLE_FLOOR = 1e-13
+
+
+def density_spectrum(state, parties):
+    """Independent oracle for a marginal spectrum: eigvalsh of the
+    partial trace (spectrum(reduced_density(...))), taken on the whole
+    amplitude vector, with eigenvalues below ORACLE_FLOOR set to 0."""
+    lam = spectrum(reduced_density(state, parties))
+    return np.where(lam > ORACLE_FLOOR, lam, 0.0)
 
 
 def grouped_states(seed=2024, per_n=3):
@@ -43,3 +60,23 @@ def grouped_states(seed=2024, per_n=3):
 @pytest.fixture(scope="session")
 def grouped_family():
     return grouped_states()
+
+
+@pytest.fixture()
+def svd_shapes(monkeypatch):
+    """The matrix shape of every np.linalg.svd call from now on."""
+    shapes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+@pytest.fixture()
+def cold_named_groups(monkeypatch):
+    """No named factor's GroupVector is shared with earlier tests."""
+    monkeypatch.setattr(qstate, "_NAMED_GROUPS", {})

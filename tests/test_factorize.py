@@ -30,7 +30,9 @@ from kpem.qstate import (
     permute_parties,
     pure_restriction,
     random_pure,
+    reduced_density,
 )
+from kpem.qstate import purity as density_purity
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
 
 
@@ -155,15 +157,24 @@ def test_pure_restriction():
 
 def scan_factorization(state):
     """Reference: the size-then-lex scan over every subset of up to half the
-    remaining parties, no pair links, no groups.  Returns (blocks,
+    remaining parties, no pair links, no groups, deciding by
+    marginal_purity, which is checked against the purity of the density
+    matrix (qstate.purity of reduced_density) within 1e-12 on every subset
+    visited.  Returns (blocks,
     classifications, factor amplitudes, fidelity) in the form
     finest_factorization reports them."""
+
+    def is_pure(sub):
+        purity = marginal_purity(state, sub)
+        assert abs(purity - density_purity(reduced_density(state, sub))) <= 1e-12, sub
+        return purity >= 1.0 - PURITY_TOL
+
     blocks, remaining = [], tuple(range(state.num_parties))
     while remaining:
         found = next(
             (sub for size in range(1, len(remaining) // 2 + 1)
              for sub in combinations(remaining, size)
-             if marginal_purity(state, sub) >= 1.0 - PURITY_TOL),
+             if is_pure(sub)),
             remaining,
         )
         blocks.append(found)
@@ -424,8 +435,9 @@ def test_near_threshold_states_factorize(near_threshold):
 
 def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
     """On every subset inside one group, the engine's purity is
-    marginal_purity bit for bit, and its threshold is exactly where every
-    kind of h reads 0.0 and where pure_restriction gives a state."""
+    marginal_purity bit for bit, within 1e-12 of the density matrix's, and
+    its threshold is exactly where every kind of h reads 0.0 and where
+    pure_restriction gives a state."""
     kinds = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
              ReducedFunctionSpec("alpha_family", 0.25))
     states = [psi for _, psi in grouped_family] + near_threshold
@@ -437,6 +449,7 @@ def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
                 parties = mask_parties(mask)
                 purity = cache.purity(mask)
                 assert purity == marginal_purity(psi, parties)
+                assert abs(purity - density_purity(reduced_density(psi, parties))) <= 1e-12
                 pure = purity >= 1.0 - PURITY_TOL
                 assert all((cache.h_value(h, mask) == 0.0) == pure for h in kinds)
                 assert (pure_restriction(psi, parties) is not None) == pure

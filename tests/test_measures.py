@@ -42,6 +42,8 @@ from kpem.qstate import (
 )
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate, evaluate_spectrum
 
+from conftest import density_spectrum
+
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)
 Q2 = 2.0
@@ -575,13 +577,15 @@ def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
 
 def test_grouped_cache_matches_whole_state_spectra(grouped_family):
     """Oracle: on every mask of every grouped state, h formed from the
-    pieces' spectral sums agrees within 1e-12 with h of the whole-state
-    SVD's spectrum; a union of whole groups gives exactly 0.0, and a subset
-    inside one group gives the whole-state SVD's h bit for bit."""
+    pieces' spectral sums agrees within 1e-12 with h of the density route's
+    spectrum of the whole amplitude vector; a union of whole groups gives
+    exactly 0.0, and a subset inside one group gives h of marginal_spectrum
+    (its group vector's SVD) bit for bit."""
     for name, psi in grouped_family:
         cache = MarginalCache(psi)
         for mask in range(1, 1 << psi.num_parties):
-            lam = marginal_spectrum(psi, mask_parties(mask))
+            parties = mask_parties(mask)
+            lam = density_spectrum(psi, parties)
             whole_groups = all(mask & g in (0, g) for g in psi.groups)
             in_one_group = any(not mask & ~g for g in psi.groups)
             for h in H_KINDS:
@@ -590,38 +594,35 @@ def test_grouped_cache_matches_whole_state_spectra(grouped_family):
                 if whole_groups:
                     assert got == 0.0, (name, mask, h)
                 elif in_one_group:
-                    assert got == want, (name, mask, h)
+                    assert got == evaluate_spectrum(h, marginal_spectrum(psi, parties)), (name, mask, h)
 
 
-def test_cache_svds_each_piece_once(monkeypatch):
-    """One SVD per piece of a group, shared by every kind of h; a union of
-    whole groups takes none, and a complement inside the same state shares
-    its piece's SVD."""
-    from kpem import factorize
-
-    calls = []
-    original = factorize.marginal_spectrum
-
-    def counting(state, keep, raw=False):
-        calls.append(tuple(keep))
-        return original(state, keep, raw=raw)
-
-    monkeypatch.setattr(factorize, "marginal_spectrum", counting)
+def test_cache_svds_each_piece_once(cold_named_groups, svd_shapes):
+    """One SVD per piece of a group, on the group's own vector, shared by
+    every kind of h; a union of whole groups takes none, a complement in
+    the group shares its piece's SVD, and a named factor's pieces share one
+    SVD per size."""
     product = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
     cache = MarginalCache(product)
     for h in H_KINDS:
         for mask in range(1, 1 << 5):
             cache.h_value(h, mask)
-    # singles, and the pairs inside the GHZ factor, each on its own
-    assert sorted(calls) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,), (3,), (4,)]
+    # a GHZ3 single (whose SVD serves the pairs as complements), a Bell single
+    assert sorted(svd_shapes) == [(2, 2), (2, 4)]
 
-    calls.clear()
+    svd_shapes.clear()
+    again = MarginalCache(build_state(StateSpec((MaxEntFactor(("A", "B")), GhzFactor(("C", "D", "E"))))))
+    for h in H_KINDS:
+        for mask in range(1, 1 << 5):
+            again.h_value(h, mask)
+    assert svd_shapes == []  # the named groups are shared
+
     cache = MarginalCache(random_pure(SystemLayout.qubits("ABCD"), seed=3))
     for h in H_KINDS:
         for mask in range(1, 1 << 4):
             cache.h_value(h, mask)
     # triples read their single complement's SVD; equal halves take their own
-    assert sorted(calls) == [(0,), (0, 1), (0, 2), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+    assert sorted(svd_shapes) == [(2, 8)] * 4 + [(4, 4)] * 6
 
 
 def test_purity_threshold_applies_once_to_raw_piece_sums():

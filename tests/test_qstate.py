@@ -381,6 +381,17 @@ def test_purity_and_is_pure():
     assert marginal_purity(prod, (0, 1)) == pytest.approx(1.0)
 
 
+def test_purity_of_a_complex_density_matrix():
+    """tr(rho^2) is the sum of |rho_ij|^2, not of rho_ij^2: the two differ
+    once the off-diagonal entries are complex."""
+    psi = random_pure(SystemLayout.of("AB", (3, 2)), seed=4)
+    rho = reduced_density(psi, (0,))
+    assert np.iscomplexobj(rho.matrix) and np.abs(rho.matrix.imag).max() > 0.1
+    lam = np.linalg.eigvalsh(rho.matrix)
+    assert purity(rho) == pytest.approx(float(np.sum(lam * lam)), abs=1e-12)
+    assert purity(rho) == pytest.approx(marginal_purity(psi, (0,)), abs=1e-12)
+
+
 def test_pure_restriction_takes_the_purity_rule():
     # Schmidt weights 1 - 7e-10 and 7e-10: the largest weight is within
     # PURITY_TOL of 1, but the purity, about 1 - 1.4e-9, is not
