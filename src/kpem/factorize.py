@@ -63,11 +63,13 @@ from .qstate import (
     PureState,
     PURITY_TOL,
     GroupVector,
+    marginal_purity,
+    marginal_spectrum,
     _product_vector,
     _restriction,
     _split,
 )
-from .redfun import CONCURRENCE, ReducedFunctionSpec, finish, product_sums, spectral_sums
+from .redfun import ReducedFunctionSpec, finish, product_sums, spectral_sums
 
 SINGLE = "single"
 GENUINE = "genuinely_entangled"
@@ -105,9 +107,11 @@ class MarginalCache:
     """Per-state marginal engine: h values and purities keyed by party
     bitmask (bit i is party i), h formed from the pieces a mask cuts out of
     the state's groups (see kpem.measures), plus the state's finest
-    factorization.  A piece's spectral sums are memoized on its
-    GroupVector, so every state holding that object shares them, and each
-    piece is SVD'd once, for the factorization and for h together."""
+    factorization.  A piece's spectrum is its marginal_spectrum (the SVD of
+    its group vector's split, see GroupVector.spectrum), and its spectral
+    sums and purity are memoized on its GroupVector, so every state holding
+    that object shares them, and each piece is SVD'd once, for the
+    factorization and for h together."""
 
     def __init__(self, state: PureState):
         self.state = state
@@ -122,31 +126,34 @@ class MarginalCache:
         got = self._values.get(key)
         if got is None:
             # a whole group inside mask is pure and adds nothing
-            pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
+            pieces = [self._piece_sums(h, gv, local, piece)
+                      for gv, local, piece in self.state.cuts(mask)]
             got = self._values[key] = finish(h, product_sums(h, pieces))
         return got
 
     def purity(self, mask: int) -> float:
-        """tr(rho^2) of the marginal on `mask`: the combined purity h's zero
-        rule reads, and qstate.marginal_purity bit for bit."""
-        pieces = [_piece_sums(CONCURRENCE, gv, local) for gv, local in self.state.cuts(mask)]
-        return product_sums(CONCURRENCE, pieces)[0]
+        """tr(rho^2) of the marginal on `mask`: qstate.marginal_purity, the
+        number that decides "pure" everywhere.  Its pieces' purities are the
+        purities in the spectral sums h's zero rule combines, bit for bit."""
+        return marginal_purity(self.state, mask_parties(mask))
+
+    def _piece_sums(
+        self, h: ReducedFunctionSpec, gv: GroupVector, local: int, piece: int
+    ) -> tuple[float, float]:
+        """spectral_sums of the marginal_spectrum of a piece (party mask
+        `piece`, local mask `local` of `gv`), memoized on the GroupVector."""
+        key = (h.kind, h.parameter, gv.key(local))
+        got = gv.sums.get(key)
+        if got is None:
+            lam = marginal_spectrum(self.state, mask_parties(piece))
+            got = gv.sums[key] = spectral_sums(h, lam)
+        return got
 
     def factorization(self) -> FactorDecomposition:
         """finest_factorization of the state, computed on first use."""
         if self._factorization is None:
             self._factorization = finest_factorization(self.state, self)
         return self._factorization
-
-
-def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
-    """spectral_sums of GroupVector.spectrum of a local piece, memoized on
-    the GroupVector."""
-    key = (h.kind, h.parameter, gv.key(local))
-    got = gv.sums.get(key)
-    if got is None:
-        got = gv.sums[key] = spectral_sums(h, gv.spectrum(local))
-    return got
 
 
 def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:

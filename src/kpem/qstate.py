@@ -25,7 +25,8 @@ exactly pure.
 
 All tolerance constants live here.  "This marginal is pure" is decided
 by one number, marginal_purity: the product of the cut pieces' purities,
-each the sum of the squares of the piece's spectrum, against PURITY_TOL.
+each the sum of the squares of the piece's spectrum, memoized on its
+GroupVector (GroupVector.purity), against PURITY_TOL.
 pure_restriction, the factorization search and h's zero rule all take it
 off the same group SVDs.
 """
@@ -166,12 +167,12 @@ class GroupVector:
 
     The memo lives on the object and serves every state holding it:
     `weights` maps an SVD'd side (a local mask) to its squared singular
-    values, and `sums` is filled by the marginal engine
-    (kpem.factorize.MarginalCache) with redfun.spectral_sums by
-    (h kind, parameter, key of the local piece).
+    values, `purities` maps the key of a local piece to its purity, and
+    `sums` is filled by the marginal engine (kpem.factorize.MarginalCache)
+    with redfun.spectral_sums by (h kind, parameter, key of the local piece).
     """
 
-    __slots__ = ("vector", "dims", "symmetric", "weights", "sums")
+    __slots__ = ("vector", "dims", "symmetric", "weights", "purities", "sums")
 
     def __init__(self, vector: np.ndarray, dims: Sequence[int], symmetric: bool = False):
         vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -184,6 +185,7 @@ class GroupVector:
         self.vector = vec
         self.symmetric = symmetric
         self.weights: dict[int, np.ndarray] = {}
+        self.purities: dict[int, float] = {}
         self.sums: dict[tuple, tuple[float, float]] = {}
 
     def tensor(self) -> np.ndarray:
@@ -207,21 +209,22 @@ class GroupVector:
             weights = self.weights[side] = _svd_weights(self.tensor(), mask_parties(side))
         return pad_spectrum(weights, dim)
 
+    def purity(self, local: int) -> float:
+        """Purity of the marginal on a local subset: the sum of the squares
+        of its spectrum, the same bits as redfun.spectral_sums' purity."""
+        key = self.key(local)
+        got = self.purities.get(key)
+        if got is None:
+            lam = self.spectrum(local)
+            got = self.purities[key] = float(np.sum(lam * lam))
+        return got
+
 
 # shared GroupVectors of the named factors, one per (kind, size, dimension),
 # for the life of the process.  Their memos hold spectra and spectral sums,
 # which are the same whichever state asks first, so sharing cannot change a
 # value; they grow with the named shapes and h parameters in use.
 _NAMED_GROUPS: dict[tuple, GroupVector] = {}
-
-
-def _span(g: int) -> tuple[int, int, Optional[tuple[int, ...]]]:
-    """(g, shift, parties): a piece of g has the local mask piece >> shift
-    when g's parties are consecutive (parties None), else its bits are
-    read off `parties`."""
-    shift = (g & -g).bit_length() - 1
-    run = g >> shift
-    return g, shift, (None if run & (run + 1) == 0 else mask_parties(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +273,7 @@ class PureState:
                 if not isinstance(gv, GroupVector) or gv.dims != self._dims_of(g):
                     raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
             object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
-        object.__setattr__(self, "_spans", tuple(map(_span, self.groups)))
+        object.__setattr__(self, "_parties", tuple(map(mask_parties, self.groups)))
         if not np.all(np.isfinite(amp)):
             raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
@@ -307,18 +310,17 @@ class PureState:
             object.__setattr__(self, "vectors", vectors)
         return self.vectors
 
-    def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
-        """(group vector, local piece) of every group that `mask` meets but
-        does not hold whole, in group order: the marginal on `mask` is the
-        product of these pieces' marginals."""
+    def cuts(self, mask: int) -> list[tuple[GroupVector, int, int]]:
+        """(group vector, local mask, party mask) of each piece that `mask`
+        cuts out of a group it meets but does not hold whole, in group
+        order: the marginal on `mask` is the product of these pieces'
+        marginals."""
         out = []
-        for (g, shift, parties), gv in zip(self._spans, self.group_vectors()):
+        for g, parties, gv in zip(self.groups, self._parties, self.group_vectors()):
             piece = mask & g
             if piece and piece != g:
-                if parties is None:
-                    out.append((gv, piece >> shift))
-                else:
-                    out.append((gv, sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)))
+                local = sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)
+                out.append((gv, local, piece))
         return out
 
 
@@ -807,13 +809,10 @@ def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
         if piece == g:
             sources.append((g, gv))
         elif piece:
-            (_, local), = state.cuts(piece)
+            (_, local, _), = state.cuts(piece)
             vec = _leading_vector(gv.tensor(), mask_parties(local))
             sources.append((piece, GroupVector(vec, [dims[p] for p in mask_parties(piece)])))
     layout = state.layout.sub_layout(keep)
-    if len(sources) == 1:  # one group, or one piece: the state is its vector
-        vectors = (sources[0][1],)
-        return PureState(layout, canonical_phase(vectors[0].vector), vectors=vectors)
     groups, vectors = _carry(sources, [(p,) for p in keep], dims)
     amp = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
     return PureState(layout, canonical_phase(amp), groups=groups, vectors=vectors)
@@ -865,7 +864,7 @@ def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     _check_party_indices(keep, state.num_parties)
     dim = math.prod(state.layout.dims[p] for p in keep)
     weights = np.ones(1)
-    for gv, local in state.cuts(sum(1 << p for p in keep)):
+    for gv, local, _ in state.cuts(sum(1 << p for p in keep)):
         lam = gv.spectrum(local)
         if lam.size == dim:
             return lam  # `keep` lies inside this group
@@ -888,16 +887,15 @@ def purity(dm: DensityMatrix) -> float:
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
     """tr(rho_keep^2) as the product, in group order, of the purities of
-    the pieces `keep` cuts out of its groups, each the sum of the squares
-    of the piece's spectrum: the purity redfun.spectral_sums takes off the
-    same spectra and redfun.product_sums combines, and on a subset inside
-    one group the sum of the squares of marginal_spectrum."""
+    the pieces `keep` cuts out of its groups (GroupVector.purity): the
+    number that decides "pure" for pure_restriction and the factorization
+    (through MarginalCache.purity), and the purity redfun.product_sums
+    combines from the same pieces' spectral sums for h's zero rule."""
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)
     pur = 1.0
-    for gv, local in state.cuts(sum(1 << p for p in keep)):
-        lam = gv.spectrum(local)
-        pur *= float(np.sum(lam * lam))
+    for gv, local, _ in state.cuts(sum(1 << p for p in keep)):
+        pur *= gv.purity(local)
     return pur
 
 
