@@ -64,7 +64,6 @@ from .qstate import (
     PURITY_TOL,
     GroupVector,
     marginal_purity,
-    marginal_spectrum,
     _product_vector,
     _restriction,
     _split,
@@ -107,11 +106,9 @@ class MarginalCache:
     """Per-state marginal engine: h values and purities keyed by party
     bitmask (bit i is party i), h formed from the pieces a mask cuts out of
     the state's groups (see kpem.measures), plus the state's finest
-    factorization.  A piece's spectrum is its marginal_spectrum (the SVD of
-    its group vector's split, see GroupVector.spectrum), and its spectral
-    sums and purity are memoized on its GroupVector, so every state holding
-    that object shares them, and each piece is SVD'd once, for the
-    factorization and for h together."""
+    factorization.  A piece's spectral sums and purity are memoized on its
+    GroupVector, so every state holding that object shares them, and each
+    piece is SVD'd once, for the factorization and for h together."""
 
     def __init__(self, state: PureState):
         self.state = state
@@ -126,8 +123,7 @@ class MarginalCache:
         got = self._values.get(key)
         if got is None:
             # a whole group inside mask is pure and adds nothing
-            pieces = [self._piece_sums(h, gv, local, piece)
-                      for gv, local, piece in self.state.cuts(mask)]
+            pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
             got = self._values[key] = finish(h, product_sums(h, pieces))
         return got
 
@@ -137,23 +133,21 @@ class MarginalCache:
         purities in the spectral sums h's zero rule combines, bit for bit."""
         return marginal_purity(self.state, mask_parties(mask))
 
-    def _piece_sums(
-        self, h: ReducedFunctionSpec, gv: GroupVector, local: int, piece: int
-    ) -> tuple[float, float]:
-        """spectral_sums of the marginal_spectrum of a piece (party mask
-        `piece`, local mask `local` of `gv`), memoized on the GroupVector."""
-        key = (h.kind, h.parameter, gv.key(local))
-        got = gv.sums.get(key)
-        if got is None:
-            lam = marginal_spectrum(self.state, mask_parties(piece))
-            got = gv.sums[key] = spectral_sums(h, lam)
-        return got
-
     def factorization(self) -> FactorDecomposition:
         """finest_factorization of the state, computed on first use."""
         if self._factorization is None:
             self._factorization = finest_factorization(self.state, self)
         return self._factorization
+
+
+def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
+    """spectral_sums of GroupVector.spectrum of a local piece, memoized on
+    the GroupVector."""
+    key = (h.kind, h.parameter, gv.key(local))
+    got = gv.sums.get(key)
+    if got is None:
+        got = gv.sums[key] = spectral_sums(h, gv.spectrum(local))
+    return got
 
 
 def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:

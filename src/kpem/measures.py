@@ -37,13 +37,12 @@ combined purity; no product spectrum is formed.  In particular:
 * X inside one group: evaluate_spectrum of marginal_spectrum of X, bit
   for bit.
 
-Each piece's spectrum is its marginal_spectrum, the SVD of its own
-group's vector (qstate.GroupVector), not of the whole state.  Its squared
-singular values are kept under the side of the group's split that the SVD
-ran on (the smaller, or the piece itself at equal dimensions) and serve
-the piece and its complement in the group; its spectral sums are cached by
-(h, piece) and its purity by piece.  The memos live on the GroupVector
-object, so every state holding that object shares them: the
+Each piece is SVD'd on its own group's vector (qstate.GroupVector), not on
+the whole state.  Its squared singular values are kept under the side of
+the group's split that the SVD ran on (the smaller, or the piece itself at
+equal dimensions) and serve the piece and its complement in the group;
+its spectral sums are cached by (h, piece) and its purity by piece.  The
+memos live on the GroupVector object, so every state holding that object shares them: the
 permuted, regrouped and restricted copies a postulate check makes keep
 the objects of the groups they leave alone, and the named factors (GHZ,
 W, maxent) share one object per shape, keyed by subset size, as their

@@ -310,17 +310,15 @@ class PureState:
             object.__setattr__(self, "vectors", vectors)
         return self.vectors
 
-    def cuts(self, mask: int) -> list[tuple[GroupVector, int, int]]:
-        """(group vector, local mask, party mask) of each piece that `mask`
-        cuts out of a group it meets but does not hold whole, in group
-        order: the marginal on `mask` is the product of these pieces'
-        marginals."""
+    def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
+        """(group vector, local piece) of every group that `mask` meets but
+        does not hold whole, in group order: the marginal on `mask` is the
+        product of these pieces' marginals."""
         out = []
         for g, parties, gv in zip(self.groups, self._parties, self.group_vectors()):
             piece = mask & g
             if piece and piece != g:
-                local = sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)
-                out.append((gv, local, piece))
+                out.append((gv, sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)))
         return out
 
 
@@ -809,7 +807,7 @@ def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
         if piece == g:
             sources.append((g, gv))
         elif piece:
-            (_, local, _), = state.cuts(piece)
+            (_, local), = state.cuts(piece)
             vec = _leading_vector(gv.tensor(), mask_parties(local))
             sources.append((piece, GroupVector(vec, [dims[p] for p in mask_parties(piece)])))
     layout = state.layout.sub_layout(keep)
@@ -864,7 +862,7 @@ def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     _check_party_indices(keep, state.num_parties)
     dim = math.prod(state.layout.dims[p] for p in keep)
     weights = np.ones(1)
-    for gv, local, _ in state.cuts(sum(1 << p for p in keep)):
+    for gv, local in state.cuts(sum(1 << p for p in keep)):
         lam = gv.spectrum(local)
         if lam.size == dim:
             return lam  # `keep` lies inside this group
@@ -894,7 +892,7 @@ def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)
     pur = 1.0
-    for gv, local, _ in state.cuts(sum(1 << p for p in keep)):
+    for gv, local in state.cuts(sum(1 << p for p in keep)):
         pur *= gv.purity(local)
     return pur
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpem import cli, factorize, qstate
+from kpem import cli, qstate
 from kpem.audit import AuditConfig, evaluate_instance, run_suite
 from kpem.factorize import MarginalCache, finest_factorization
 from kpem.measures import MeasureSpec, evaluate_measure
@@ -102,7 +102,7 @@ def assert_engine_matches_oracle(psi):
         lam = density_spectrum(psi, parties)
         assert abs(cache.purity(mask) - float(np.sum(lam * lam))) <= 1e-12, mask
         assert cache.purity(mask) == marginal_purity(psi, parties)
-        for gv, local, _ in psi.cuts(mask):  # one purity per piece, memoized on its group
+        for gv, local in psi.cuts(mask):  # one purity per piece, memoized on its group
             assert gv.purity(local) == spectral_sums(CONCURRENCE, gv.spectrum(local))[0]
         for h in H_KINDS:
             assert abs(cache.h_value(h, mask) - evaluate_spectrum(h, lam)) <= 1e-12, (mask, h)
@@ -171,32 +171,6 @@ def test_permuted_named_product_adds_no_svd(cold_named_groups, svd_shapes):
     after = [evaluate_measure(spec, moved).value for spec in specs]
     assert not svd_shapes
     assert after == pytest.approx(before, abs=1e-12)
-
-
-def test_engine_takes_each_piece_spectrum_through_marginal_spectrum(monkeypatch, svd_shapes):
-    """The engine asks qstate.marginal_spectrum once per piece and h, so a
-    hook on it (perfbench's tracer) sees every spectrum; purities reuse
-    the memoized spectra."""
-    calls = []
-    original = factorize.marginal_spectrum
-
-    def counting(state, keep):
-        calls.append(tuple(keep))
-        return original(state, keep)
-
-    monkeypatch.setattr(factorize, "marginal_spectrum", counting)
-    psi = haar_state(SystemLayout.qubits("ABCD"), np.random.default_rng(7))
-    cache = MarginalCache(psi)
-    for mask in range(1, 15):
-        cache.h_value(ENTROPY, mask)
-    # every proper subset once; the SVD runs on the smaller side, so the
-    # triples reuse the singles' weights
-    assert sorted(calls) == sorted(mask_parties(m) for m in range(1, 15))
-    assert len(svd_shapes) == 10
-    calls.clear()
-    for mask in range(1, 16):
-        cache.purity(mask)
-    assert not calls and len(svd_shapes) == 10
 
 
 # --- pure_restriction ---------------------------------------------------------------
