@@ -42,11 +42,11 @@ the whole state.  Its squared singular values are kept under the side of
 the group's split that the SVD ran on (the smaller, or the piece itself at
 equal dimensions) and serve the piece and its complement in the group;
 its spectral sums are cached by (h, piece) and its purity by piece.  The
-memos live on the GroupVector object, so every state holding that object shares them: the
-permuted, regrouped and restricted copies a postulate check makes keep
-the objects of the groups they leave alone, and the named factors (GHZ,
-W, maxent) share one object per shape, keyed by subset size, as their
-vectors do not change under reordering.
+memos live on the GroupVector object, so every state holding that object
+shares them: the permuted, regrouped and restricted copies a postulate
+check makes keep the objects of the groups they leave alone, and the
+named factors (GHZ, W, maxent) share one object per shape, keyed by
+subset size, as their vectors do not change under reordering.
 
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block

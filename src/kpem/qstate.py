@@ -221,8 +221,8 @@ class GroupVector:
 
 
 # shared GroupVectors of the named factors, one per (kind, size, dimension),
-# for the life of the process.  Their memos hold spectra and spectral sums,
-# which are the same whichever state asks first, so sharing cannot change a
+# for the life of the process.  Their memos hold spectra, purities and
+# spectral sums, which are the same whichever state asks first, so sharing cannot change a
 # value; they grow with the named shapes and h parameters in use.
 _NAMED_GROUPS: dict[tuple, GroupVector] = {}
 
