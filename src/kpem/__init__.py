@@ -16,7 +16,6 @@ from .audit import (
     check_axiom,
     evaluate_instance,
     expected_verdict,
-    replay,
     run_suite,
 )
 from .factorize import Factor, FactorDecomposition, classify, finest_factorization

@@ -273,9 +273,8 @@ def evaluate_instance(variant: MeasureSpec, inst: AxiomInstance) -> InstanceOutc
         )
 
     if inst.axiom == "k_monotone":
-        cache = MarginalCache(psi)
-        hi = evaluate_measure(spec, psi, cache=cache).value
-        lo = evaluate_measure(replace(variant, k=k - 1), psi, cache=cache).value
+        hi = evaluate_measure(spec, psi).value
+        lo = evaluate_measure(replace(variant, k=k - 1), psi).value
         return InstanceOutcome(hi - lo, values=(("at_k", hi), ("at_k_minus_1", lo)))
 
     if inst.axiom == "coarsening_monotone_a":
@@ -316,10 +315,9 @@ def evaluate_instance(variant: MeasureSpec, inst: AxiomInstance) -> InstanceOutc
         return InstanceOutcome(rhs - lhs, values=(("regrouped", lhs), ("dropped", rhs)))
 
     if inst.axiom == "ordering_chain":
-        cache = MarginalCache(psi)
-        prime = evaluate_measure(MeasureSpec("Eprime_k", k, h=variant.h), psi, cache=cache).value
-        fact = evaluate_measure(MeasureSpec("E_k", k, h=variant.h), psi, cache=cache).value
-        bipart = evaluate_measure(MeasureSpec("calE_k", k, h=variant.h), psi, cache=cache).value
+        prime = evaluate_measure(MeasureSpec("Eprime_k", k, h=variant.h), psi).value
+        fact = evaluate_measure(MeasureSpec("E_k", k, h=variant.h), psi).value
+        bipart = evaluate_measure(MeasureSpec("calE_k", k, h=variant.h), psi).value
         return InstanceOutcome(
             max(prime - fact, fact - bipart),
             values=(("min_family", prime), ("factor_sum", fact), ("bipartite_sum", bipart)),
@@ -756,11 +754,6 @@ def check_axiom(
         violations=violations,
         records=records,
     )
-
-
-def replay(variant: MeasureSpec, inst: AxiomInstance) -> InstanceOutcome:
-    """Re-run a single witness; callers compare against the stored margin."""
-    return evaluate_instance(variant, inst)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 
 from .audit import AuditConfig, run_suite
 from .factorize import FactorDecomposition, finest_factorization
-from .measures import (
-    MarginalCache,
-    MeasureResult,
-    MeasureSpec,
-    evaluate_measure,
-    parse_measure,
-)
+from .measures import MeasureResult, MeasureSpec, evaluate_measure, parse_measure
 from .partitions import count_k_fineness, iter_k_fineness, partition_to_text
 from .qstate import (
     AmplitudesFactor,
@@ -311,10 +305,8 @@ def _reference_rows() -> list[tuple[str, StateSpec, str, ReducedFunctionSpec, in
 
 def _cmd_paper_examples(args) -> int:
     rows = _reference_rows()
-    caches: dict[str, MarginalCache] = {}
-    for name, spec, *_ in rows:
-        if name not in caches:
-            caches[name] = MarginalCache(build_state(spec))
+    specs = {name: spec for name, spec, *_ in rows}
+    states = {name: build_state(spec) for name, spec in specs.items()}
     print("built-in reference check: two product states, computed vs quoted values")
     print("  psi = ghz4(ABCD) x w3(EFG) x |0>(H)      phi = w3(ABC) x maxent(DE)")
     print()
@@ -325,9 +317,9 @@ def _cmd_paper_examples(args) -> int:
     matches = 0
     details: list[str] = []
     for name, _spec, kind, h, k, expected in rows:
-        state = caches[name].state
+        state = states[name]
         mspec = MeasureSpec(kind, k, h=h)
-        result = evaluate_measure(mspec, state, cache=caches[name])
+        result = evaluate_measure(mspec, state)
         label = mspec.name
         ok = abs(result.value - expected) <= 1e-9
         matches += ok

@@ -3,19 +3,24 @@
 Each of the state's groups (PureState.groups, across which the amplitudes
 are a tensor product) is split on its own, by repeatedly taking the
 smallest subset of its unassigned parties whose marginal is pure (by
-subset size, then lexicographic on the original party indices).  Purities
-come from the per-state marginal engine, MarginalCache, which lives here
-so that kpem.measures can import it without a cycle: they are keyed by
-party bitmask (bit i is party i) and taken on the group's own vector
+subset size, then lexicographic on the original party indices).  The
+purities are qstate.marginal_purity, taken on the group's own vector
 (PureState.group_vectors), so no remainder state is ever formed, and they
-are the numbers h's zero rule reads (MarginalCache.purity).  A block that
-is a whole group is that group's vector, with no SVD; a block cut out of a
-group is the leading singular vector of its group vector's split, with no
-purity taken a second time (qstate._restriction).  The reconstruction
-fidelity check is the safety net.  A state with no split is its own single
-factor.  Minimality makes every multi-party factor genuinely entangled: a
-pure proper sub-marginal would have been found at a smaller size first.
-The producibility is the size of the largest factor.
+are the numbers h's zero rule reads.  A factor is its parties and a
+classification; its own state is pure_restriction(state, f.parties).
+The reconstruction fidelity check multiplies the factors' own vectors
+(qstate._own_vectors): a block that is a whole group is that group's
+vector, with no SVD, and a block cut out of a group is the leading
+singular vector of its group vector's split.  Minimality makes every
+multi-party factor genuinely entangled: a pure proper sub-marginal would
+have been found at a smaller size first.  The producibility is the size
+of the largest factor.
+
+This module also holds the per-state marginal engine, MarginalCache, so
+that kpem.measures can import it without a cycle.  Its memo lives on the
+state (PureState._memo): h values by (h kind, parameter, party bitmask)
+and the state's finest factorization.  A MarginalCache is a free view of
+that memo, so every evaluation on the same state shares it.
 
 Scanning up to half of a group's remaining parties is enough: a group's
 marginal is pure and peeling a pure subset off it leaves a pure rest, so a
@@ -51,7 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -64,8 +68,8 @@ from .qstate import (
     PURITY_TOL,
     GroupVector,
     marginal_purity,
+    _own_vectors,
     _product_vector,
-    _restriction,
     _split,
 )
 from .redfun import ReducedFunctionSpec, finish, product_sums, spectral_sums
@@ -77,7 +81,6 @@ GENUINE = "genuinely_entangled"
 @dataclass(frozen=True)
 class Factor:
     parties: tuple[int, ...]   # global party indices, ascending
-    state: PureState
     classification: str
 
     @property
@@ -102,29 +105,35 @@ class FactorDecomposition:
         return Partition.of([f.parties for f in self.factors])
 
 
+_FACTORIZATION = "factorization"  # memo key; h values are keyed by tuples
+
+
 class MarginalCache:
-    """Per-state marginal engine: h values and purities keyed by party
-    bitmask (bit i is party i), h formed from the pieces a mask cuts out of
-    the state's groups (see kpem.measures), plus the state's finest
-    factorization.  A piece's spectral sums and purity are memoized on its
-    GroupVector, so every state holding that object shares them, and each
-    piece is SVD'd once, for the factorization and for h together."""
+    """The marginal engine of one state: h values and purities keyed by
+    party bitmask (bit i is party i), h formed from the pieces a mask cuts
+    out of the state's groups (see kpem.measures), plus the state's finest
+    factorization.  h values and the factorization are memoized on the
+    state (PureState._memo), so a new view of the same state reuses them.
+    A piece's spectral sums and purity are memoized on its GroupVector, so
+    every state holding that object shares them, and each piece is SVD'd
+    once, for the factorization and for h together."""
+
+    __slots__ = ("state", "_memo")
 
     def __init__(self, state: PureState):
         self.state = state
-        self._values: dict[tuple, float] = {}
-        self._factorization: Optional[FactorDecomposition] = None
+        self._memo = state._memo
 
     def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
         """h of the marginal on `mask`, from the raw spectral sums of the
         pieces it cuts out of the groups (redfun.product_sums); the purity
         threshold is applied once, at the end (redfun.finish)."""
         key = (h.kind, h.parameter, mask)
-        got = self._values.get(key)
+        got = self._memo.get(key)
         if got is None:
             # a whole group inside mask is pure and adds nothing
             pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
-            got = self._values[key] = finish(h, product_sums(h, pieces))
+            got = self._memo[key] = finish(h, product_sums(h, pieces))
         return got
 
     def purity(self, mask: int) -> float:
@@ -135,9 +144,10 @@ class MarginalCache:
 
     def factorization(self) -> FactorDecomposition:
         """finest_factorization of the state, computed on first use."""
-        if self._factorization is None:
-            self._factorization = finest_factorization(self.state, self)
-        return self._factorization
+        got = self._memo.get(_FACTORIZATION)
+        if got is None:
+            got = self._memo[_FACTORIZATION] = finest_factorization(self.state)
+        return got
 
 
 def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
@@ -150,27 +160,16 @@ def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[fl
     return got
 
 
-def _cache_for(state: PureState, cache: Optional[MarginalCache]) -> MarginalCache:
-    if cache is None:
-        return MarginalCache(state)
-    if cache.state is not state:
-        raise ValueError("cache belongs to a different state")
-    return cache
-
-
-def finest_factorization(
-    state: PureState, cache: Optional[MarginalCache] = None
-) -> FactorDecomposition:
+def finest_factorization(state: PureState) -> FactorDecomposition:
     """Decompose into the finest tuple of pure tensor factors.
 
-    Purities come from `cache` (a MarginalCache of `state`, new when None),
-    so a factor-family evaluation SVDs each subset once.  Factors are
-    reported in ascending order of their first party.  The tensor product
-    of the factors must reproduce the input with fidelity at least
-    1 - 1e-8, otherwise the tolerance story has broken down and a
-    NumericalContractError is raised.
+    Computed afresh on every call; MarginalCache.factorization memoizes it
+    on the state.  Factors are reported in ascending order of their first
+    party.  The tensor product of the factors' own vectors must reproduce
+    the input with fidelity at least 1 - 1e-8, otherwise the tolerance
+    story has broken down and a NumericalContractError is raised.
     """
-    cache = _cache_for(state, cache)
+    cache = MarginalCache(state)
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
 
     def is_pure(mask: int) -> bool:
@@ -201,24 +200,16 @@ def finest_factorization(
             blocks.append(mask_parties(found))
             left ^= found
 
-    if len(blocks) == 1:
-        factors = [(blocks[0], state)]
-    else:
-        # each block was found pure (or is a pure rest): read its vector off
-        factors = [(parties, _restriction(state, parties)) for parties in sorted(blocks)]
-    fid = _reconstruction_fidelity(state, factors)
+    blocks.sort()
+    fid = _reconstruction_fidelity(state, blocks)
     if not fid >= 1.0 - FIDELITY_TOL:
         raise NumericalContractError(
             f"factor reconstruction fidelity {fid} below {1.0 - FIDELITY_TOL}"
         )
     return FactorDecomposition(
         factors=tuple(
-            Factor(
-                parties=parties,
-                state=fs,
-                classification=GENUINE if len(parties) >= 2 else SINGLE,
-            )
-            for parties, fs in factors
+            Factor(parties=parties, classification=GENUINE if len(parties) >= 2 else SINGLE)
+            for parties in blocks
         ),
         fidelity=fid,
     )
@@ -255,13 +246,13 @@ def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):
                 yield own
 
 
-def _reconstruction_fidelity(
-    state: PureState, factors: list[tuple[tuple[int, ...], PureState]]
-) -> float:
+def _reconstruction_fidelity(state: PureState, blocks: list[tuple[int, ...]]) -> float:
+    """|<tensor product of the blocks' own vectors|state>|^2."""
+    pieces = [
+        piece for parties in blocks for piece in _own_vectors(state, sum(1 << p for p in parties))
+    ]
     rec = _product_vector(
-        state.layout.dims,
-        [sum(1 << p for p in parties) for parties, _ in factors],
-        [fs.amplitudes for _, fs in factors],
+        state.layout.dims, [mask for mask, _ in pieces], [gv.vector for _, gv in pieces]
     )
     return float(abs(np.vdot(rec, state.amplitudes)) ** 2)
 

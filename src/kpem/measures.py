@@ -17,12 +17,13 @@ Three families:
 
 Every family goes through one per-state engine, MarginalCache (defined in
 kpem.factorize, whose scan it serves too): h values and purities keyed by
-party bitmask (bit i is party i), and the memoized finest factorization.
-The factorization takes its purities from the engine and a factor's
-quantities are read off the marginals of the whole state, so one cache
-serves every measure and every k evaluated on the same state.  Party
-subsets stay bitmasks throughout; they become party tuples only where a
-spectrum is taken and in the reported witnesses and breakdowns.
+party bitmask (bit i is party i), and the finest factorization.  The
+engine's memo lives on the state itself, so every measure and every k
+evaluated on the same state share it, with nothing for the caller to
+pass.  The factorization's purities are the engine's, and a factor's
+quantities are read off the marginals of the whole state.  Party subsets
+stay bitmasks throughout; they become party tuples only where a spectrum
+is taken and in the reported witnesses and breakdowns.
 
 h is formed from the state's groups (PureState.groups), across which the
 amplitudes are a tensor product, so the marginal on X is the product of
@@ -72,7 +73,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .factorize import FactorDecomposition, MarginalCache, _cache_for
+from .factorize import FactorDecomposition, MarginalCache
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
 from .qstate import DensityMatrix, PureState
 from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun
@@ -226,14 +227,12 @@ def unified_mem(kind: str, h: ReducedFunctionSpec, state: PureState) -> float:
 # --- factor family -------------------------------------------------------------
 
 
-def measure_factor_family(
-    spec: MeasureSpec, state: PureState, cache: Optional[MarginalCache] = None
-) -> MeasureResult:
+def measure_factor_family(spec: MeasureSpec, state: PureState) -> MeasureResult:
     """Sum the unified quantity of every factor with at least k parties;
     a factor's marginals are marginals of the whole state, so they come
     from the same cache as the factorization."""
     _check_k(spec.k, state.num_parties)
-    cache = _cache_for(state, cache)
+    cache = MarginalCache(state)
     dec = cache.factorization()
     unified = "additive" if spec.kind == "E_k" else "bipartite_sum"
     h = spec.reduced_function()
@@ -355,10 +354,7 @@ def _near_minimal(kind: str, values: list[float], n: int, b: int) -> tuple:
 
 
 def measure_min_family(
-    spec: MeasureSpec,
-    state: PureState,
-    cache: Optional[MarginalCache] = None,
-    unsafe_large: bool = False,
+    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
 ) -> MeasureResult:
     """Minimize the per-partition score over all partitions with blocks of
     at most k-1 parties, by the subset DP and bounded DFS of `_near_minimal`.
@@ -375,8 +371,7 @@ def measure_min_family(
             f"|Gamma_{k - 1}| for {n} parties exceeds {PARTITION_COUNT_CAP}; "
             "pass unsafe_large=True to override"
         )
-    cache = _cache_for(state, cache)
-    values = _h_by_mask(cache, spec.reduced_function(), n, k - 1)
+    values = _h_by_mask(MarginalCache(state), spec.reduced_function(), n, k - 1)
     best, _, blocks = _near_minimal(kind, values, n, k - 1)
     # the DFS adds blocks by their lowest party, so they are canonical
     witness = Partition._trusted(tuple(mask_parties(block) for block in blocks))
@@ -409,10 +404,7 @@ def _mask_table(n: int, b: int) -> tuple[np.ndarray, float]:
 
 
 def measure_geometric_family(
-    spec: MeasureSpec,
-    state: PureState,
-    cache: Optional[MarginalCache] = None,
-    unsafe_large: bool = False,
+    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
 ) -> MeasureResult:
     """Geometric-mean family over the same bounded-block partition family.
 
@@ -429,8 +421,7 @@ def measure_geometric_family(
             f"geometric family capped at {GEOMETRIC_PARTY_CAP} parties; "
             "pass unsafe_large=True to override"
         )
-    cache = _cache_for(state, cache)
-    values = np.array(_h_by_mask(cache, spec.reduced_function(), n, spec.k - 1))
+    values = np.array(_h_by_mask(MarginalCache(state), spec.reduced_function(), n, spec.k - 1))
     table, log_blocks = _mask_table(n, spec.k - 1)
     sums = values[table[0]]
     for blocks in table[1:]:  # one block at a time keeps the temporaries small
@@ -453,16 +444,13 @@ def _check_k(k: int, n: int) -> None:
 
 
 def evaluate_measure(
-    spec: MeasureSpec,
-    state: PureState,
-    cache: Optional[MarginalCache] = None,
-    unsafe_large: bool = False,
+    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
 ) -> MeasureResult:
     if spec.family == FACTOR:
-        return measure_factor_family(spec, state, cache)
+        return measure_factor_family(spec, state)
     if spec.family == MIN:
-        return measure_min_family(spec, state, cache, unsafe_large=unsafe_large)
-    return measure_geometric_family(spec, state, cache, unsafe_large=unsafe_large)
+        return measure_min_family(spec, state, unsafe_large=unsafe_large)
+    return measure_geometric_family(spec, state, unsafe_large=unsafe_large)
 
 
 def parse_measure(text: str, k: int, h: Optional[ReducedFunctionSpec] = None) -> MeasureSpec:

@@ -15,13 +15,19 @@ dimension).  The party-wise operations carry the groups and their vectors
 along (see _carry), so a permuted, regrouped or restricted copy of a state
 holds the same GroupVector objects for the groups it leaves alone.  A
 state built without vectors reads each group's vector once, on first use.
+Each state also holds the memo of its marginal engine (PureState._memo,
+see kpem.factorize.MarginalCache).
 
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
 pieces' marginals.  A piece's spectrum is the SVD of its own group
 vector's split (GroupVector.spectrum), memoized on the GroupVector, so
 every state holding the same object shares it; a union of whole groups is
-exactly pure.
+exactly pure.  A pure marginal's own state is the product of the pieces'
+own vectors (_own_vectors): a group kept whole is its GroupVector, with
+no SVD, and a cut piece is its group vector's leading singular vector.
+pure_restriction wraps them in a state, and the factorization's
+reconstruction check multiplies them.
 
 All tolerance constants live here.  "This marginal is pure" is decided
 by one number, marginal_purity: the product of the cut pieces' purities,
@@ -168,8 +174,10 @@ class GroupVector:
     The memo lives on the object and serves every state holding it:
     `weights` maps an SVD'd side (a local mask) to its squared singular
     values, `purities` maps the key of a local piece to its purity, and
-    `sums` is filled by the marginal engine (kpem.factorize.MarginalCache)
-    with redfun.spectral_sums by (h kind, parameter, key of the local piece).
+    `sums` maps (h kind, parameter, key of the local piece) to the piece's
+    redfun.spectral_sums, filled by the marginal engine
+    (kpem.factorize.MarginalCache).  The per-state memo of the h values
+    these combine into lives on each PureState.
     """
 
     __slots__ = ("vector", "dims", "symmetric", "weights", "purities", "sums")
@@ -239,6 +247,11 @@ class PureState:
     when None they are read off the amplitudes on first use
     (group_vectors).  States compare and hash by identity, as arrays have
     no truth value.
+
+    Each state carries the memo of its marginal engine (`_memo`, read and
+    filled through kpem.factorize.MarginalCache): h values by (h kind,
+    parameter, party bitmask) and the finest factorization.  Nothing in it
+    refers back to the state, so a state is freed as soon as it is dropped.
     """
 
     layout: SystemLayout
@@ -274,6 +287,7 @@ class PureState:
                     raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
             object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
         object.__setattr__(self, "_parties", tuple(map(mask_parties, self.groups)))
+        object.__setattr__(self, "_memo", {})  # kpem.factorize.MarginalCache's memo
         if not np.all(np.isfinite(amp)):
             raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
@@ -780,26 +794,30 @@ def _leading_vector(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 
 def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
-    """The kept parties' own pure state, or None when their marginal is
-    mixed: marginal_purity below 1 - PURITY_TOL, the same number the
-    factorization and h's threshold decide by."""
+    """The kept parties' own pure state, phase-fixed by canonical_phase, or
+    None when their marginal is mixed: marginal_purity below
+    1 - PURITY_TOL, the same number the factorization and h's threshold
+    decide by.  Its groups are the pieces `keep` takes from the state's
+    groups, with their own vectors (_own_vectors)."""
     if marginal_purity(state, keep) < 1.0 - PURITY_TOL:
         return None
-    return _restriction(state, keep)
-
-
-def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
-    """The kept parties' state, read off without deciding whether their
-    marginal is pure, phase-fixed by canonical_phase.  The marginal of a
-    product is the product of the pieces' marginals, so when it is pure the
-    kept state is the product of the pieces' own states: a group kept whole
-    keeps its GroupVector, with no SVD, and a piece cut out of a group is
-    the leading left singular vector of its group vector's split, one SVD
-    per group cut.
-    """
     keep = sorted(keep)
-    _check_party_indices(keep, state.num_parties)
-    mask = sum(1 << p for p in keep)
+    layout = state.layout.sub_layout(keep)
+    sources = _own_vectors(state, sum(1 << p for p in keep))
+    groups, vectors = _carry(sources, [(p,) for p in keep], state.layout.dims)
+    amp = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
+    return PureState(layout, canonical_phase(amp), groups=groups, vectors=vectors)
+
+
+def _own_vectors(state: PureState, mask: int) -> list[tuple[int, GroupVector]]:
+    """(party mask, GroupVector) of every piece `mask` takes from the
+    state's groups, in group order: the pieces' own states, read off
+    without deciding whether their marginals are pure.  The marginal of a
+    product is the product of the pieces' marginals, so when it is pure the
+    kept state is the product of these.  A group kept whole gives its own
+    GroupVector, with no SVD; a piece cut out of a group gives the leading
+    left singular vector of its group vector's split, one SVD per piece.
+    """
     dims = state.layout.dims
     sources = []
     for g, gv in _sources(state):
@@ -810,10 +828,7 @@ def _restriction(state: PureState, keep: Sequence[int]) -> PureState:
             (_, local), = state.cuts(piece)
             vec = _leading_vector(gv.tensor(), mask_parties(local))
             sources.append((piece, GroupVector(vec, [dims[p] for p in mask_parties(piece)])))
-    layout = state.layout.sub_layout(keep)
-    groups, vectors = _carry(sources, [(p,) for p in keep], dims)
-    amp = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
-    return PureState(layout, canonical_phase(amp), groups=groups, vectors=vectors)
+    return sources
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:

@@ -18,11 +18,11 @@ from kpem.audit import (
     DEFAULT_VARIANTS,
     REPLAY_TOL,
     AuditConfig,
+    evaluate_instance,
     random_product_spec,
-    replay,
     run_suite,
 )
-from kpem.measures import MarginalCache, MeasureSpec, evaluate_measure
+from kpem.measures import MeasureSpec, evaluate_measure
 from kpem.partitions import (
     bell_number,
     count_k_fineness,
@@ -57,11 +57,10 @@ PHI = StateSpec((WFactor(("A", "B", "C")), MaxEntFactor(("D", "E"))))
 
 
 def _values(spec_rows, state):
-    cache = MarginalCache(state)
     out = []
     for kind, h, k, expected in spec_rows:
         mspec = MeasureSpec(kind, k) if h is None else MeasureSpec(kind, k, h=h)
-        got = evaluate_measure(mspec, state, cache=cache).value
+        got = evaluate_measure(mspec, state).value
         out.append((kind, k, got, expected))
     return out
 
@@ -240,16 +239,15 @@ def test_c5_ordering_chain_on_seeded_product_states():
         rng = np.random.default_rng([20240805, i])
         spec = random_product_spec(rng, 3 + i % 6)
         state = build_state(spec)
-        cache = MarginalCache(state)
         n = state.num_parties
         for h in (ENTROPY, CONCURRENCE):
             for k in range(2, n + 1):
                 prime = evaluate_measure(
-                    MeasureSpec("Eprime_k", k, h=h), state, cache=cache).value
+                    MeasureSpec("Eprime_k", k, h=h), state).value
                 fact = evaluate_measure(
-                    MeasureSpec("E_k", k, h=h), state, cache=cache).value
+                    MeasureSpec("E_k", k, h=h), state).value
                 bipart = evaluate_measure(
-                    MeasureSpec("calE_k", k, h=h), state, cache=cache).value
+                    MeasureSpec("calE_k", k, h=h), state).value
                 checked += 1
                 if prime - fact > 1e-9 or fact - bipart > 1e-9:
                     violations += 1
@@ -280,12 +278,11 @@ def test_c6_positivity_vanishing_threshold():
 
     for spec, producibility in cases:
         state = build_state(spec)
-        cache = MarginalCache(state)
         n = state.num_parties
         for h in (ENTROPY, CONCURRENCE):
             for k in range(2, n + 1):
                 value = evaluate_measure(
-                    MeasureSpec("Eprime_k", k, h=h), state, cache=cache).value
+                    MeasureSpec("Eprime_k", k, h=h), state).value
                 assert (value > 1e-9) == (k <= producibility), \
                     (spec, h.kind, k, value)
     _report("6", f"threshold exact on {len(cases)} states, both h, all k")
@@ -344,7 +341,7 @@ def test_c7_audit_matrix_with_replayable_witnesses():
     for check in report.checks:
         if check.verdict != "violated":
             continue
-        out = replay(variants[check.variant], check.witness)
+        out = evaluate_instance(variants[check.variant], check.witness)
         assert out.margin == pytest.approx(check.worst_margin, abs=REPLAY_TOL)
         replayed += 1
     assert replayed >= 20

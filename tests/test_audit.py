@@ -23,7 +23,6 @@ from kpem.audit import (
     evaluate_instance,
     expected_verdict,
     random_product_spec,
-    replay,
     run_suite,
     seeded_instances,
     tight_b_condition,
@@ -89,7 +88,7 @@ def test_violated_checks_have_replayable_witnesses(small_report):
         # round-trip through the serialized record, as a stored witness would
         stored = json.loads(json.dumps(check.witness.to_dict()))
         inst = AxiomInstance.from_dict(stored)
-        out = replay(VARIANTS[check.variant], inst)
+        out = evaluate_instance(VARIANTS[check.variant], inst)
         assert not out.skipped
         assert out.margin == pytest.approx(check.worst_margin, abs=REPLAY_TOL)
 
@@ -359,7 +358,7 @@ def test_accepted_instance_documents_replay(axiom, k, states, extra):
         return
     for variant in (VARIANTS["E[entropy]"], VARIANTS["C"]):
         try:
-            out = replay(variant, inst)
+            out = evaluate_instance(variant, inst)
         except ValueError:
             continue
         assert out.skipped or out.margin is not None

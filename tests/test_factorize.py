@@ -31,6 +31,7 @@ from kpem.qstate import (
     pure_restriction,
     random_pure,
     reduced_density,
+    _product_vector,
 )
 from kpem.qstate import purity as density_purity
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
@@ -111,9 +112,10 @@ def test_factor_states_reproduce_marginals():
     dec = finest_factorization(psi)
     w_factor = dec.factors[0]
     assert w_factor.parties == (0, 1, 2)
-    # factor state is the exact W vector up to global phase
+    # the factor's own state is the exact W vector up to global phase
     w_ref = build_state(StateSpec((WFactor(("A", "B", "C")),)))
-    assert abs(np.vdot(w_factor.state.amplitudes, w_ref.amplitudes)) == pytest.approx(1.0)
+    w_state = pure_restriction(psi, w_factor.parties)
+    assert abs(np.vdot(w_state.amplitudes, w_ref.amplitudes)) == pytest.approx(1.0)
 
 
 def test_qudit_product():
@@ -160,8 +162,7 @@ def scan_factorization(state):
     remaining parties, no pair links, no groups, deciding by
     marginal_purity, which is checked against the purity of the density
     matrix (qstate.purity of reduced_density) within 1e-12 on every subset
-    visited.  Returns (blocks,
-    classifications, factor amplitudes, fidelity) in the form
+    visited.  Returns (blocks, classifications, fidelity) in the form
     finest_factorization reports them."""
 
     def is_pure(sub):
@@ -179,15 +180,11 @@ def scan_factorization(state):
         )
         blocks.append(found)
         remaining = tuple(p for p in remaining if p not in found)
-    if len(blocks) == 1:
-        factors = [(blocks[0], state)]
-    else:
-        factors = [(b, pure_restriction(state, b)) for b in sorted(blocks)]
+    blocks.sort()
     return (
-        [b for b, _ in factors],
-        [GENUINE if len(b) >= 2 else SINGLE for b, _ in factors],
-        [fs.amplitudes.tobytes() for _, fs in factors],
-        factorize._reconstruction_fidelity(state, factors),
+        blocks,
+        [GENUINE if len(b) >= 2 else SINGLE for b in blocks],
+        factorize._reconstruction_fidelity(state, blocks),
     )
 
 
@@ -196,7 +193,6 @@ def assert_matches_scan(state):
     got = (
         [f.parties for f in dec.factors],
         [f.classification for f in dec.factors],
-        [f.state.amplitudes.tobytes() for f in dec.factors],
         dec.fidelity,
     )
     assert got == scan_factorization(state)
@@ -242,16 +238,18 @@ def test_planted_blocks_and_shared_engine(planted):
     assert [f.parties for f in dec.factors] == blocks
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
 
-    cache = MarginalCache(psi)
+    # a copy holding the same groups and vectors, with an empty engine memo
+    copy = PureState(psi.layout, psi.amplitudes, groups=psi.groups, vectors=psi.group_vectors())
     for k in range(2, psi.num_parties + 1):
         for kind, unified in (("E_k", "additive"), ("calE_k", "bipartite_sum")):
             for h in (ENTROPY, CONCURRENCE):
                 spec = MeasureSpec(kind, k, h=h)
-                shared = evaluate_measure(spec, psi, cache=cache).value
-                fresh = evaluate_measure(spec, psi).value
+                shared = evaluate_measure(spec, psi).value
+                fresh = evaluate_measure(spec, copy).value
                 # the factor-state route: each factor evaluated on its own
                 per_factor = sum(
-                    unified_mem(unified, h, f.state) for f in dec.factors if f.size >= k
+                    unified_mem(unified, h, pure_restriction(psi, f.parties))
+                    for f in dec.factors if f.size >= k
                 )
                 tol = 1e-12 * max(1.0, abs(fresh))
                 assert shared == pytest.approx(fresh, abs=tol)
@@ -357,11 +355,15 @@ def test_grouped_scan_matches_scan(grouped_family, scan_calls):
 
 
 def test_carried_groups_reconstruct_the_amplitudes(grouped_family):
-    """Each state is the tensor product of its groups' own states."""
+    """Each state is the tensor product of its groups' own states, and of
+    the own vectors the factorization's fidelity check multiplies."""
     for name, psi in grouped_family:
-        pieces = [(mask_parties(g), pure_restriction(psi, mask_parties(g))) for g in psi.groups]
-        assert all(fs is not None for _, fs in pieces), name
-        fid = factorize._reconstruction_fidelity(psi, pieces)
+        blocks = [mask_parties(g) for g in psi.groups]
+        states = [pure_restriction(psi, b) for b in blocks]
+        assert all(fs is not None for fs in states), name
+        rec = _product_vector(psi.layout.dims, psi.groups, [fs.amplitudes for fs in states])
+        assert abs(np.vdot(rec, psi.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12), name
+        fid = factorize._reconstruction_fidelity(psi, blocks)
         assert fid == pytest.approx(1.0, abs=1e-12), name
 
 
@@ -459,6 +461,6 @@ def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
 def test_decompositions_compare_without_raising():
     psi = build_state(StateSpec((MaxEntFactor(("A", "B")), GhzFactor(("C", "D", "E")))))
     dec, again = finest_factorization(psi), finest_factorization(psi)
-    # the factor states are new objects each time, and states compare by identity
-    assert dec == dec and dec != again and dec.factors[0] != again.factors[0]
-    assert hash(dec) == hash(dec)
+    # factors hold parties and classifications only, so they compare by value
+    assert dec == again and dec is not again and dec.factors[0] == again.factors[0]
+    assert hash(dec) == hash(again)

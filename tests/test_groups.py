@@ -225,7 +225,6 @@ def test_factorization_reads_whole_groups_without_svd(cold_named_groups, svd_sha
     )))
     dec = finest_factorization(psi)
     assert [f.parties for f in dec.factors] == [(0, 1, 2), (3, 4)]
-    assert [f.state.group_vectors() for f in dec.factors] == [(v,) for v in psi.group_vectors()]
     # the scan's purities: a GHZ3 single, and D and E on their own
     assert len(svd_shapes) == 3
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)

@@ -30,6 +30,7 @@ from kpem.qstate import (
     DensityMatrix,
     GhzFactor,
     MaxEntFactor,
+    PureState,
     StateSpec,
     SystemLayout,
     WFactor,
@@ -144,7 +145,6 @@ def test_unified_mem_w3():
 
 def test_min_family_ghz3():
     psi = ghz3()
-    cache = MarginalCache(psi)
     cases = [
         (MeasureSpec("Eprime_k", 2, h=ENTROPY), 1.5),
         (MeasureSpec("Eprime_k", 2, h=CONCURRENCE), 1.5),
@@ -153,7 +153,7 @@ def test_min_family_ghz3():
         (MeasureSpec("Calpha_k", 2, parameter=A5), math.sqrt(S2 - 1)),
     ]
     for spec, want in cases:
-        res = evaluate_measure(spec, psi, cache=cache)
+        res = evaluate_measure(spec, psi)
         assert res.value == pytest.approx(want, abs=1e-12), spec.kind
         assert res.witness == Partition.singletons(range(3))
 
@@ -237,7 +237,7 @@ def test_min_family_witness_recomputes():
         MeasureSpec("C_k", 3),
         MeasureSpec("Cq_k", 4, parameter=Q2),
     ):
-        res = evaluate_measure(spec, psi, cache=cache)
+        res = evaluate_measure(spec, psi)
         assert res.witness.fineness <= spec.k - 1
         assert res.witness.parties == tuple(range(8))
         terms = res.breakdown["terms"]
@@ -479,11 +479,10 @@ def test_k_monotonicity_of_summing_families():
         GhzFactor(("A", "B", "C", "D")),
         WFactor(("E", "F", "G")),
     )))
-    cache = MarginalCache(psi)
     for kind, h in (("E_k", ENTROPY), ("calE_k", ENTROPY),
                     ("Eprime_k", ENTROPY), ("Eprime_k", CONCURRENCE)):
         values = [
-            evaluate_measure(MeasureSpec(kind, k, h=h), psi, cache=cache).value
+            evaluate_measure(MeasureSpec(kind, k, h=h), psi).value
             for k in range(2, 8)
         ]
         for lo, hi in zip(values[1:], values):
@@ -497,11 +496,10 @@ def test_ordering_chain_on_examples():
         random_pure(SystemLayout.qubits("ABCDE"), seed=5),
     ]
     for psi in states:
-        cache = MarginalCache(psi)
         for h in (ENTROPY, CONCURRENCE):
             for k in range(2, psi.num_parties + 1):
                 prime = evaluate_measure(
-                    MeasureSpec("Eprime_k", k, h=h), psi, cache=cache).value
+                    MeasureSpec("Eprime_k", k, h=h), psi).value
                 fact = evaluate_measure(MeasureSpec("E_k", k, h=h), psi).value
                 bipart = evaluate_measure(MeasureSpec("calE_k", k, h=h), psi).value
                 assert prime <= fact + 1e-9
@@ -531,31 +529,68 @@ def test_minimal_partition_fineness_report():
 # --- caches and caps --------------------------------------------------------------------
 
 
-def test_cache_must_match_state():
-    a = ghz3()
-    b = build_state(StateSpec((WFactor(("A", "B", "C")),)))
-    with pytest.raises(ValueError, match="different state"):
-        evaluate_measure(MeasureSpec("Eprime_k", 2, h=ENTROPY), a, cache=MarginalCache(b))
-
-
-def test_cache_factorizes_once(monkeypatch):
+def test_evaluations_share_the_state_memo(monkeypatch, cold_named_groups, svd_shapes):
+    """Plain evaluate_measure calls on one state share the engine memo on
+    the state: E and calE at every k factorize it once, and a second pass
+    takes no SVD and forms no h from its pieces again."""
     from kpem import factorize
 
     calls = []
     original = factorize.finest_factorization
 
-    def counting(state, cache=None):
-        calls.append(state)
-        return original(state, cache)
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    piece_sums = []
+    original_sums = factorize._piece_sums
+
+    def counting_sums(*args):
+        piece_sums.append(args)
+        return original_sums(*args)
 
     monkeypatch.setattr(factorize, "finest_factorization", counting)
+    monkeypatch.setattr(factorize, "_piece_sums", counting_sums)
     psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
-    cache = MarginalCache(psi)
-    for k in range(2, 6):
-        for kind in ("E_k", "calE_k"):
-            res = evaluate_measure(MeasureSpec(kind, k, h=ENTROPY), psi, cache=cache)
-            assert res.witness is cache.factorization()
+    specs = [MeasureSpec(kind, k, h=h) for h in (ENTROPY, CONCURRENCE)
+             for k in range(2, 6) for kind in ("E_k", "calE_k")]
+    first = [evaluate_measure(spec, psi) for spec in specs]
+    assert svd_shapes and piece_sums
+    svd_shapes.clear()
+    piece_sums.clear()
+    again = [evaluate_measure(spec, psi) for spec in specs]
+    assert svd_shapes == [] and piece_sums == []
     assert calls == [psi]
+    dec = MarginalCache(psi).factorization()
+    assert all(a.witness is b.witness is dec for a, b in zip(first, again))
+    assert [a.value for a in again] == [b.value for b in first]
+
+
+def test_engine_memo_holds_no_reference_cycle():
+    """Nothing in a state's memo refers back to the state, so with the
+    cyclic collector off a state is freed as soon as its last reference
+    goes, after E has memoized its decomposition (one factor, the whole
+    state) and its h values."""
+    import gc
+    import weakref
+
+    makers = (
+        lambda: build_state(StateSpec((GhzFactor(("A", "B", "C", "D")),))),
+        lambda: random_pure(SystemLayout.qubits("ABCDE"), seed=4),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in makers:
+            psi = make()
+            assert evaluate_measure(MeasureSpec("E_k", 2, h=ENTROPY), psi).value > 0.0
+            assert MarginalCache(psi).factorization().genuine
+            ref = weakref.ref(psi)
+            del psi
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
@@ -654,11 +689,13 @@ def test_rank_deficient_marginal_has_no_round_off_weights():
 
 
 def test_cache_gives_identical_values():
+    """A value read back from a state's memo equals the same value computed
+    afresh on a new state with the same amplitudes."""
     psi = random_pure(SystemLayout.qubits("ABCDE"), seed=9)
-    cache = MarginalCache(psi)
     spec = MeasureSpec("C_k", 3)
-    assert evaluate_measure(spec, psi, cache=cache).value == \
-        evaluate_measure(spec, psi).value
+    first = evaluate_measure(spec, psi).value
+    assert evaluate_measure(spec, psi).value == first
+    assert evaluate_measure(spec, PureState(psi.layout, psi.amplitudes)).value == first
 
 
 def test_geometric_party_cap():
