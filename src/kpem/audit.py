@@ -31,6 +31,7 @@ EXPECTED_MATRIX for the full verdict profile the default suite asserts.
 from __future__ import annotations
 
 import math
+import os
 import string
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -851,28 +852,58 @@ class AuditReport:
             yield from c.records
 
 
+def _run_cell(config: AuditConfig, axiom: str, variant: MeasureSpec) -> AxiomCheck:
+    """One (postulate, measure) cell from its own seeded stream; it reads no
+    other cell's work, so cells may run in any process and any order."""
+    ai, vi = AXIOMS.index(axiom), [v.name for v in DEFAULT_VARIANTS].index(variant.name)
+    rng = np.random.default_rng([config.master_seed, ai, vi])
+    stream = chain(seeded_instances(axiom, variant), _RANDOM_STREAMS[axiom](rng))
+    check = check_axiom(
+        axiom, variant, stream,
+        target=config.instances_per_check,
+        threshold=config.threshold,
+    )
+    if axiom == "tight_coarsening_monotone_b_k3plus" and variant.kind == "Eprime_k":
+        h_last, h_first, h_pair, ok = tight_b_condition(variant.h)
+        check.notes = (
+            "merge-family ordering h(last single) >= h(first single) > "
+            f"h(first pair): {h_last:.6f} >= {h_first:.6f} > {h_pair:.6f} "
+            f"-> {'realized' if ok else 'NOT realized'}"
+        )
+    return check
+
+
 def run_suite(config: AuditConfig = AuditConfig()) -> AuditReport:
-    """The full matrix; deterministic given the config."""
-    checks: list[AxiomCheck] = []
-    variant_names = [v.name for v in DEFAULT_VARIANTS]
-    for axiom in config.axioms:
-        for variant in config.variants:
-            if expected_verdict(axiom, variant.name) is None:
-                continue
-            ai, vi = AXIOMS.index(axiom), variant_names.index(variant.name)
-            rng = np.random.default_rng([config.master_seed, ai, vi])
-            stream = chain(seeded_instances(axiom, variant), _RANDOM_STREAMS[axiom](rng))
-            check = check_axiom(
-                axiom, variant, stream,
-                target=config.instances_per_check,
-                threshold=config.threshold,
-            )
-            if axiom == "tight_coarsening_monotone_b_k3plus" and variant.kind == "Eprime_k":
-                h_last, h_first, h_pair, ok = tight_b_condition(variant.h)
-                check.notes = (
-                    "merge-family ordering h(last single) >= h(first single) > "
-                    f"h(first pair): {h_last:.6f} >= {h_first:.6f} > {h_pair:.6f} "
-                    f"-> {'realized' if ok else 'NOT realized'}"
-                )
-            checks.append(check)
+    """The full matrix; deterministic given the config.
+
+    Let p be the smaller of the number of CPUs in the process's affinity
+    and the number of cells.  With p >= 2, this process runs every p-th
+    cell, from the first, while p - 1 forked workers run the others, so p
+    processes are busy and this one does not wait idle; which cells it
+    runs depends on p alone, so a profiler in this process sees the same
+    cells on every run.  With p < 2 it runs every cell, one after another.
+    Either way every cell is `_run_cell` on its own stream and the checks
+    come back in cell order, so the report does not depend on the number
+    of CPUs.  No worker outlives the call, and a cell's exception is raised
+    here with its own type.
+    """
+    cells = [(axiom, variant) for axiom in config.axioms for variant in config.variants
+             if expected_verdict(axiom, variant.name) is not None]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(cpus, len(cells))
+    if procs < 2:
+        return AuditReport(config=config, checks=[_run_cell(config, *cell) for cell in cells])
+    # imported here: a suite on one CPU, and every other command, never pays for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        theirs = {i: pool.submit(_run_cell, config, *cell)
+                  for i, cell in enumerate(cells) if i % procs}
+        mine = {i: _run_cell(config, *cells[i]) for i in range(0, len(cells), procs)}
+        checks = [mine[i] if i in mine else theirs[i].result() for i in range(len(cells))]
+    finally:
+        # on an error, the cells not yet started are dropped; every worker is joined
+        pool.shutdown(cancel_futures=True)
     return AuditReport(config=config, checks=checks)

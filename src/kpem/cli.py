@@ -216,17 +216,20 @@ def _load_audit_config(args) -> AuditConfig:
 
 def _cmd_audit(args) -> int:
     config = _load_audit_config(args)
-    report = run_suite(config)
+    # opened before the suite runs, so an unusable path fails at once
+    stream = None
     if args.records:
         stream = sys.stdout if args.records == "-" else open(
             args.records, "w", encoding="utf-8"
         )
-        try:
+    try:
+        report = run_suite(config)
+        if stream is not None:
             for rec in report.records():
                 stream.write(json.dumps(rec) + "\n")
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+    finally:
+        if stream is not None and stream is not sys.stdout:
+            stream.close()
     mismatches = report.mismatches()
     if args.json:
         summary = {

@@ -1,5 +1,7 @@
 """Shared test inputs."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,12 @@ def svd_shapes(monkeypatch):
 def cold_named_groups(monkeypatch):
     """No named factor's GroupVector is shared with earlier tests."""
     monkeypatch.setattr(qstate, "_NAMED_GROUPS", {})
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(n): from now on the audit sees n CPUs in the process's affinity
+    (one runs every cell in this process, n >= 2 every n-th, with n - 1
+    forked workers for the others)."""
+    return lambda n: monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

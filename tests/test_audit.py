@@ -1,11 +1,17 @@
 """Audit suite: expected matrix, witness replay, seeded counterexamples."""
 
+import contextlib
+import io
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kpem import audit, cli
 from kpem.audit import (
     ATTEMPT_FACTOR,
     AXIOMS,
@@ -27,7 +33,7 @@ from kpem.audit import (
     seeded_instances,
     tight_b_condition,
 )
-from kpem.qstate import GhzFactor, StateSpec, AmplitudesFactor, build_state
+from kpem.qstate import GhzFactor, StateSpec, AmplitudesFactor, NumericalContractError, build_state
 from kpem.redfun import CONCURRENCE, ENTROPY
 
 import numpy as np
@@ -137,6 +143,107 @@ def test_cell_reruns_alone():
 def test_empty_config_gives_empty_report():
     report = run_suite(AuditConfig(axioms=()))
     assert report.checks == []
+
+
+# --- cells across processes --------------------------------------------------------
+
+
+def _cli_audit_bytes(tmp_path, tag):
+    """(stdout, records file) of `kpem audit --json --trials 3 --records`."""
+    records = tmp_path / f"{tag}.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["audit", "--json", "--trials", "3", "--records", str(records)]) == 0
+    return out.getvalue(), records.read_bytes()
+
+
+CELLS = [(axiom, name) for axiom in AXIOMS for name in VARIANTS
+         if expected_verdict(axiom, name) is not None]
+
+
+def _cells_run_here(monkeypatch):
+    """The (postulate, measure) cells checked in this process from now on;
+    a forked worker appends to its own copy."""
+    ran, original = [], audit.check_axiom
+
+    def check(axiom, variant, *args, **kwargs):
+        ran.append((axiom, variant.name))
+        return original(axiom, variant, *args, **kwargs)
+
+    monkeypatch.setattr(audit, "check_axiom", check)
+    return ran
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pooled_suite_matches_one_process(tmp_path, monkeypatch, cpus, n):
+    """With n CPUs this process checks every n-th cell and n - 1 workers the
+    others; the checks, records and CLI bytes are those of every cell run
+    here, and every worker is gone when the suite returns."""
+    config = AuditConfig(instances_per_check=3)
+    ran = _cells_run_here(monkeypatch)
+    cpus(1)
+    alone = run_suite(config)
+    alone_cli = _cli_audit_bytes(tmp_path, "alone")
+    assert ran == CELLS + CELLS
+    ran.clear()
+    cpus(n)
+    pooled = run_suite(config)
+    assert multiprocessing.active_children() == []
+    pooled_cli = _cli_audit_bytes(tmp_path, "pooled")
+    assert multiprocessing.active_children() == []
+    assert ran == CELLS[::n] + CELLS[::n]
+    assert len(pooled.checks) == len(alone.checks) == len(CELLS) == 79
+    for got, want in zip(pooled.checks, alone.checks):
+        assert vars(got) == vars(want), (want.axiom, want.variant)
+    assert list(pooled.records()) == list(alone.records())
+    assert pooled_cli == alone_cli
+
+
+def _failing_cell(monkeypatch, index, fail):
+    """CELLS[index] calls fail(); set before the fork, so the workers
+    inherit it.  With two CPUs, even cells run here and odd ones in the
+    worker."""
+    axiom, name = CELLS[index]
+    original = audit.evaluate_instance
+
+    def evaluate(variant, inst):
+        if inst.axiom == axiom and variant.name == name:
+            fail()
+        return original(variant, inst)
+
+    monkeypatch.setattr(audit, "evaluate_instance", evaluate)
+
+
+@pytest.mark.parametrize("index", [2, 41], ids=["here", "worker"])
+@pytest.mark.parametrize("error,code", [
+    (NumericalContractError("norm drifted"), cli.CONTRACT_ERROR),
+    (ValueError("bad cell"), cli.USAGE_ERROR),
+])
+def test_cell_error_keeps_its_exit_code_and_leaves_no_worker(
+        monkeypatch, capsys, cpus, index, error, code):
+    def fail():
+        raise error
+
+    _failing_cell(monkeypatch, index, fail)
+    cpus(2)
+    assert cli.main(["audit", "--trials", "1"]) == code
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert str(error) in captured.err and captured.out == ""
+
+
+def test_dead_worker_breaks_the_pool_and_leaves_no_worker(monkeypatch, cpus):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _failing_cell(monkeypatch, 41, die)
+    cpus(2)
+    with pytest.raises(BrokenProcessPool):
+        run_suite(AuditConfig(instances_per_check=1))
+    assert multiprocessing.active_children() == []
 
 
 # --- seeded counterexamples individually --------------------------------------------

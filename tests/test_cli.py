@@ -302,6 +302,18 @@ def test_audit_records_jsonl(tmp_path, capsys):
     assert violations and all("instance" in r for r in violations)
 
 
+def test_audit_records_path_fails_before_the_suite(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    path = tmp_path / "missing" / "records.jsonl"
+    assert cli.main(["audit", "--trials", "2", "--records", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert captured.out == ""
+
+
 def test_audit_config_file(tmp_path, capsys):
     cfg = tmp_path / "audit.json"
     cfg.write_text('{"instances_per_check": 2, "axioms": ["symmetry"]}')

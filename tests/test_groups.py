@@ -250,8 +250,10 @@ def test_replay_is_bit_identical_with_cold_and_warm_named_groups(monkeypatch):
     assert replayed == len(report.checks)
 
 
-def test_small_audit_svd_count(cold_named_groups, svd_shapes):
-    """The exact SVD count of `kpem audit --trials 2`, from cold named groups."""
+def test_small_audit_svd_count(cold_named_groups, svd_shapes, cpus):
+    """The exact SVD count of `kpem audit --trials 2`, from cold named groups,
+    with every cell in this process (a worker's SVDs are not counted here)."""
+    cpus(1)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["audit", "--json", "--trials", "2"]) == 0
     assert len(svd_shapes) == 532
