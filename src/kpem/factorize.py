@@ -16,11 +16,10 @@ multi-party factor genuinely entangled: a pure proper sub-marginal would
 have been found at a smaller size first.  The producibility is the size
 of the largest factor.
 
-This module also holds the per-state marginal engine, MarginalCache, so
-that kpem.measures can import it without a cycle.  Its memo lives on the
-state (PureState._memo): h values by (h kind, parameter, party bitmask)
-and the state's finest factorization.  A MarginalCache is a free view of
-that memo, so every evaluation on the same state shares it.
+This module also holds the marginal engine, MarginalCache, so that
+kpem.measures can import it without a cycle.  It keeps no memo of its
+own: the one memo is on the pieces, each GroupVector's spectra, purities
+and spectral sums, shared by every state holding that object.
 
 Scanning up to half of a group's remaining parties is enough: a group's
 marginal is pure and peeling a pure subset off it leaves a pure rest, so a
@@ -105,49 +104,26 @@ class FactorDecomposition:
         return Partition.of([f.parties for f in self.factors])
 
 
-_FACTORIZATION = "factorization"  # memo key; h values are keyed by tuples
-
-
 class MarginalCache:
-    """The marginal engine of one state: h values and purities keyed by
-    party bitmask (bit i is party i), h formed from the pieces a mask cuts
-    out of the state's groups (see kpem.measures), plus the state's finest
-    factorization.  h values and the factorization are memoized on the
-    state (PureState._memo), so a new view of the same state reuses them.
-    A piece's spectral sums and purity are memoized on its GroupVector, so
-    every state holding that object shares them, and each piece is SVD'd
-    once, for the factorization and for h together."""
+    """The marginal engine of one state: h values keyed by party bitmask
+    (bit i is party i), formed from the pieces a mask cuts out of the
+    state's groups (see kpem.measures).  It holds no memo: each piece's
+    spectral sums are memoized on its GroupVector, so every state holding
+    that object shares them, and each piece is SVD'd once, for the
+    factorization and for h together."""
 
-    __slots__ = ("state", "_memo")
+    __slots__ = ("state",)
 
     def __init__(self, state: PureState):
         self.state = state
-        self._memo = state._memo
 
     def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
         """h of the marginal on `mask`, from the raw spectral sums of the
         pieces it cuts out of the groups (redfun.product_sums); the purity
-        threshold is applied once, at the end (redfun.finish)."""
-        key = (h.kind, h.parameter, mask)
-        got = self._memo.get(key)
-        if got is None:
-            # a whole group inside mask is pure and adds nothing
-            pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
-            got = self._memo[key] = finish(h, product_sums(h, pieces))
-        return got
-
-    def purity(self, mask: int) -> float:
-        """tr(rho^2) of the marginal on `mask`: qstate.marginal_purity, the
-        number that decides "pure" everywhere.  Its pieces' purities are the
-        purities in the spectral sums h's zero rule combines, bit for bit."""
-        return marginal_purity(self.state, mask_parties(mask))
-
-    def factorization(self) -> FactorDecomposition:
-        """finest_factorization of the state, computed on first use."""
-        got = self._memo.get(_FACTORIZATION)
-        if got is None:
-            got = self._memo[_FACTORIZATION] = finest_factorization(self.state)
-        return got
+        threshold is applied once, at the end (redfun.finish).  A whole
+        group inside mask is pure and adds nothing."""
+        pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
+        return finish(h, product_sums(h, pieces))
 
 
 def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
@@ -163,17 +139,16 @@ def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[fl
 def finest_factorization(state: PureState) -> FactorDecomposition:
     """Decompose into the finest tuple of pure tensor factors.
 
-    Computed afresh on every call; MarginalCache.factorization memoizes it
-    on the state.  Factors are reported in ascending order of their first
+    Computed afresh on every call, from purities memoized on the group
+    vectors.  Factors are reported in ascending order of their first
     party.  The tensor product of the factors' own vectors must reproduce
     the input with fidelity at least 1 - 1e-8, otherwise the tolerance
     story has broken down and a NumericalContractError is raised.
     """
-    cache = MarginalCache(state)
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
 
     def is_pure(mask: int) -> bool:
-        return cache.purity(mask) >= 1.0 - PURITY_TOL
+        return marginal_purity(state, mask_parties(mask)) >= 1.0 - PURITY_TOL
 
     blocks: list[tuple[int, ...]] = []
     for left in state.groups:

@@ -15,12 +15,9 @@ Three families:
   with a vanishing sum annihilates the whole product, and there is no
   witness partition.
 
-Every family goes through one per-state engine, MarginalCache (defined in
-kpem.factorize, whose scan it serves too): h values and purities keyed by
-party bitmask (bit i is party i), and the finest factorization.  The
-engine's memo lives on the state itself, so every measure and every k
-evaluated on the same state share it, with nothing for the caller to
-pass.  The factorization's purities are the engine's, and a factor's
+Every family goes through one marginal engine, MarginalCache (defined in
+kpem.factorize): h values keyed by party bitmask (bit i is party i).  The
+factorization's purities come off the same pieces' SVDs, and a factor's
 quantities are read off the marginals of the whole state.  Party subsets
 stay bitmasks throughout; they become party tuples only where a spectrum
 is taken and in the reported witnesses and breakdowns.
@@ -47,7 +44,10 @@ memos live on the GroupVector object, so every state holding that object
 shares them: the permuted, regrouped and restricted copies a postulate
 check makes keep the objects of the groups they leave alone, and the
 named factors (GHZ, W, maxent) share one object per shape, keyed by
-subset size, as their vectors do not change under reordering.
+subset size, as their vectors do not change under reordering.  They are
+the engine's only memo: h is combined from its pieces' sums on every
+read, which takes no SVD, so evaluating the same state again, at any k
+and for any measure, takes none either.
 
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block
@@ -73,7 +73,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .factorize import FactorDecomposition, MarginalCache
+from .factorize import FactorDecomposition, MarginalCache, finest_factorization
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
 from .qstate import DensityMatrix, PureState
 from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun
@@ -197,7 +197,7 @@ def _unified_over(
 ) -> float:
     """unified_mem of the pure sub-state on the parties whose single-party
     masks are `bits`, ascending (a whole factor, or every party), read from
-    the marginals of the cached state."""
+    the marginals of the engine's state."""
     if kind == "additive":
         return 0.5 * sum(cache.h_value(h, bit) for bit in bits)
     if kind == "bipartite_sum":
@@ -230,10 +230,10 @@ def unified_mem(kind: str, h: ReducedFunctionSpec, state: PureState) -> float:
 def measure_factor_family(spec: MeasureSpec, state: PureState) -> MeasureResult:
     """Sum the unified quantity of every factor with at least k parties;
     a factor's marginals are marginals of the whole state, so they come
-    from the same cache as the factorization."""
+    off the same pieces' SVDs as the factorization."""
     _check_k(spec.k, state.num_parties)
+    dec = finest_factorization(state)
     cache = MarginalCache(state)
-    dec = cache.factorization()
     unified = "additive" if spec.kind == "E_k" else "bipartite_sum"
     h = spec.reduced_function()
     contributions = tuple(

@@ -15,19 +15,18 @@ dimension).  The party-wise operations carry the groups and their vectors
 along (see _carry), so a permuted, regrouped or restricted copy of a state
 holds the same GroupVector objects for the groups it leaves alone.  A
 state built without vectors reads each group's vector once, on first use.
-Each state also holds the memo of its marginal engine (PureState._memo,
-see kpem.factorize.MarginalCache).
 
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
 pieces' marginals.  A piece's spectrum is the SVD of its own group
 vector's split (GroupVector.spectrum), memoized on the GroupVector, so
-every state holding the same object shares it; a union of whole groups is
-exactly pure.  A pure marginal's own state is the product of the pieces'
-own vectors (_own_vectors): a group kept whole is its GroupVector, with
-no SVD, and a cut piece is its group vector's leading singular vector.
-pure_restriction wraps them in a state, and the factorization's
-reconstruction check multiplies them.
+every state holding the same object shares it; this is the marginal
+engine's only memo, and a state holds none of its own.  A union of whole
+groups is exactly pure.  A pure marginal's own state is the product of
+the pieces' own vectors (_own_vectors): a group kept whole is its
+GroupVector, with no SVD, and a cut piece is its group vector's leading
+singular vector.  pure_restriction wraps them in a state, and the
+factorization's reconstruction check multiplies them.
 
 All tolerance constants live here.  "This marginal is pure" is decided
 by one number, marginal_purity: the product of the cut pieces' purities,
@@ -89,9 +88,14 @@ class SystemLayout:
 
     @classmethod
     def of(cls, labels: Sequence[str], dims: Sequence[int]) -> "SystemLayout":
+        """Dimensions are Python or numpy integers; floats, strings and
+        booleans are rejected, never truncated or parsed."""
         if len(labels) != len(dims):
             raise ValueError("labels and dims differ in length")
-        return cls(tuple(zip(labels, (int(d) for d in dims))))
+        for lab, d in zip(labels, dims):
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        return cls(tuple(zip(labels, map(int, dims))))
 
     @classmethod
     def qubits(cls, labels: Sequence[str]) -> "SystemLayout":
@@ -176,8 +180,8 @@ class GroupVector:
     values, `purities` maps the key of a local piece to its purity, and
     `sums` maps (h kind, parameter, key of the local piece) to the piece's
     redfun.spectral_sums, filled by the marginal engine
-    (kpem.factorize.MarginalCache).  The per-state memo of the h values
-    these combine into lives on each PureState.
+    (kpem.factorize.MarginalCache), which combines them into h values on
+    every call and keeps no memo of its own.
     """
 
     __slots__ = ("vector", "dims", "symmetric", "weights", "purities", "sums")
@@ -248,10 +252,9 @@ class PureState:
     (group_vectors).  States compare and hash by identity, as arrays have
     no truth value.
 
-    Each state carries the memo of its marginal engine (`_memo`, read and
-    filled through kpem.factorize.MarginalCache): h values by (h kind,
-    parameter, party bitmask) and the finest factorization.  Nothing in it
-    refers back to the state, so a state is freed as soon as it is dropped.
+    A state keeps no memo of its marginals: they are memoized on its
+    GroupVectors, which refer to no state, so a state is freed as soon as
+    it is dropped.
     """
 
     layout: SystemLayout
@@ -287,7 +290,6 @@ class PureState:
                     raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
             object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
         object.__setattr__(self, "_parties", tuple(map(mask_parties, self.groups)))
-        object.__setattr__(self, "_memo", {})  # kpem.factorize.MarginalCache's memo
         if not np.all(np.isfinite(amp)):
             raise NumericalContractError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amp))
@@ -348,6 +350,8 @@ class DensityMatrix:
         d = self.layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
+        if not np.all(np.isfinite(m)):
+            raise NumericalContractError("density matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERM_TOL:
             raise NumericalContractError(f"hermiticity defect {herm}")
@@ -844,15 +848,20 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
 def clip_spectrum(raw: np.ndarray) -> np.ndarray:
     """Descending eigenvalues, clipped into [0, 1] and renormalized.
 
-    Raises if a value sits below the -1e-10 floor or if the sum strays
-    from 1 by more than 1e-10 before renormalization.
+    Raises if a value is NaN or infinite, if one sits below the -1e-10
+    floor or if the sum strays from 1 by more than 1e-10 before
+    renormalization.
     """
     lam = np.sort(np.real(np.asarray(raw)))[::-1]
+    # np.sort puts NaN last, so after the reversal lam[0] is NaN if any entry
+    # is, and +inf if the largest is; -inf fails the floor test
+    if lam.size and not math.isfinite(lam[0]):
+        raise NumericalContractError(f"non-finite eigenvalue {lam[0]}")
     if lam.size and lam[-1] < EIG_FLOOR:
         raise NumericalContractError(f"eigenvalue {lam[-1]} below floor {EIG_FLOOR}")
     lam = np.clip(lam, 0.0, 1.0)
     total = float(lam.sum())
-    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
         raise NumericalContractError(f"spectrum sums to {total}")
     return lam / total
 
@@ -901,8 +910,8 @@ def purity(dm: DensityMatrix) -> float:
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
     """tr(rho_keep^2) as the product, in group order, of the purities of
     the pieces `keep` cuts out of its groups (GroupVector.purity): the
-    number that decides "pure" for pure_restriction and the factorization
-    (through MarginalCache.purity), and the purity redfun.product_sums
+    number that decides "pure" for pure_restriction and
+    factorize.finest_factorization, and the purity redfun.product_sums
     combines from the same pieces' spectral sums for h's zero rule."""
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)

@@ -120,10 +120,13 @@ def parse_redfun(text: str) -> ReducedFunctionSpec:
         return CONCURRENCE
     if text == "entropy":
         return ENTROPY
-    if text.startswith("q:"):
-        return ReducedFunctionSpec("q_family", float(text[2:]))
-    if text.startswith("alpha:"):
-        return ReducedFunctionSpec("alpha_family", float(text[6:]))
+    kind, colon, arg = text.partition(":")
+    if colon and kind in ("q", "alpha"):
+        try:
+            parameter = float(arg)
+        except ValueError:
+            raise ValueError(f"cannot parse reduced function {text!r}") from None
+        return ReducedFunctionSpec(f"{kind}_family", parameter)
     raise ValueError(f"cannot parse reduced function {text!r}")
 
 

@@ -130,6 +130,10 @@ def test_compute_refuses_a_label_with_the_block_separator(capsys):
     (["compute", "--measure", "CGq:1e400", "--k", "2", "--state"], "finite q > 1"),
     (["compute", "--measure", "E", "--k", "2", "--h", "q:inf", "--state"],
      "finite q > 1"),
+    (["compute", "--measure", "E", "--k", "2", "--h", "q:", "--state"],
+     "cannot parse reduced function 'q:'"),
+    (["compute", "--measure", "E", "--k", "2", "--h", "alpha:x", "--state"],
+     "cannot parse reduced function 'alpha:x'"),
 ])
 def test_compute_usage_errors(psi_file, capsys, argv, needle):
     assert cli.main(argv + [psi_file]) == cli.USAGE_ERROR

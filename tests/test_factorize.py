@@ -319,9 +319,9 @@ def test_linked_scan_matches_scan_on_dense_shapes(sizes, dims):
 
 @pytest.fixture()
 def scan_calls(monkeypatch):
-    """Counts of the engine purities and the pair link marginals a scan takes."""
+    """Counts of the marginal purities and the pair link marginals a scan takes."""
     calls = {"purity": 0, "link": 0}
-    purity, link = factorize.MarginalCache.purity, factorize._link_distance
+    purity, link = factorize.marginal_purity, factorize._link_distance
 
     def count_purity(*args):
         calls["purity"] += 1
@@ -331,14 +331,14 @@ def scan_calls(monkeypatch):
         calls["link"] += 1
         return link(*args)
 
-    monkeypatch.setattr(factorize.MarginalCache, "purity", count_purity)
+    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
     monkeypatch.setattr(factorize, "_link_distance", count_link)
     return calls
 
 
 def test_grouped_scan_matches_scan(grouped_family, scan_calls):
     """Scanning inside one group finds the plain scan's factors, bit for
-    bit, and takes fewer engine purities and link marginals than the same
+    bit, and takes fewer marginal purities and link marginals than the same
     amplitudes as one group."""
     for name, psi in grouped_family:
         assert_matches_scan(psi)
@@ -436,10 +436,9 @@ def test_near_threshold_states_factorize(near_threshold):
 
 
 def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
-    """On every subset inside one group, the engine's purity is
-    marginal_purity bit for bit, within 1e-12 of the density matrix's, and
-    its threshold is exactly where every kind of h reads 0.0 and where
-    pure_restriction gives a state."""
+    """On every subset inside one group, marginal_purity is within 1e-12
+    of the density matrix's purity, and its threshold is exactly where
+    every kind of h reads 0.0 and where pure_restriction gives a state."""
     kinds = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
              ReducedFunctionSpec("alpha_family", 0.25))
     states = [psi for _, psi in grouped_family] + near_threshold
@@ -449,8 +448,7 @@ def test_one_purity_decides_pure_everywhere(grouped_family, near_threshold):
             mask = g
             while mask:
                 parties = mask_parties(mask)
-                purity = cache.purity(mask)
-                assert purity == marginal_purity(psi, parties)
+                purity = marginal_purity(psi, parties)
                 assert abs(purity - density_purity(reduced_density(psi, parties))) <= 1e-12
                 pure = purity >= 1.0 - PURITY_TOL
                 assert all((cache.h_value(h, mask) == 0.0) == pure for h in kinds)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpem.audit import _weak_pair
-from kpem.factorize import classify
+from kpem.factorize import classify, finest_factorization
 from kpem.measures import (
     GEOMETRIC_PARTY_CAP,
     WITNESS_TOL,
@@ -529,48 +529,29 @@ def test_minimal_partition_fineness_report():
 # --- caches and caps --------------------------------------------------------------------
 
 
-def test_evaluations_share_the_state_memo(monkeypatch, cold_named_groups, svd_shapes):
-    """Plain evaluate_measure calls on one state share the engine memo on
-    the state: E and calE at every k factorize it once, and a second pass
-    takes no SVD and forms no h from its pieces again."""
-    from kpem import factorize
-
-    calls = []
-    original = factorize.finest_factorization
-
-    def counting(*args):
-        calls.append(args[0])
-        return original(*args)
-
-    piece_sums = []
-    original_sums = factorize._piece_sums
-
-    def counting_sums(*args):
-        piece_sums.append(args)
-        return original_sums(*args)
-
-    monkeypatch.setattr(factorize, "finest_factorization", counting)
-    monkeypatch.setattr(factorize, "_piece_sums", counting_sums)
+def test_second_pass_takes_no_svd(cold_named_groups, svd_shapes):
+    """Plain evaluate_measure calls on one state share the piece memos on
+    its group vectors: a second pass of E and calE at every k, under
+    entropy and concurrence, takes no SVD and gives the same values and
+    witness partitions."""
     psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
     specs = [MeasureSpec(kind, k, h=h) for h in (ENTROPY, CONCURRENCE)
              for k in range(2, 6) for kind in ("E_k", "calE_k")]
     first = [evaluate_measure(spec, psi) for spec in specs]
-    assert svd_shapes and piece_sums
+    assert svd_shapes
     svd_shapes.clear()
-    piece_sums.clear()
     again = [evaluate_measure(spec, psi) for spec in specs]
-    assert svd_shapes == [] and piece_sums == []
-    assert calls == [psi]
-    dec = MarginalCache(psi).factorization()
-    assert all(a.witness is b.witness is dec for a, b in zip(first, again))
+    assert svd_shapes == []
     assert [a.value for a in again] == [b.value for b in first]
+    assert [a.witness.block_partition() for a in again] == [
+        b.witness.block_partition() for b in first]
 
 
 def test_engine_memo_holds_no_reference_cycle():
-    """Nothing in a state's memo refers back to the state, so with the
+    """Nothing in the engine's memos refers back to a state, so with the
     cyclic collector off a state is freed as soon as its last reference
-    goes, after E has memoized its decomposition (one factor, the whole
-    state) and its h values."""
+    goes, after E and the factorization (one factor, the whole state) have
+    filled the memos on its group vectors."""
     import gc
     import weakref
 
@@ -584,7 +565,7 @@ def test_engine_memo_holds_no_reference_cycle():
         for make in makers:
             psi = make()
             assert evaluate_measure(MeasureSpec("E_k", 2, h=ENTROPY), psi).value > 0.0
-            assert MarginalCache(psi).factorization().genuine
+            assert finest_factorization(psi).genuine
             ref = weakref.ref(psi)
             del psi
             assert ref() is None

@@ -64,6 +64,17 @@ def test_layout_rejects_duplicates_and_bad_dims():
         SystemLayout.of(("A",), (1,))
 
 
+@pytest.mark.parametrize("bad", [2.7, 3.0, np.float64(2.0), "3", True, np.bool_(True), None])
+def test_layout_dims_are_never_coerced(bad):
+    with pytest.raises(ValueError, match="invalid dimension"):
+        SystemLayout.of(("A", "B"), (2, bad))
+
+
+def test_layout_takes_numpy_integer_dims():
+    dims = SystemLayout.of(("A", "B"), np.array([2, 3])).dims
+    assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+
 def test_layout_rejects_empty_labels():
     with pytest.raises(ValueError, match="non-empty"):
         SystemLayout.qubits(("", "B", "C"))
@@ -217,6 +228,16 @@ def test_density_matrix_contracts():
         DensityMatrix(qubits(1), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN passes every tolerance test, and inf - inf warns in the hermiticity test
+    for m in (np.full((2, 2), bad), np.array([[bad, 0.0], [0.0, 0.5]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalContractError, match="non-finite"):
+                DensityMatrix(qubits(1), m)
+
+
 def test_states_compare_and_hash_by_identity():
     psi = random_pure(qubits(3), seed=1)
     copy = PureState(psi.layout, psi.amplitudes)
@@ -365,6 +386,13 @@ def test_clip_spectrum():
         clip_spectrum(np.array([1.0, -1e-9]))
     with pytest.raises(NumericalContractError, match="sums to"):
         clip_spectrum(np.array([0.6, 0.5]))
+
+
+@pytest.mark.parametrize("raw", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan],
+                                 [1.0, math.inf], [1.0, -math.inf]])
+def test_clip_spectrum_rejects_non_finite_values(raw):
+    with pytest.raises(NumericalContractError):
+        clip_spectrum(np.array(raw))
 
 
 def test_purity_and_is_pure():
