@@ -31,7 +31,6 @@ EXPECTED_MATRIX for the full verdict profile the default suite asserts.
 from __future__ import annotations
 
 import math
-import os
 import string
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -41,6 +40,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .measures import FACTOR, GEOMETRIC, MarginalCache, MeasureSpec, evaluate_measure
+from .parallel import fork_map
 from .partitions import Partition
 from .qstate import (
     AmplitudesFactor,
@@ -876,34 +876,16 @@ def _run_cell(config: AuditConfig, axiom: str, variant: MeasureSpec) -> AxiomChe
 def run_suite(config: AuditConfig = AuditConfig()) -> AuditReport:
     """The full matrix; deterministic given the config.
 
-    Let p be the smaller of the number of CPUs in the process's affinity
-    and the number of cells.  With p >= 2, this process runs every p-th
-    cell, from the first, while p - 1 forked workers run the others, so p
-    processes are busy and this one does not wait idle; which cells it
-    runs depends on p alone, so a profiler in this process sees the same
-    cells on every run.  With p < 2 it runs every cell, one after another.
-    Either way every cell is `_run_cell` on its own stream and the checks
-    come back in cell order, so the report does not depend on the number
-    of CPUs.  No worker outlives the call, and a cell's exception is raised
-    here with its own type.
+    Every cell is `_run_cell` on its own stream, run through
+    parallel.fork_map: with p CPUs in the process's affinity (at most the
+    number of cells) and p >= 2, this process runs every p-th cell, from
+    the first, while p - 1 forked workers run the others; with p < 2 it
+    runs every cell, one after another.  A worker's measure batches run in
+    the worker, with no further fork.  The checks come back in cell order,
+    so the report does not depend on the number of CPUs.  No worker
+    outlives the call, and a cell's exception is raised here with its own
+    type.
     """
-    cells = [(axiom, variant) for axiom in config.axioms for variant in config.variants
+    cells = [(config, axiom, variant) for axiom in config.axioms for variant in config.variants
              if expected_verdict(axiom, variant.name) is not None]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(cpus, len(cells))
-    if procs < 2:
-        return AuditReport(config=config, checks=[_run_cell(config, *cell) for cell in cells])
-    # imported here: a suite on one CPU, and every other command, never pays for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork"))
-    try:
-        theirs = {i: pool.submit(_run_cell, config, *cell)
-                  for i, cell in enumerate(cells) if i % procs}
-        mine = {i: _run_cell(config, *cells[i]) for i in range(0, len(cells), procs)}
-        checks = [mine[i] if i in mine else theirs[i].result() for i in range(len(cells))]
-    finally:
-        # on an error, the cells not yet started are dropped; every worker is joined
-        pool.shutdown(cancel_futures=True)
-    return AuditReport(config=config, checks=checks)
+    return AuditReport(config=config, checks=fork_map(_run_cell, cells))

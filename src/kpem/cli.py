@@ -44,6 +44,28 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key raises."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text: str, where: str) -> object:
+    """Parse a JSON document strictly: a key repeated within one object is
+    an error, never last-wins.  Errors are ValueErrors that name `where`,
+    and a syntax error its line and column."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def parse_state_file(path_or_text: str) -> StateSpec:
     """Load a state document from a file path, or parse it directly when
     given inline text (anything starting with '{')."""
@@ -56,12 +78,7 @@ def parse_state_file(path_or_text: str) -> StateSpec:
         except OSError as exc:
             raise ValueError(f"cannot read state file: {exc}") from exc
         where = path_or_text
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    obj = _load_json(text, where)
     try:
         return spec_from_dict(obj)
     except ValueError as exc:
@@ -205,7 +222,8 @@ def _load_audit_config(args) -> AuditConfig:
     config = AuditConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = AuditConfig.from_dict(json.load(fh))
+            text = fh.read()
+        config = AuditConfig.from_dict(_load_json(text, args.config))
     overrides: dict = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed

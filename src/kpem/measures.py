@@ -49,6 +49,15 @@ the engine's only memo: h is combined from its pieces' sums on every
 read, which takes no SVD, so evaluating the same state again, at any k
 and for any measure, takes none either.
 
+Every family reads h over a batch of subsets through
+MarginalCache.h_values: calE's one side per bipartition of a factor, the
+partition families' subsets of at most k-1 parties, and unified_mem's
+batches.  A batch whose missing SVDs reach an estimated cost of FORK_COST
+(calE on 12 Haar qubits: 1,969 SVDs, about 2.7e8) takes them on every
+CPU in the process's affinity through kpem.parallel.fork_map, before any
+h is read; the weights, and so every value and witness, are those of one
+process, bit for bit.
+
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block
 count V, then a DFS bounded by it visits every partition that scores
@@ -201,12 +210,10 @@ def _unified_over(
     if kind == "additive":
         return 0.5 * sum(cache.h_value(h, bit) for bit in bits)
     if kind == "bipartite_sum":
-        return 0.5 * sum(cache.h_value(h, rep) for rep in _bipartition_representatives(bits))
-    return min(
-        cache.h_value(h, sum(sub))
-        for s in range(1, len(bits))
-        for sub in combinations(bits, s)
-    )
+        return 0.5 * sum(cache.h_values(h, _bipartition_representatives(bits)))
+    return min(cache.h_values(h, [
+        sum(sub) for s in range(1, len(bits)) for sub in combinations(bits, s)
+    ]))
 
 
 def unified_mem(kind: str, h: ReducedFunctionSpec, state: PureState) -> float:
@@ -256,9 +263,9 @@ def _h_by_mask(cache: MarginalCache, h: ReducedFunctionSpec, n: int, b: int) -> 
     larger subsets stay 0.0 and are never read as blocks."""
     values = [0.0] * (1 << n)
     bits = [1 << i for i in range(n)]
-    for size in range(1, b + 1):
-        for mask in map(sum, combinations(bits, size)):
-            values[mask] = cache.h_value(h, mask)
+    masks = [sum(sub) for size in range(1, b + 1) for sub in combinations(bits, size)]
+    for mask, value in zip(masks, cache.h_values(h, masks)):
+        values[mask] = value
     return values
 
 

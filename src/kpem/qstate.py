@@ -207,19 +207,24 @@ class GroupVector:
         """The local mask the memo files `local` under."""
         return (1 << local.bit_count()) - 1 if self.symmetric else local
 
-    def spectrum(self, local: int) -> np.ndarray:
-        """Clipped spectrum of the marginal on a local subset, padded to its
-        dimension.  The SVD runs on the smaller side of the group's split
-        (on `local` at equal dimensions or when it is the whole group), as
-        in _svd_weights, and its weights serve the complement too."""
+    def side(self, local: int) -> int:
+        """The memo key in `weights` of a local subset's spectrum: the
+        smaller side of the group's split (`local` at equal dimensions or
+        when it is the whole group), as in _svd_weights, whose weights
+        serve the complement too."""
         local = self.key(local)
         dim = math.prod(self.dims[i] for i in mask_parties(local))
         rest = local ^ ((1 << len(self.dims)) - 1)
-        side = local if dim * dim <= self.vector.size or not rest else self.key(rest)
+        return local if dim * dim <= self.vector.size or not rest else self.key(rest)
+
+    def spectrum(self, local: int) -> np.ndarray:
+        """Clipped spectrum of the marginal on a local subset, padded to its
+        dimension, from the SVD of its side (`side`)."""
+        side = self.side(local)
         weights = self.weights.get(side)
         if weights is None:
             weights = self.weights[side] = _svd_weights(self.tensor(), mask_parties(side))
-        return pad_spectrum(weights, dim)
+        return pad_spectrum(weights, math.prod(self.dims[i] for i in mask_parties(local)))
 
     def purity(self, local: int) -> float:
         """Purity of the marginal on a local subset: the sum of the squares

@@ -86,8 +86,8 @@ def cold_named_groups(monkeypatch):
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """cpus(n): from now on the audit sees n CPUs in the process's affinity
-    (one runs every cell in this process, n >= 2 every n-th, with n - 1
-    forked workers for the others)."""
+    """cpus(n): from now on parallel.fork_map sees n CPUs in the process's
+    affinity (one runs every job in this process, n >= 2 every n-th, with
+    n - 1 forked workers for the others)."""
     return lambda n: monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

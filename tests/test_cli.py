@@ -155,6 +155,14 @@ def test_state_file_diagnostics(tmp_path, capsys):
     assert cli.main(["factorize", "--state", str(tmp_path / "nope.json")]) \
         == cli.USAGE_ERROR
 
+    # the last key would win in a plain json.loads and print a PQ state
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"factors": [{"kind": "ghz", "labels": ["A", "B", "C"]}], '
+                     '"factors": [{"kind": "ghz", "labels": ["P", "Q"]}]}')
+    assert cli.main(["factorize", "--state", str(twice)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "twice.json: duplicate key 'factors'" in captured.err and captured.out == ""
+
 
 @pytest.mark.parametrize("factor,needle", [
     ('{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2, 2], '
@@ -167,6 +175,9 @@ def test_state_file_diagnostics(tmp_path, capsys):
     ('{"kind": "ghz", "labels": ["A", "B"], "dim": 2.9}', "JSON integers"),
     ('{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2.5, 2], '
      '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}', "JSON integers"),
+    ('{"kind": "ghz", "labels": ["X", "Y"], "labels": ["P", "Q"]}',
+     "<inline>: duplicate key 'labels'"),
+    ('{"kind": "ghz", "kind": "w", "labels": ["A", "B", "C"]}', "duplicate key 'kind'"),
 ])
 def test_malformed_numbers_are_input_errors(factor, needle, capsys):
     inline = '{"factors": [' + factor + ']}'
@@ -346,6 +357,11 @@ def test_audit_config_file(tmp_path, capsys):
     ('{"axioms": ["symmetry", "symmetry"]}', "axioms name a cell more than once"),
     ('{"variants": ["C", "E[entropy]", "C"]}', "variants name a cell more than once"),
     ('{"master_seed": -1}', "master_seed must be >= 0"),
+    ('{"instances_per_check": 2, "instances_per_check": 1}',
+     "audit.json: duplicate key 'instances_per_check'"),
+    ('{"axioms": ["symmetry"], "variants": [], "axioms": []}', "duplicate key 'axioms'"),
+    ("[1,2", "audit.json: line 1, column 5: Expecting ',' delimiter"),
+    ('{"master_seed": 1,\n "threshold" 0.1}', "audit.json: line 2, column 14: Expecting ':' delimiter"),
 ])
 def test_audit_config_is_strict(tmp_path, capsys, document, needle):
     cfg = tmp_path / "audit.json"
