@@ -35,6 +35,7 @@ import string
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -766,9 +767,15 @@ class AuditConfig:
     threshold: float = VIOLATION_TOL
 
     def __post_init__(self) -> None:
+        for key in ("master_seed", "instances_per_check"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{key} takes an integer, got {value!r}")
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, Real):
+            raise ValueError(f"threshold takes a number, got {self.threshold!r}")
         if self.instances_per_check < 1:
             raise ValueError(f"instances_per_check must be >= 1, got {self.instances_per_check}")
-        if not math.isfinite(self.threshold):
+        if not isinstance(self.threshold, Integral) and not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -779,21 +786,15 @@ class AuditConfig:
     @classmethod
     def from_dict(cls, obj) -> "AuditConfig":
         """Parse an audit config document: a JSON object of AuditConfig
-        fields, naming axioms and variants; types are checked, not coerced."""
+        fields, naming axioms and variants; the constructor checks the types,
+        and coerces none."""
         if not isinstance(obj, dict):
             raise ValueError(f"audit config must be a JSON object, got {type(obj).__name__}")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown audit config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("master_seed", "instances_per_check"):
-            if key in obj:
-                kwargs[key] = _json_int(obj[key], key, "audit config")
-        if "threshold" in obj:
-            value = obj["threshold"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"threshold takes a number, got {value!r}")
-            kwargs["threshold"] = float(value)
+        kwargs = {key: obj[key] for key in ("master_seed", "instances_per_check", "threshold")
+                  if key in obj}
         if "axioms" in obj:
             kwargs["axioms"] = _pick("axioms", obj["axioms"], {a: a for a in AXIOMS})
         if "variants" in obj:

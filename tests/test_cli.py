@@ -134,6 +134,11 @@ def test_compute_refuses_a_label_with_the_block_separator(capsys):
      "cannot parse reduced function 'q:'"),
     (["compute", "--measure", "E", "--k", "2", "--h", "alpha:x", "--state"],
      "cannot parse reduced function 'alpha:x'"),
+    # float() would read both as 15
+    (["compute", "--measure", "Cq:1_5", "--k", "2", "--state"],
+     "cannot parse measure 'Cq:1_5'"),
+    (["compute", "--measure", "E", "--k", "2", "--h", "q:1_5", "--state"],
+     "cannot parse reduced function 'q:1_5'"),
 ])
 def test_compute_usage_errors(psi_file, capsys, argv, needle):
     assert cli.main(argv + [psi_file]) == cli.USAGE_ERROR

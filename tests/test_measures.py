@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from kpem.audit import _weak_pair
 from kpem.factorize import classify, finest_factorization
+from kpem import measures
 from kpem.measures import (
-    GEOMETRIC_PARTY_CAP,
+    PARTITION_COUNT_CAP,
     WITNESS_TOL,
     _h_by_mask,
     _mask_table,
@@ -24,8 +25,9 @@ from kpem.measures import (
     parse_measure,
     unified_mem,
 )
-from kpem.partitions import Partition, iter_k_fineness, mask_parties
+from kpem.partitions import Partition, count_k_fineness, iter_k_fineness, mask_parties
 from kpem.qstate import (
+    PARTY_CAP,
     AmplitudesFactor,
     DensityMatrix,
     GhzFactor,
@@ -98,6 +100,19 @@ def test_measure_spec_validation():
 ])
 def test_measure_spec_name(spec, name):
     assert spec.name == name
+
+
+def test_measure_spec_takes_an_integer_k():
+    """Python and numpy integers give the same value; a bool, float or str
+    is refused up front, never rounded up by a range or a slice."""
+    psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E")))))
+    e3 = MeasureSpec("E_k", 3, h=ENTROPY)
+    assert evaluate_measure(e3, psi).value == 1.5
+    assert evaluate_measure(MeasureSpec("E_k", np.int64(3), h=ENTROPY), psi).value == 1.5
+    for k in (2.5, 3.0, True, "3"):
+        for kind, extra in (("E_k", {"h": ENTROPY}), ("C_k", {}), ("CGq_k", {"parameter": Q2})):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                MeasureSpec(kind, k, **extra)
 
 
 def test_parse_measure():
@@ -679,16 +694,57 @@ def test_cache_gives_identical_values():
     assert evaluate_measure(spec, PureState(psi.layout, psi.amplitudes)).value == first
 
 
-def test_geometric_party_cap():
-    labels = [chr(ord("A") + i) for i in range(GEOMETRIC_PARTY_CAP + 1)]
-    psi = build_state(StateSpec(tuple(zero_qubit(lab) for lab in labels)))
-    with pytest.raises(ValueError, match="geometric family capped"):
-        evaluate_measure(MeasureSpec("CGq_k", 2, parameter=Q2), psi)
-    # k = 2 keeps the family at a single partition, so the override is cheap
-    res = evaluate_measure(
-        MeasureSpec("CGq_k", 2, parameter=Q2), psi, unsafe_large=True
-    )
-    assert res.value == 0.0
+def ghz(n):
+    return build_state(StateSpec((GhzFactor(tuple(chr(ord("A") + i) for i in range(n))),)))
+
+
+def test_geometric_family_answers_under_the_count_cap():
+    """Ten parties are answered whenever |Gamma_{k-1}| is under the cap: at
+    k = 2 (one partition) and at k = 10 (115,974).  Every block is a proper
+    marginal of GHZ, whose h is 1/2 for q = 2, so the value is sqrt(1/2)."""
+    psi = ghz(10)
+    assert evaluate_measure(MeasureSpec("CGq_k", 2, parameter=Q2), psi).value \
+        == 0.7071067811865475
+    res = evaluate_measure(MeasureSpec("CGq_k", 10, parameter=Q2), psi)
+    assert res.breakdown == {"cardinality": 115_974}
+    assert res.value == pytest.approx(math.sqrt(0.5), rel=0, abs=1e-12)
+
+
+def test_partition_families_share_one_count_cap(monkeypatch):
+    """Both families refuse |Gamma_3| = 1,680,592 on 12 parties with one
+    message, and unsafe_large lifts the refusal; with the cap at 0 it is
+    lifted at k = 2, where the family is one partition."""
+    psi = ghz(12)
+    specs = (MeasureSpec("C_k", 4), MeasureSpec("CGq_k", 4, parameter=Q2))
+    messages = set()
+    for spec in specs:
+        with pytest.raises(ValueError) as refused:
+            evaluate_measure(spec, psi)
+        messages.add(str(refused.value))
+    assert messages == {
+        "|Gamma_3| for 12 parties exceeds 1000000; pass unsafe_large=True to override"
+    }
+    monkeypatch.setattr(measures, "PARTITION_COUNT_CAP", 0)
+    for spec, value in ((MeasureSpec("C_k", 2), 1.0),
+                        (MeasureSpec("CGq_k", 2, parameter=Q2), 0.7071067811865475)):
+        with pytest.raises(ValueError, match="exceeds 0"):
+            evaluate_measure(spec, psi)
+        assert evaluate_measure(spec, psi, unsafe_large=True).value == pytest.approx(
+            value, rel=0, abs=1e-12)
+
+
+def test_allowed_mask_tables_fit_the_cache():
+    """Every (n, k-1) table the caps admit fits _mask_table's cache at once,
+    so it never evicts: at most its 64 entries and 130 MB, worked out from
+    the counts and each table's dtype, with no table built."""
+    sizes = []
+    for n in range(2, PARTY_CAP + 1):
+        for b in range(1, n):
+            count = count_k_fineness(n, b)
+            if count <= PARTITION_COUNT_CAP:
+                sizes.append(count * n * np.min_scalar_type((1 << n) - 1).itemsize)
+    assert len(sizes) <= _mask_table.cache_info().maxsize == 64
+    assert sum(sizes) <= 130_000_000
 
 
 def test_min_family_partition_count_cap():
