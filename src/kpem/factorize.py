@@ -147,9 +147,10 @@ class MarginalCache:
 
 
 # estimated cost (the sum of d_small^2 * d_large over a batch's SVDs) from
-# which the batch forks.  On a 2-vCPU VM a pool starts in 15-35 ms; a cost
-# of 4.3e7 took 104 ms in one process and 78 ms in two, 2.7e8 took 747 and
-# 470 ms (BENCH_20.json, threshold)
+# which the batch forks.  On a 2-vCPU VM a pool starts in 15-35 ms; with the
+# QR-reduced kernel a cost of 4.3e7 took 50 ms in one process and 44 ms in
+# two, 2.7e8 took 534 and 367 ms, and 8.4e6 lost by forking (BENCH_22.json,
+# threshold)
 FORK_COST = 1e8
 
 

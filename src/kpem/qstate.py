@@ -444,7 +444,7 @@ def _validate_factor(f: StateFactor) -> None:
             raise ValueError(f"local dimension must be >= 2, got {f.dims}")
         if len(f.amplitudes) != math.prod(f.dims):
             raise ValueError("amplitude length does not match dims")
-        if not np.any(np.asarray(f.amplitudes)):
+        if not any(f.amplitudes):
             raise ValueError("zero amplitude vector")
 
 
@@ -600,17 +600,36 @@ def factor_from_dict(obj: dict, where: str = "factor") -> StateFactor:
             raise ValueError(f"{where}: amplitudes factor needs list field {key!r}")
     if len(obj["re"]) != len(obj["im"]):
         raise ValueError(f"{where}: 're' and 'im' differ in length")
-    for key in ("re", "im"):
-        for x in obj[key]:
-            try:
-                bad = isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
-            except OverflowError:  # an integer beyond the float range
-                bad = True
-            if bad:
-                raise ValueError(f"{where}: {key!r} entries must be finite numbers, got {x!r}")
-    amps = tuple(complex(r, i) for r, i in zip(obj["re"], obj["im"]))
+    amps = np.empty(len(obj["re"]), dtype=np.complex128)
+    # set part by part: r + 1j * i would turn a -0.0 real part into +0.0
+    amps.real = _finite_floats(obj["re"], "re", where)
+    amps.imag = _finite_floats(obj["im"], "im", where)
     dims = tuple(_json_int(d, "dims", where) for d in obj["dims"])
-    return AmplitudesFactor(labels, dims, amps)
+    return AmplitudesFactor(labels, dims, tuple(amps.tolist()))
+
+
+def _finite_floats(values: list, key: str, where: str) -> np.ndarray:
+    """A JSON array of finite numbers as float64.  Its entries must be
+    exactly int or float (not bool, not str); an integer beyond the float
+    range and a NaN or infinity, which json reads, are rejected too, and
+    the message names the first bad entry."""
+    arr = None
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        x = next(x for x in values if _not_finite_number(x))
+        raise ValueError(f"{where}: {key!r} entries must be finite numbers, got {x!r}")
+    return arr
+
+
+def _not_finite_number(x) -> bool:
+    try:
+        return type(x) not in (int, float) or not math.isfinite(x)
+    except OverflowError:
+        return True
 
 
 def _json_int(value, key: str, where: str) -> int:
@@ -780,17 +799,33 @@ def _split(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return t.transpose(list(keep) + rest).reshape(dk, -1)
 
 
+# a split oriented wide, d_short x d_long, is QR-reduced before its SVD when
+# d_long >= _QR_ASPECT * d_short and d_short * d_long >= _QR_SIZE: there the
+# Householder QR and the small SVD beat one SVD of the wide split (1.2x at
+# 8 x 128, 3.5x at 2 x 2048 on OpenBLAS 0.3.31, one thread, a 2-vCPU Xeon
+# VM), and below it, or on near-square splits (0.64x at 32 x 32), they lose
+_QR_ASPECT = 2
+_QR_SIZE = 1024
+
+
 def _svd_weights(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Squared singular values of a tensor's split, SVD'd on the smaller
-    side, min(d_keep, d_rest) of them.  Values at or below
-    numpy.linalg.matrix_rank's default tolerance (the largest one times the
-    larger matrix dimension times the float epsilon) are SVD round-off and
-    become exact zeros, so they add nothing to any h.  Read-only."""
+    """Squared singular values of a tensor's split, min(d_keep, d_rest) of
+    them.  The split is oriented wide, d_short x d_long; when it is large
+    and clearly non-square (_QR_ASPECT, _QR_SIZE) its long side is first
+    reduced by a Householder QR, and the d_short x d_short R, which has the
+    same singular values, is SVD'd instead (Chan's R-SVD; backward stable,
+    and no Gram matrix is formed).  Values at or below
+    numpy.linalg.matrix_rank's default tolerance for the split (the largest
+    one times d_long times the float epsilon) are round-off and become
+    exact zeros, so they add nothing to any h.  Read-only."""
     m = _split(t, keep)
     if m.shape[0] > m.shape[1]:
         m = m.T  # singular values are side-independent; keep SVD small
+    short, long = m.shape
+    if long >= _QR_ASPECT * short and short * long >= _QR_SIZE:
+        m = np.linalg.qr(m.T, mode="r")
     s = np.linalg.svd(m, compute_uv=False)
-    s[s <= s[0] * max(m.shape) * np.finfo(s.dtype).eps] = 0.0
+    s[s <= s[0] * long * np.finfo(s.dtype).eps] = 0.0
     lam = s**2
     lam.flags.writeable = False
     return lam

@@ -378,6 +378,111 @@ def test_marginal_spectrum_agrees_with_density_route():
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+# --- the piece SVD kernel -----------------------------------------------------------
+
+
+def amplitude_state(amps, dims):
+    """A one-group state given as explicit amplitudes, as a state file gives it."""
+    labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
+    return build_state(StateSpec((AmplitudesFactor(labels, tuple(dims), tuple(amps)),)))
+
+
+def qubit_basis_state(n, ones):
+    """Sum of the n-qubit basis states with a 1 on party i for each set of
+    parties in `ones` (party 0 most significant), as complex amplitudes."""
+    v = np.zeros(2 ** n, dtype=complex)
+    for parties in ones:
+        v[sum(1 << (n - 1 - p) for p in parties)] = 1.0
+    return v
+
+
+def splits_of(dims, rng):
+    """Every contiguous left cut of a layout, plus one random subset per size."""
+    n = len(dims)
+    keeps = [tuple(range(c)) for c in range(1, n)]
+    keeps += [tuple(sorted(rng.choice(n, size=c, replace=False).tolist())) for c in range(1, n)]
+    return keeps
+
+
+@pytest.mark.parametrize("dims,sides", [
+    ((2,) * 9, {False}),             # every split of 2^9 is below the size rule
+    ((2,) * 10, {False, True}),
+    ((2,) * 12, {False, True}),
+    ((3,) * 8, {False, True}),       # 81 x 81 is square
+    ((4,) * 7, {True}),              # 4 x 4096 to 64 x 256
+], ids=["qubits9", "qubits10", "qubits12", "qutrits8", "ququarts7"])
+def test_svd_weights_match_the_direct_svd(dims, sides):
+    rng = np.random.default_rng(len(dims) * dims[0])
+    t = qstate.haar_vector(math.prod(dims), rng).reshape(dims)
+    reduced = set()
+    for keep in splits_of(dims, rng):
+        m = qstate._split(t, keep)
+        short, long = sorted(m.shape)
+        reduced.add(long >= qstate._QR_ASPECT * short and short * long >= qstate._QR_SIZE)
+        lam = qstate._svd_weights(t, keep)
+        direct = np.linalg.svd(m, compute_uv=False) ** 2
+        assert lam.shape == (short,) and not lam.flags.writeable
+        np.testing.assert_allclose(lam, direct, rtol=0, atol=1e-14)
+    assert reduced == sides  # which sides of the reduction rule the splits reach
+
+
+W12 = [(p,) for p in range(12)]
+
+
+@pytest.mark.parametrize("ones,rank", [([()], 1), ([(), tuple(range(12))], 2), (W12, 2)],
+                         ids=["zeros", "ghz", "w"])
+@pytest.mark.parametrize("cut", [1, 2, 3, 5])
+def test_reduced_splits_keep_the_schmidt_rank(ones, rank, cut):
+    # 2 x 2048 to 32 x 128: every split is QR-reduced, and the round-off
+    # rule must still make exact zeros of the weights beyond the rank
+    psi = amplitude_state(qubit_basis_state(12, ones), (2,) * 12)
+    assert np.count_nonzero(qstate._svd_weights(psi.tensor(), tuple(range(cut)))) == rank
+    assert np.count_nonzero(marginal_spectrum(psi, tuple(range(cut)))) == rank
+
+
+def test_reduced_split_of_a_product_keeps_its_rank():
+    rng = np.random.default_rng(6)
+    amps = np.kron(qstate.haar_vector(64, rng), qstate.haar_vector(64, rng))
+    psi = amplitude_state(amps, (2,) * 12)
+    # {0, 6} takes one party from each 6-qubit factor: Schmidt rank 2 x 2
+    assert np.count_nonzero(qstate._svd_weights(psi.tensor(), (0, 6))) == 4
+
+
+@pytest.mark.parametrize("n,keep,seen", [
+    (10, (0,), (2, 2)),                   # 2 x 512: reduced to its R
+    (9, (0,), (2, 256)),                  # 2 x 256: below the size rule
+    (10, (0, 1, 2, 3, 4), (32, 32)),      # square: never reduced
+])
+def test_svd_shapes_pin_the_reduction_rule(svd_shapes, n, keep, seen):
+    t = qstate.haar_vector(2 ** n, np.random.default_rng(n)).reshape((2,) * n)
+    qstate._svd_weights(t, keep)
+    assert svd_shapes == [seen]
+
+
+def test_ghz10_calE_alpha_half_closed_form():
+    from kpem.measures import evaluate_measure, parse_measure
+    from kpem.redfun import parse_redfun
+
+    psi = amplitude_state(qubit_basis_state(10, [(), tuple(range(10))]), (2,) * 10)
+    value = evaluate_measure(parse_measure("calE", 3, parse_redfun("alpha:0.5")), psi).value
+    # 511 bipartitions, each marginal with spectrum (1/2, 1/2)
+    want = 511 * (math.sqrt(2) - 1) / 2
+    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_w12_marginal_entropies_closed_form():
+    from kpem.factorize import MarginalCache
+    from kpem.redfun import ENTROPY
+
+    n = 12
+    cache = MarginalCache(amplitude_state(qubit_basis_state(n, W12), (2,) * n))
+    for s in range(1, n):
+        p = s / n  # the marginal on s parties has spectrum (s/n, 1 - s/n)
+        want = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+        got = cache.h_value(ENTROPY, (1 << s) - 1)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_clip_spectrum():
     lam = clip_spectrum(np.array([1.0 + 5e-11, -5e-11]))
     assert lam[0] == pytest.approx(1.0)
@@ -543,6 +648,42 @@ def test_spec_dict_rejects_non_finite_amplitudes(field, bad):
     factor[field][1] = bad
     with pytest.raises(ValueError, match=rf"factors\[0\]: '{field}' entries must be finite"):
         spec_from_dict({"factors": [factor]})
+
+
+@pytest.mark.parametrize("re_,im,message", [
+    # the first bad entry of 're', then of 'im', is named
+    ([1.0, "x", math.nan], [0.0, 0.0, 0.0], "'re' entries must be finite numbers, got 'x'"),
+    ([1.0, math.inf, "x"], [0.0, 0.0, 0.0], "'re' entries must be finite numbers, got inf"),
+    ([1.0, 0.0, 1], [None, math.nan, 0], "'im' entries must be finite numbers, got None"),
+    ([1.0, 0.0, -math.inf], [True, 0.0, 0.0], "'re' entries must be finite numbers, got -inf"),
+    ([1.0, 0.0, 0.0], [0, 10 ** 400, math.nan],
+     f"'im' entries must be finite numbers, got {10 ** 400!r}"),
+    ([1.0, [0.0], 0.0], [0.0, 0.0, 0.0], "'re' entries must be finite numbers, got [0.0]"),
+    ([1.0, np.float64(0.5), 0.0], [0.0, 0.0, 0.0],
+     f"'re' entries must be finite numbers, got {np.float64(0.5)!r}"),  # not exactly a float
+    ([1.0, 0.0, 0.0], [0.0, False, 0.0], "'im' entries must be finite numbers, got False"),
+])
+def test_spec_dict_names_the_first_bad_amplitude(re_, im, message):
+    doc = {"factors": [{"kind": "amplitudes", "labels": ["A", "B"], "dims": [2, 2],
+                        "re": re_ + [0.0], "im": im + [0.0]}]}
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(doc)
+    assert str(info.value) == f"factors[0]: {message}"
+
+
+def test_spec_dict_amplitudes_keep_signed_zeros():
+    re_ = [-0.0, 0.6, -0.0, 0.0, 1, -0.0]
+    im = [-0.0, -0.0, 0.8, -0.0, 0, 2]
+    spec = spec_from_dict({"factors": [{"kind": "amplitudes", "labels": ["A", "B"],
+                                        "dims": [2, 3], "re": re_, "im": im}]})
+    got = spec.factors[0].amplitudes
+    want = tuple(complex(r, i) for r, i in zip(re_, im))
+
+    def bits(z):
+        return (math.copysign(1.0, z.real), z.real, math.copysign(1.0, z.imag), z.imag)
+
+    assert all(type(z) is complex for z in got)
+    assert [bits(z) for z in got] == [bits(z) for z in want]
 
 
 @pytest.mark.parametrize("factor,field", [
