@@ -72,9 +72,9 @@ Both partition families have one size rule (_block_values): 2 <= k <= n,
 and |Gamma_{k-1}| at most PARTITION_COUNT_CAP = 10^6 unless unsafe_large.
 Under qstate.PARTY_CAP that admits 57 (n, k-1) mask tables, 129 MB in all,
 so _mask_table's cache of 64 never evicts.  The largest, (11, 10), has
-678,569 columns (15 MB): CGq_11 on 11 Haar qubits takes 1.5-2.3 s cold,
-about 1-1.5 s of it the table's build, and 0.1 s warm, and the whole
-`kpem compute` process peaks at 79 MB (2-vCPU VM).
+678,569 columns (15 MB): CGq_11 on 11 Haar qubits takes 0.6-1.0 s cold,
+about 0.13 s of it the table's build, and 0.1 s warm, and the whole
+`kpem compute` process peaks at 81 MB (2-vCPU VM).
 
 MEASURE_TABLE is the single source of measure-kind rules: each kind's CLI
 token, its family and the reduced function it fixes, if any.
@@ -85,14 +85,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from numbers import Integral
+from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
 
 from .factorize import FactorDecomposition, MarginalCache, finest_factorization
-from .partitions import Partition, count_k_fineness, iter_block_masks, mask_parties
+from .partitions import Partition, block_masks, check_integer_k, count_k_fineness, mask_parties
 from .qstate import DensityMatrix, PureState
 from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun, parse_parameter
 
@@ -147,10 +146,7 @@ class MeasureSpec:
         row = MEASURE_TABLE.get(self.kind)
         if row is None:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_integer_k(self.k, 2)
         if row.fixed_h is None:
             if self.h is None:
                 raise ValueError(f"{self.kind} needs a reduced function")
@@ -415,16 +411,10 @@ def measure_min_family(
 @lru_cache(maxsize=64)
 def _mask_table(n: int, b: int) -> tuple[np.ndarray, float]:
     """Gamma_b of n parties as a read-only (n, |Gamma_b|) array of block
-    masks (column i: the i-th partition's blocks in restricted-growth-string
-    order, then zeros, the empty mask whose h is 0.0) and sum_i log m_i."""
-    count = count_k_fineness(n, b)
-    pad = (0,) * n
-    flat = np.fromiter(
-        chain.from_iterable(blocks + pad[len(blocks):] for blocks in iter_block_masks(n, b)),
-        dtype=np.min_scalar_type((1 << n) - 1),
-        count=count * n,
-    )
-    table = flat.reshape(count, n).T.copy()
+    masks (partitions.block_masks: column i holds the i-th partition's
+    blocks in restricted-growth-string order, then zeros, the empty mask
+    whose h is 0.0) and sum_i log m_i."""
+    table = block_masks(n, b)
     table.flags.writeable = False
     log_blocks = sum(map(math.log, np.count_nonzero(table, axis=0).tolist()))
     return table, log_blocks

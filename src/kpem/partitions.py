@@ -5,17 +5,20 @@ blocks ordered by their smallest member.  The family Gamma_k of all
 partitions whose blocks hold at most k parties is enumerated in
 restricted-growth-string lexicographic order; that order is part of the
 public contract because minimizers break ties by taking the first
-partition the enumerator produces.  One walk produces it:
-`iter_block_masks` yields each partition as block bitmasks, and
-`iter_k_fineness` wraps it in Partition objects.
+partition the enumerator produces.  One walk produces it: `block_masks`
+builds the family as a numpy table of block bitmasks, one column per
+partition, and `iter_k_fineness` reads the columns into Partition objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from operator import mul
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 def _canonical_blocks(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -90,39 +93,42 @@ class Partition:
         return all(len({lookup[p] for p in block}) == 1 for block in self.blocks)
 
 
-def iter_block_masks(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of parties 0..n-1 with blocks of at most k
-    parties as a tuple of block bitmasks (bit i is party i).
+def check_integer_k(k: int, least: int = 1) -> None:
+    """k must be a Python or numpy integer (not a bool) of at least `least`."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
 
-    Order is restricted-growth-string lexicographic: party i is assigned a
-    block id a_i with a_0 = 0 and a_i <= max(a_0..a_{i-1}) + 1, strings
-    ordered lexicographically.  Blocks that already hold k parties are
-    pruned during the walk, so the yielded sequence is the lex-ordered
-    subsequence of the full Bell enumeration.  Blocks come in canonical
-    order (by smallest member), and no Partition objects are built.
+
+def block_masks(n: int, k: int) -> np.ndarray:
+    """Gamma_k of parties 0..n-1 as an (n, |Gamma_k|) array of block masks
+    (bit i is party i) of dtype np.min_scalar_type(2**n - 1): column j
+    holds the j-th partition's blocks by smallest member, then zeros.
+
+    Columns come in restricted-growth-string lexicographic order, built one
+    party per level: each prefix column branches into the block labels up
+    to its block count whose blocks hold fewer than k parties, in order.
     """
-    blocks: list[int] = []
-    sizes: list[int] = []
-
-    def walk(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(blocks)
-            return
-        bit = 1 << i
-        for b in range(len(blocks)):
-            if sizes[b] < k:
-                blocks[b] |= bit
-                sizes[b] += 1
-                yield from walk(i + 1)
-                blocks[b] ^= bit
-                sizes[b] -= 1
-        blocks.append(bit)
-        sizes.append(1)
-        yield from walk(i + 1)
-        blocks.pop()
-        sizes.pop()
-
-    return walk(0)
+    check_integer_k(k)
+    if not 1 <= n <= 64:  # the widest mask dtype, uint64
+        raise ValueError(f"block masks cover 1 to 64 parties, got {n}")
+    k = min(int(k), n)
+    masks = np.zeros((n, 1), dtype=np.min_scalar_type((1 << n) - 1))
+    sizes = np.zeros((n, 1), dtype=np.uint8)
+    masks[0], sizes[0] = 1, 1
+    for i in range(1, n):
+        test = (sizes[: i + 1] < k).T
+        test[:, 1:] &= sizes[:i].T > 0  # of the empty blocks only the first is open
+        label = np.broadcast_to(np.arange(i + 1, dtype=np.uint8), test.shape)[test]
+        children = np.count_nonzero(test, axis=1)
+        masks = masks.repeat(children, axis=1)
+        sizes = sizes.repeat(children, axis=1)
+        for j in range(i + 1):
+            into = label == j
+            np.bitwise_or(masks[j], 1 << i, out=masks[j], where=into)
+            np.add(sizes[j], 1, out=sizes[j], where=into)
+    return masks
 
 
 def mask_parties(mask: int) -> tuple[int, ...]:
@@ -137,29 +143,27 @@ def mask_parties(mask: int) -> tuple[int, ...]:
 
 def iter_k_fineness(parties: Sequence[int], k: int) -> Iterator[Partition]:
     """Yield all partitions of `parties` with blocks of at most k parties,
-    in the restricted-growth-string order of `iter_block_masks`."""
-    if k < 1:
-        raise ValueError(f"fineness bound must be >= 1, got {k}")
+    in the restricted-growth-string order of `block_masks`.  The generator
+    holds its family's whole table; the CLI listing stops at 200,000
+    partitions."""
     idx = tuple(sorted(parties))
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate party indices")
-    n = len(idx)
-    if n == 0:
-        raise ValueError("no parties to partition")
-    for masks in iter_block_masks(n, k):
-        yield Partition._trusted(
-            tuple(tuple(idx[i] for i in mask_parties(m)) for m in masks)
-        )
+    table = block_masks(len(idx), k)
+    blocks = {m: tuple(idx[i] for i in mask_parties(m)) for m in np.unique(table).tolist()}
+    for column in table.T:
+        yield Partition._trusted(tuple(blocks[m] for m in column.tolist() if m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_k_fineness(n: int, k: int) -> int:
     """|Gamma_k| for an n-set, by recursion on the block containing the
     first element (closed count, no enumeration), filled in bottom-up so
     that no n exhausts the interpreter's stack; the binomials of each step
     are one Pascal row, advanced by additions."""
-    if k < 1 or n < 0:
-        raise ValueError("need n >= 0 and k >= 1")
+    check_integer_k(k)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     counts = [1]
     row = [1]  # comb(m - 1, s - 1) for s <= min(k, m) at step m
     for _ in range(n):

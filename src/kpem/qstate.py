@@ -738,10 +738,7 @@ def permute_parties(state: PureState, perm: Sequence[int]) -> PureState:
     n = state.num_parties
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of range({n}): {perm}")
-    parties = tuple(state.layout.parties[p] for p in perm)
-    amp = state.tensor().transpose(perm).reshape(-1)
-    groups, vectors = _carry(_sources(state), [(p,) for p in perm], state.layout.dims)
-    return PureState(SystemLayout(parties), amp, groups=groups, vectors=vectors)
+    return _join(state, [(p,) for p in perm])
 
 
 def regroup(state: PureState, partition: Partition) -> PureState:
@@ -752,18 +749,21 @@ def regroup(state: PureState, partition: Partition) -> PureState:
     The groups a block touches merge into one group of the output; a group
     the blocks leave untouched keeps its vector (see _carry).
     """
-    n = state.num_parties
-    if partition.parties != tuple(range(n)):
+    if partition.parties != tuple(range(state.num_parties)):
         raise ValueError("partition must cover all parties of the state")
-    labels = state.layout.labels
-    dims = state.layout.dims
+    return _join(state, partition.blocks)
+
+
+def _join(state: PureState, blocks: Sequence[Sequence[int]]) -> PureState:
+    """The state whose party j joins the input parties blocks[j], its
+    digits in that order: labels joined, dimensions multiplied."""
+    labels, dims = state.layout.labels, state.layout.dims
     parties = tuple(
         ("".join(labels[i] for i in block), math.prod(dims[i] for i in block))
-        for block in partition.blocks
+        for block in blocks
     )
-    axes = [i for block in partition.blocks for i in block]
-    amp = state.tensor().transpose(axes).reshape(-1)
-    groups, vectors = _carry(_sources(state), partition.blocks, dims)
+    amp = state.tensor().transpose([i for block in blocks for i in block]).reshape(-1)
+    groups, vectors = _carry(_sources(state), blocks, dims)
     return PureState(SystemLayout(parties), amp, groups=groups, vectors=vectors)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
@@ -50,6 +51,9 @@ class ReducedFunctionSpec:
         if self.kind in ("concurrence", "entropy"):
             if self.parameter is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
+        elif self.parameter is not None and not isinstance(self.parameter, Real):
+            name = "q" if self.kind == "q_family" else "alpha"
+            raise ValueError(f"{self.kind} needs a real {name}, got {self.parameter!r}")
         elif self.kind == "q_family":
             if self.parameter is None or not 1.0 < self.parameter < math.inf:
                 raise ValueError(f"q_family needs a finite q > 1, got {self.parameter}")

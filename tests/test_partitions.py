@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,14 @@ from kpem.partitions import (
     Partition,
     apply_coarsening,
     bell_number,
+    block_masks,
     coarsening_related,
     count_k_fineness,
     iter_k_fineness,
     partition_from_text,
     partition_to_text,
 )
+from kpem.measures import _mask_table
 from kpem.qstate import SystemLayout
 
 
@@ -178,6 +181,79 @@ def test_bad_enumeration_arguments():
         list(iter_k_fineness([], 1))
     with pytest.raises(ValueError):
         list(iter_k_fineness([1, 1], 1))
+
+
+def growth_string(blocks: list[list[int]], n: int) -> tuple[int, ...]:
+    """Label each element by the block it sits in, blocks numbered in order
+    of first appearance."""
+    owner = {x: i for i, b in enumerate(blocks) for x in b}
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(owner[x], len(first)) for x in range(n))
+
+
+def test_enumeration_order_matches_sorted_growth_strings():
+    # oracle: the brute-force listing, filtered and sorted by growth string;
+    # it shares no code with the walk
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            # brute-force blocks are ascending, so sorting them by their
+            # first member gives the canonical form
+            keyed = sorted(
+                (growth_string(blocks, n), tuple(sorted(map(tuple, blocks))))
+                for blocks in brute_force_partitions(n)
+                if all(len(b) <= k for b in blocks)
+            )
+            want = [canon for _, canon in keyed]
+            got = [p.blocks for p in iter_k_fineness(range(n), k)]
+            assert got == want, (n, k)
+
+
+def test_mask_table_columns_are_the_enumeration():
+    for n in range(1, 10):
+        for b in range(1, n + 1):
+            table, _ = _mask_table(n, b)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            assert table.dtype == np.min_scalar_type(2**n - 1)
+            want = []
+            for p in iter_k_fineness(range(n), b):
+                col = [sum(1 << i for i in block) for block in p.blocks]
+                want.append(col + [0] * (n - len(col)))
+            assert table.T.tolist() == want, (n, b)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", None, np.float64(2.0)])
+def test_fineness_bound_must_be_an_integer(bad):
+    count_k_fineness(4, 1)  # a cached (4, 1) must not answer for True
+    with pytest.raises(ValueError, match="k must be an integer"):
+        list(iter_k_fineness(range(4), bad))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        count_k_fineness(4, bad)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        block_masks(4, bad)
+
+
+def test_numpy_integer_fineness_bounds():
+    for k in (np.int64(2), np.int8(2), np.uint64(2)):
+        assert [p.blocks for p in iter_k_fineness(range(4), k)] == [
+            p.blocks for p in iter_k_fineness(range(4), 2)
+        ]
+        assert count_k_fineness(4, k) == 10
+        assert np.array_equal(block_masks(4, k), block_masks(4, 2))
+    # a bound beyond n admits every partition
+    assert block_masks(3, 10**30).shape == (3, 5)
+
+
+def test_block_masks_party_bound():
+    table = block_masks(64, 1)  # the singletons, in the widest mask dtype
+    assert table.dtype == np.uint64 and table.shape == (64, 1)
+    assert table[:, 0].tolist() == [1 << i for i in range(64)]
+    for n in (0, 65):
+        with pytest.raises(ValueError, match="1 to 64 parties"):
+            block_masks(n, 1)
+    with pytest.raises(ValueError, match="1 to 64 parties"):
+        list(iter_k_fineness(range(65), 1))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        block_masks(3, 0)
 
 
 # --- coarsening ------------------------------------------------------------------

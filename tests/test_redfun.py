@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kpem.measures import MeasureSpec
 from kpem.qstate import MaxEntFactor, StateSpec, build_state, reduced_density
 from kpem.redfun import (
     CONCURRENCE,
@@ -95,6 +96,30 @@ def test_parameters_must_be_finite(kind, bad):
         ReducedFunctionSpec(kind, bad)
     with pytest.raises(ValueError, match="needs"):
         parse_redfun(f"{'q' if kind == 'q_family' else 'alpha'}:{bad}")
+
+
+@pytest.mark.parametrize("kind,name,bad", [
+    ("q_family", "q", "2"),
+    ("q_family", "q", b"2"),
+    ("q_family", "q", 2 + 0j),
+    ("alpha_family", "alpha", "0.5"),
+    ("alpha_family", "alpha", [0.5]),
+])
+def test_parameters_must_be_real(kind, name, bad):
+    with pytest.raises(ValueError, match=f"{kind} needs a real {name}, got "):
+        ReducedFunctionSpec(kind, bad)
+    measure = "Cq_k" if kind == "q_family" else "Calpha_k"
+    with pytest.raises(ValueError, match=f"needs a real {name}"):
+        MeasureSpec(measure, 2, parameter=bad)
+
+
+def test_real_parameters_of_any_real_type():
+    assert ReducedFunctionSpec("q_family", 2).parameter == 2
+    assert ReducedFunctionSpec("q_family", np.float32(2.5)).parameter == 2.5
+    assert ReducedFunctionSpec("alpha_family", np.float64(0.5)).parameter == 0.5
+    # a bool is a real number whose value misses the range, as before
+    with pytest.raises(ValueError, match="q > 1"):
+        ReducedFunctionSpec("q_family", True)
 
 
 def test_parse_and_format():
