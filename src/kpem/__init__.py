@@ -50,10 +50,12 @@ from .qstate import (
     SystemLayout,
     WFactor,
     build_state,
+    evaluate,
     permute_parties,
     random_pure,
     reduced_density,
     regroup,
+    sample_check,
     spec_from_dict,
     spec_to_dict,
 )
@@ -62,11 +64,9 @@ from .redfun import (
     ENTROPY,
     KINDS,
     ReducedFunctionSpec,
-    evaluate,
     evaluate_spectrum,
     format_redfun,
     parse_redfun,
-    sample_check,
 )
 
 __version__ = "0.1.0"

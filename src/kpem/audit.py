@@ -779,9 +779,15 @@ class AuditConfig:
             raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        known = {"axioms": AXIOMS, "variants": [v.name for v in DEFAULT_VARIANTS]}
         for key, names in (("axioms", self.axioms), ("variants", [v.name for v in self.variants])):
             if len(set(names)) < len(names):
                 raise ValueError(f"{key} name a cell more than once: {list(names)}")
+            # the suite runs only cells with an expected verdict, so any
+            # other name would be dropped without a word
+            unknown = [name for name in names if name not in known[key]]
+            if unknown:
+                raise ValueError(f"{key} {unknown} are not among {list(known[key])}")
 
     @classmethod
     def from_dict(cls, obj) -> "AuditConfig":

@@ -16,10 +16,9 @@ multi-party factor genuinely entangled: a pure proper sub-marginal would
 have been found at a smaller size first.  The producibility is the size
 of the largest factor.
 
-This module also holds the marginal engine, MarginalCache, so that
-kpem.measures can import it without a cycle.  It keeps no memo of its
-own: the one memo is on the pieces, each GroupVector's spectra, purities
-and spectral sums, shared by every state holding that object.
+This module holds only the factorization.  It keeps no memo of its own:
+the purities come off the marginal engine's memo on each GroupVector
+(kpem.qstate), shared by every state holding that object.
 
 Scanning up to half of a group's remaining parties is enough: a group's
 marginal is pure and peeling a pure subset off it leaves a pure rest, so a
@@ -53,14 +52,11 @@ scan of three or more parties.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .parallel import fork_map
 from .partitions import Partition, mask_parties
 from .qstate import (
     FIDELITY_TOL,
@@ -68,14 +64,11 @@ from .qstate import (
     NumericalContractError,
     PureState,
     PURITY_TOL,
-    GroupVector,
     marginal_purity,
     _own_vectors,
     _product_vector,
     _split,
-    _svd_weights,
 )
-from .redfun import ReducedFunctionSpec, finish, product_sums, spectral_sums
 
 SINGLE = "single"
 GENUINE = "genuinely_entangled"
@@ -106,83 +99,6 @@ class FactorDecomposition:
 
     def block_partition(self) -> Partition:
         return Partition.of([f.parties for f in self.factors])
-
-
-class MarginalCache:
-    """The marginal engine of one state: h values keyed by party bitmask
-    (bit i is party i), formed from the pieces a mask cuts out of the
-    state's groups (see kpem.measures).  It holds no memo: each piece's
-    spectral sums are memoized on its GroupVector, so every state holding
-    that object shares them, and each piece is SVD'd once, for the
-    factorization and for h together.
-
-    h_values reads a batch of masks.  When the batch's SVDs cost at least
-    FORK_COST, it first takes every missing one through parallel.fork_map,
-    so a large batch runs on every CPU in the process's affinity; the
-    weights are those of the one-process path, bit for bit."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: PureState):
-        self.state = state
-
-    def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
-        """h of the marginal on `mask`, from the raw spectral sums of the
-        pieces it cuts out of the groups (redfun.product_sums); the purity
-        threshold is applied once, at the end (redfun.finish).  A whole
-        group inside mask is pure and adds nothing."""
-        pieces = [_piece_sums(h, gv, local) for gv, local in self.state.cuts(mask)]
-        return finish(h, product_sums(h, pieces))
-
-    def h_values(self, h: ReducedFunctionSpec, masks: Sequence[int]) -> list[float]:
-        """[h_value(h, mask) for mask in masks].  A batch whose SVDs could
-        cost FORK_COST (bounded from the mask count and the group
-        dimensions) first fills the weights of every missing SVD side
-        (GroupVector.side) of its pieces; the fill forks only when their
-        estimated cost, d_small^2 * d_large each, reaches FORK_COST."""
-        bound = len(masks) * sum(gv.vector.size ** 1.5 for gv in self.state.group_vectors())
-        if bound >= FORK_COST:
-            _fill_weights(self.state, masks)
-        return [self.h_value(h, mask) for mask in masks]
-
-
-# estimated cost (the sum of d_small^2 * d_large over a batch's SVDs) from
-# which the batch forks.  On a 2-vCPU VM a pool starts in 15-35 ms; with the
-# QR-reduced kernel a cost of 4.3e7 took 50 ms in one process and 44 ms in
-# two, 2.7e8 took 534 and 367 ms, and 8.4e6 lost by forking (BENCH_22.json,
-# threshold)
-FORK_COST = 1e8
-
-
-def _fill_weights(state: PureState, masks: Sequence[int]) -> None:
-    """Take the missing SVD sides of the pieces `masks` cut out of the
-    state's groups, costliest first, through fork_map when their total
-    estimated cost reaches FORK_COST, and store each side's weights."""
-    missing: dict[tuple[int, int], tuple[int, GroupVector, int]] = {}
-    for mask in masks:
-        for gv, local in state.cuts(mask):
-            side = gv.side(local)
-            if side not in gv.weights and (id(gv), side) not in missing:
-                dim = math.prod(gv.dims[i] for i in mask_parties(side))
-                small = min(dim, gv.vector.size // dim)
-                missing[id(gv), side] = (small * gv.vector.size, gv, side)
-    sides = sorted(missing.values(), key=lambda job: -job[0])
-    if sum(cost for cost, _, _ in sides) < FORK_COST:
-        return
-    weights = fork_map(_svd_weights, [(gv.tensor(), mask_parties(side)) for _, gv, side in sides])
-    for (_, gv, side), lam in zip(sides, weights):
-        lam.flags.writeable = False
-        gv.weights[side] = lam
-
-
-def _piece_sums(h: ReducedFunctionSpec, gv: GroupVector, local: int) -> tuple[float, float]:
-    """spectral_sums of GroupVector.spectrum of a local piece, memoized on
-    the GroupVector."""
-    key = (h.kind, h.parameter, gv.key(local))
-    got = gv.sums.get(key)
-    if got is None:
-        got = gv.sums[key] = spectral_sums(h, gv.spectrum(local))
-    return got
 
 
 def finest_factorization(state: PureState) -> FactorDecomposition:

@@ -16,11 +16,11 @@ Three families:
   witness partition.
 
 Every family goes through one marginal engine, MarginalCache (defined in
-kpem.factorize): h values keyed by party bitmask (bit i is party i).  The
-factorization's purities come off the same pieces' SVDs, and a factor's
-quantities are read off the marginals of the whole state.  Party subsets
-stay bitmasks throughout; they become party tuples only where a spectrum
-is taken and in the reported witnesses and breakdowns.
+kpem.qstate): h values keyed by party bitmask (bit i is party i).  The
+factorization's purities are the same pieces' concurrence sums, and a
+factor's quantities are read off the marginals of the whole state.  Party
+subsets stay bitmasks throughout; they become party tuples only where a
+spectrum is taken and in the reported witnesses and breakdowns.
 
 h is formed from the state's groups (PureState.groups), across which the
 amplitudes are a tensor product, so the marginal on X is the product of
@@ -39,15 +39,15 @@ Each piece is SVD'd on its own group's vector (qstate.GroupVector), not on
 the whole state.  Its squared singular values are kept under the side of
 the group's split that the SVD ran on (the smaller, or the piece itself at
 equal dimensions) and serve the piece and its complement in the group;
-its spectral sums are cached by (h, piece) and its purity by piece.  The
-memos live on the GroupVector object, so every state holding that object
-shares them: the permuted, regrouped and restricted copies a postulate
-check makes keep the objects of the groups they leave alone, and the
-named factors (GHZ, W, maxent) share one object per shape, keyed by
-subset size, as their vectors do not change under reordering.  They are
-the engine's only memo: h is combined from its pieces' sums on every
-read, which takes no SVD, so evaluating the same state again, at any k
-and for any measure, takes none either.
+its spectral sums are cached by (h, piece), and its purity is the first
+of its concurrence sums.  The memos live on the GroupVector object, so
+every state holding that object shares them: the permuted, regrouped and
+restricted copies a postulate check makes keep the objects of the groups
+they leave alone, and the named factors (GHZ, W, maxent) share one object
+per shape, keyed by subset size, as their vectors do not change under
+reordering.  They are the engine's only memo: h is combined from its
+pieces' sums on every read, which takes no SVD, so evaluating the same
+state again, at any k and for any measure, takes none either.
 
 Every family reads h over a batch of subsets through
 MarginalCache.h_values: calE's one side per bipartition of a factor, the
@@ -85,14 +85,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Union
 
 import numpy as np
 
-from .factorize import FactorDecomposition, MarginalCache, finest_factorization
+from .factorize import FactorDecomposition, finest_factorization
 from .partitions import Partition, block_masks, check_integer_k, count_k_fineness, mask_parties
-from .qstate import DensityMatrix, PureState
+from .qstate import DensityMatrix, MarginalCache, PureState
 from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun, parse_parameter
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
@@ -416,8 +416,19 @@ def _mask_table(n: int, b: int) -> tuple[np.ndarray, float]:
     whose h is 0.0) and sum_i log m_i."""
     table = block_masks(n, b)
     table.flags.writeable = False
-    log_blocks = sum(map(math.log, np.count_nonzero(table, axis=0).tolist()))
-    return table, log_blocks
+    return table, _log_sum(np.count_nonzero(table, axis=0))
+
+
+# entries converted to Python numbers at a time by _log_sum
+_LOG_CHUNK = 1 << 16
+
+
+def _log_sum(values: np.ndarray) -> float:
+    """sum(map(math.log, values.tolist())), bit for bit on every Python:
+    one sum over the same numbers in the same order, but converted a
+    chunk at a time, so no list of one Python number per entry is built."""
+    chunks = (values[i:i + _LOG_CHUNK].tolist() for i in range(0, values.size, _LOG_CHUNK))
+    return sum(map(math.log, chain.from_iterable(chunks)))
 
 
 def measure_geometric_family(
@@ -436,13 +447,11 @@ def measure_geometric_family(
     sums = values[table[0]]
     for blocks in table[1:]:  # one block at a time keeps the temporaries small
         sums = sums + values[blocks]
-    totals = sums.tolist()
-    if min(totals) <= 0.0:
+    if sums.min() <= 0.0:
         value = 0.0
     else:
-        log_ratio = sum(map(math.log, totals)) - log_blocks
-        value = math.exp(log_ratio / (2.0 * len(totals)))
-    return MeasureResult(value=value, witness=None, breakdown={"cardinality": len(totals)})
+        value = math.exp((_log_sum(sums) - log_blocks) / (2.0 * sums.size))
+    return MeasureResult(value=value, witness=None, breakdown={"cardinality": sums.size})
 
 
 # --- dispatch ---------------------------------------------------------------------

@@ -18,22 +18,20 @@ state built without vectors reads each group's vector once, on first use.
 
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
-pieces' marginals.  A piece's spectrum is the SVD of its own group
-vector's split (GroupVector.spectrum), memoized on the GroupVector, so
-every state holding the same object shares it; this is the marginal
-engine's only memo, and a state holds none of its own.  A union of whole
-groups is exactly pure.  A pure marginal's own state is the product of
-the pieces' own vectors (_own_vectors): a group kept whole is its
-GroupVector, with no SVD, and a cut piece is its group vector's leading
-singular vector.  pure_restriction wraps them in a state, and the
-factorization's reconstruction check multiplies them.
+pieces' marginals; a union of whole groups is exactly pure.  This module
+owns the marginal engine: MarginalCache reads h of a party bitmask off the
+memo on the GroupVectors (see GroupVector), shared by every state holding
+the same object; a state holds no memo of its own.  A pure marginal's own
+state is the product of the pieces' own vectors (_own_vectors): a group
+kept whole is its GroupVector, with no SVD, and a cut piece is its group
+vector's leading singular vector.  pure_restriction wraps them in a state,
+and the factorization's reconstruction check multiplies them.
 
-All tolerance constants live here.  "This marginal is pure" is decided
-by one number, marginal_purity: the product of the cut pieces' purities,
-each the sum of the squares of the piece's spectrum, memoized on its
-GroupVector (GroupVector.purity), against PURITY_TOL.
-pure_restriction, the factorization search and h's zero rule all take it
-off the same group SVDs.
+"This marginal is pure" is decided by one number, marginal_purity: the
+product of the cut pieces' purities (GroupVector.purity) against
+redfun.PURITY_TOL.  pure_restriction, the factorization search and h's
+zero rule all take it off the same group SVDs.  The density-matrix route
+(reduced_density, spectrum, evaluate, sample_check) is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -44,14 +42,23 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .parallel import fork_map
 from .partitions import Partition, mask_parties
+from .redfun import (
+    CONCURRENCE,
+    PURITY_TOL,
+    ReducedFunctionSpec,
+    evaluate_spectrum,
+    finish,
+    product_sums,
+    spectral_sums,
+)
 
 NORM_TOL = 1e-12          # state vector norm
 HERM_TOL = 1e-12          # elementwise hermiticity of density matrices
 TRACE_TOL = 1e-12         # |tr(rho) - 1|
 EIG_FLOOR = -1e-10        # eigenvalues below this are a contract failure
 SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
-PURITY_TOL = 1e-9         # tr(rho^2) >= 1 - PURITY_TOL counts as pure
 # a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
 # factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
 LINK_TOL = 10 * 6 * math.sqrt(PURITY_TOL)
@@ -175,16 +182,16 @@ class GroupVector:
     the memo keys it by the lowest parties of that size (`key`), and the
     party-wise operations keep the object under any reordering.
 
-    The memo lives on the object and serves every state holding it:
-    `weights` maps an SVD'd side (a local mask) to its squared singular
-    values, `purities` maps the key of a local piece to its purity, and
-    `sums` maps (h kind, parameter, key of the local piece) to the piece's
-    redfun.spectral_sums, filled by the marginal engine
-    (kpem.factorize.MarginalCache), which combines them into h values on
-    every call and keeps no memo of its own.
+    The memo lives on the object and serves every state holding it.  It
+    has two parts: `weights` maps an SVD'd side (a local mask) to its
+    squared singular values, and `sums` maps (h kind, parameter, key of
+    the local piece) to the piece's redfun.spectral_sums (piece_sums).  A
+    piece's purity is its concurrence entry, whose sums are (purity,
+    purity), so it is stored once.  MarginalCache combines the sums into h
+    values on every call and keeps no memo of its own.
     """
 
-    __slots__ = ("vector", "dims", "symmetric", "weights", "purities", "sums")
+    __slots__ = ("vector", "dims", "symmetric", "weights", "sums")
 
     def __init__(self, vector: np.ndarray, dims: Sequence[int], symmetric: bool = False):
         vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -197,7 +204,6 @@ class GroupVector:
         self.vector = vec
         self.symmetric = symmetric
         self.weights: dict[int, np.ndarray] = {}
-        self.purities: dict[int, float] = {}
         self.sums: dict[tuple, tuple[float, float]] = {}
 
     def tensor(self) -> np.ndarray:
@@ -226,20 +232,23 @@ class GroupVector:
             weights = self.weights[side] = _svd_weights(self.tensor(), mask_parties(side))
         return pad_spectrum(weights, math.prod(self.dims[i] for i in mask_parties(local)))
 
+    def piece_sums(self, h: ReducedFunctionSpec, local: int) -> tuple[float, float]:
+        """redfun.spectral_sums of the spectrum of a local piece, memoized."""
+        key = (h.kind, h.parameter, self.key(local))
+        got = self.sums.get(key)
+        if got is None:
+            got = self.sums[key] = spectral_sums(h, self.spectrum(local))
+        return got
+
     def purity(self, local: int) -> float:
         """Purity of the marginal on a local subset: the sum of the squares
-        of its spectrum, the same bits as redfun.spectral_sums' purity."""
-        key = self.key(local)
-        got = self.purities.get(key)
-        if got is None:
-            lam = self.spectrum(local)
-            got = self.purities[key] = float(np.sum(lam * lam))
-        return got
+        of its spectrum, read off its concurrence sums."""
+        return self.piece_sums(CONCURRENCE, local)[0]
 
 
 # shared GroupVectors of the named factors, one per (kind, size, dimension),
-# for the life of the process.  Their memos hold spectra, purities and
-# spectral sums, which are the same whichever state asks first, so sharing cannot change a
+# for the life of the process.  Their memos hold weights and spectral sums,
+# which are the same whichever state asks first, so sharing cannot change a
 # value; they grow with the named shapes and h parameters in use.
 _NAMED_GROUPS: dict[tuple, GroupVector] = {}
 
@@ -911,6 +920,11 @@ def spectrum(dm: DensityMatrix) -> np.ndarray:
     return clip_spectrum(np.linalg.eigvalsh(dm.matrix))
 
 
+def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:
+    """h of a density matrix, from its clipped spectrum."""
+    return evaluate_spectrum(h, spectrum(dm))
+
+
 def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     """Spectrum of the reduced state on `keep`, taken on the group vectors.
 
@@ -951,14 +965,85 @@ def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
     """tr(rho_keep^2) as the product, in group order, of the purities of
     the pieces `keep` cuts out of its groups (GroupVector.purity): the
     number that decides "pure" for pure_restriction and
-    factorize.finest_factorization, and the purity redfun.product_sums
-    combines from the same pieces' spectral sums for h's zero rule."""
+    factorize.finest_factorization.  Each piece's purity is the first of
+    its spectral sums, which redfun.product_sums multiplies in the same
+    order for h's zero rule."""
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)
     pur = 1.0
     for gv, local in state.cuts(sum(1 << p for p in keep)):
         pur *= gv.purity(local)
     return pur
+
+
+# --- the marginal engine -----------------------------------------------------
+
+
+class MarginalCache:
+    """The marginal engine of one state: h values keyed by party bitmask
+    (bit i is party i), formed from the pieces a mask cuts out of the
+    state's groups (see kpem.measures).  It holds no memo: each piece's
+    spectral sums are memoized on its GroupVector (GroupVector.piece_sums),
+    so every state holding that object shares them, and each piece is SVD'd
+    once, for the factorization and for h together.
+
+    h_values reads a batch of masks.  When the batch's SVDs cost at least
+    FORK_COST, it first takes every missing one through parallel.fork_map,
+    so a large batch runs on every CPU in the process's affinity; the
+    weights are those of the one-process path, bit for bit."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: PureState):
+        self.state = state
+
+    def h_value(self, h: ReducedFunctionSpec, mask: int) -> float:
+        """h of the marginal on `mask`, from the raw spectral sums of the
+        pieces it cuts out of the groups (redfun.product_sums); the purity
+        threshold is applied once, at the end (redfun.finish).  A whole
+        group inside mask is pure and adds nothing."""
+        pieces = [gv.piece_sums(h, local) for gv, local in self.state.cuts(mask)]
+        return finish(h, product_sums(h, pieces))
+
+    def h_values(self, h: ReducedFunctionSpec, masks: Sequence[int]) -> list[float]:
+        """[h_value(h, mask) for mask in masks].  A batch whose SVDs could
+        cost FORK_COST (bounded from the mask count and the group
+        dimensions) first fills the weights of every missing SVD side
+        (GroupVector.side) of its pieces; the fill forks only when their
+        estimated cost, d_small^2 * d_large each, reaches FORK_COST."""
+        bound = len(masks) * sum(gv.vector.size ** 1.5 for gv in self.state.group_vectors())
+        if bound >= FORK_COST:
+            _fill_weights(self.state, masks)
+        return [self.h_value(h, mask) for mask in masks]
+
+
+# estimated cost (the sum of d_small^2 * d_large over a batch's SVDs) from
+# which the batch forks.  On a 2-vCPU VM a pool starts in 15-35 ms; with the
+# QR-reduced kernel a cost of 4.3e7 took 50 ms in one process and 44 ms in
+# two, 2.7e8 took 534 and 367 ms, and 8.4e6 lost by forking (BENCH_22.json,
+# threshold)
+FORK_COST = 1e8
+
+
+def _fill_weights(state: PureState, masks: Sequence[int]) -> None:
+    """Take the missing SVD sides of the pieces `masks` cut out of the
+    state's groups, costliest first, through fork_map when their total
+    estimated cost reaches FORK_COST, and store each side's weights."""
+    missing: dict[tuple[int, int], tuple[int, GroupVector, int]] = {}
+    for mask in masks:
+        for gv, local in state.cuts(mask):
+            side = gv.side(local)
+            if side not in gv.weights and (id(gv), side) not in missing:
+                dim = math.prod(gv.dims[i] for i in mask_parties(side))
+                small = min(dim, gv.vector.size // dim)
+                missing[id(gv), side] = (small * gv.vector.size, gv, side)
+    sides = sorted(missing.values(), key=lambda job: -job[0])
+    if sum(cost for cost, _, _ in sides) < FORK_COST:
+        return
+    weights = fork_map(_svd_weights, [(gv.tensor(), mask_parties(side)) for _, gv, side in sides])
+    for (_, gv, side), lam in zip(sides, weights):
+        lam.flags.writeable = False
+        gv.weights[side] = lam
 
 
 def is_pure(dm: DensityMatrix) -> bool:
@@ -979,3 +1064,86 @@ def canonical_phase(vec: np.ndarray) -> np.ndarray:
         raise ValueError("zero vector")
     z = vec[idx[0]]
     return vec * (abs(z) / z)
+
+
+# --- statistical property checks ---------------------------------------------
+
+SAMPLE_TOL = 1e-9
+PROPERTIES = ("concave", "subadditive")
+
+
+@dataclass(frozen=True)
+class SampleCheckReport:
+    h: ReducedFunctionSpec
+    property: str
+    trials: int
+    seed: int
+    passed: bool
+    violations: int
+    worst_margin: float
+    witness: Optional[dict]
+
+
+def _random_mixed(rng: np.random.Generator, d: int) -> DensityMatrix:
+    # marginal of a Haar state on d x d, generically full rank
+    layout = SystemLayout.of(["a", "b"], [d, d])
+    return reduced_density(haar_state(layout, rng), [0])
+
+
+def sample_check(
+    h: ReducedFunctionSpec, property: str, trials: int, seed: int
+) -> SampleCheckReport:
+    """Monte-Carlo check of concavity or subadditivity of h.
+
+    Margins are oriented so that anything above SAMPLE_TOL is a violation;
+    the worst trial is always recorded as a witness and can be replayed by
+    rerunning with the same seed.  No pass/fail is asserted beyond the
+    observed margins.
+    """
+    if property not in PROPERTIES:
+        raise ValueError(f"unknown property {property!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    worst_witness: Optional[dict] = None
+    violations = 0
+    for t in range(trials):
+        if property == "concave":
+            d = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 4))
+            states = [_random_mixed(rng, d) for _ in range(m)]
+            w = rng.random(m) + 1e-3
+            w /= w.sum()
+            mix = DensityMatrix(
+                states[0].layout,
+                sum(p * s.matrix for p, s in zip(w, states)),
+            )
+            margin = float(
+                sum(p * evaluate(h, s) for p, s in zip(w, states)) - evaluate(h, mix)
+            )
+            desc = {"trial": t, "d": d, "weights": w.tolist()}
+        else:
+            da, db, dc = (int(rng.integers(2, 4)) for _ in range(3))
+            psi = haar_state(SystemLayout.of(["a", "b", "c"], [da, db, dc]), rng)
+            margin = float(
+                evaluate(h, reduced_density(psi, [0, 1]))
+                - evaluate(h, reduced_density(psi, [0]))
+                - evaluate(h, reduced_density(psi, [1]))
+            )
+            desc = {"trial": t, "dims": [da, db, dc]}
+        if margin > SAMPLE_TOL:
+            violations += 1
+        if margin > worst:
+            worst = margin
+            worst_witness = desc
+    return SampleCheckReport(
+        h=h,
+        property=property,
+        trials=trials,
+        seed=seed,
+        passed=violations == 0,
+        violations=violations,
+        worst_margin=worst,
+        witness=worst_witness,
+    )

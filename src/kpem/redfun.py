@@ -13,9 +13,10 @@ into h.  On a tensor product of spectra the purities and power sums
 multiply and the entropies add (product_sums), so h of a product is finish
 of the combined sums of its pieces, with no product spectrum formed.
 
-finish applies the shared 1e-9 purity threshold, once, to the (combined)
-purity: at or above it h is exactly 0.0, which keeps "this marginal is
-pure" consistent between the measures and the factorization search.
+finish applies the shared purity threshold, PURITY_TOL = 1e-9, once, to
+the (combined) purity: at or above it h is exactly 0.0, which keeps "this
+marginal is pure" consistent between the measures and the factorization
+search.  This module imports no other kpem module.
 """
 
 from __future__ import annotations
@@ -28,16 +29,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .qstate import (
-    DensityMatrix,
-    PURITY_TOL,
-    SystemLayout,
-    haar_state,
-    reduced_density,
-    spectrum,
-)
-
 KINDS = ("concurrence", "entropy", "q_family", "alpha_family")
+PURITY_TOL = 1e-9  # tr(rho^2) >= 1 - PURITY_TOL counts as pure
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,6 @@ def evaluate_spectrum(h: ReducedFunctionSpec, lam: np.ndarray) -> float:
     return finish(h, spectral_sums(h, lam))
 
 
-def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:
-    return evaluate_spectrum(h, spectrum(dm))
-
-
 # a plain decimal literal with an optional exponent; inf and nan pass, so
 # that the spec's range check names the range they miss
 _PARAMETER = re.compile(
@@ -158,86 +147,3 @@ def format_redfun(h: ReducedFunctionSpec) -> str:
     if h.kind == "q_family":
         return f"q:{h.parameter:g}"
     return f"alpha:{h.parameter:g}"
-
-
-# --- statistical property checks ---------------------------------------------
-
-SAMPLE_TOL = 1e-9
-PROPERTIES = ("concave", "subadditive")
-
-
-@dataclass(frozen=True)
-class SampleCheckReport:
-    h: ReducedFunctionSpec
-    property: str
-    trials: int
-    seed: int
-    passed: bool
-    violations: int
-    worst_margin: float
-    witness: Optional[dict]
-
-
-def _random_mixed(rng: np.random.Generator, d: int) -> DensityMatrix:
-    # marginal of a Haar state on d x d, generically full rank
-    layout = SystemLayout.of(["a", "b"], [d, d])
-    return reduced_density(haar_state(layout, rng), [0])
-
-
-def sample_check(
-    h: ReducedFunctionSpec, property: str, trials: int, seed: int
-) -> SampleCheckReport:
-    """Monte-Carlo check of concavity or subadditivity of h.
-
-    Margins are oriented so that anything above SAMPLE_TOL is a violation;
-    the worst trial is always recorded as a witness and can be replayed by
-    rerunning with the same seed.  No pass/fail is asserted beyond the
-    observed margins.
-    """
-    if property not in PROPERTIES:
-        raise ValueError(f"unknown property {property!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_witness: Optional[dict] = None
-    violations = 0
-    for t in range(trials):
-        if property == "concave":
-            d = int(rng.integers(2, 5))
-            m = int(rng.integers(2, 4))
-            states = [_random_mixed(rng, d) for _ in range(m)]
-            w = rng.random(m) + 1e-3
-            w /= w.sum()
-            mix = DensityMatrix(
-                states[0].layout,
-                sum(p * s.matrix for p, s in zip(w, states)),
-            )
-            margin = float(
-                sum(p * evaluate(h, s) for p, s in zip(w, states)) - evaluate(h, mix)
-            )
-            desc = {"trial": t, "d": d, "weights": w.tolist()}
-        else:
-            da, db, dc = (int(rng.integers(2, 4)) for _ in range(3))
-            psi = haar_state(SystemLayout.of(["a", "b", "c"], [da, db, dc]), rng)
-            margin = float(
-                evaluate(h, reduced_density(psi, [0, 1]))
-                - evaluate(h, reduced_density(psi, [0]))
-                - evaluate(h, reduced_density(psi, [1]))
-            )
-            desc = {"trial": t, "dims": [da, db, dc]}
-        if margin > SAMPLE_TOL:
-            violations += 1
-        if margin > worst:
-            worst = margin
-            worst_witness = desc
-    return SampleCheckReport(
-        h=h,
-        property=property,
-        trials=trials,
-        seed=seed,
-        passed=violations == 0,
-        violations=violations,
-        worst_margin=worst,
-        witness=worst_witness,
-    )

@@ -42,8 +42,9 @@ from kpem.qstate import (
     haar_unitary,
     marginal_spectrum,
     reduced_density,
+    sample_check,
 )
-from kpem.redfun import CONCURRENCE, ENTROPY, sample_check
+from kpem.redfun import CONCURRENCE, ENTROPY
 
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 from itertools import repeat
 
@@ -33,6 +34,7 @@ from kpem.audit import (
     seeded_instances,
     tight_b_condition,
 )
+from kpem.measures import MeasureSpec
 from kpem.qstate import GhzFactor, StateSpec, AmplitudesFactor, NumericalContractError, build_state
 from kpem.redfun import CONCURRENCE, ENTROPY
 
@@ -143,6 +145,18 @@ def test_cell_reruns_alone():
 def test_empty_config_gives_empty_report():
     report = run_suite(AuditConfig(axioms=()))
     assert report.checks == []
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    ({"axioms": ("symmetry_typo",)}, "axioms ['symmetry_typo'] are not among"),
+    ({"variants": (MeasureSpec("Cq_k", 2, parameter=3.0),)}, "variants ['Cq(3)'] are not among"),
+])
+def test_audit_config_refuses_cells_the_suite_would_skip(kwargs, needle):
+    """run_suite keeps only cells with an expected verdict, so a name
+    outside AXIOMS or the default variants would run nothing and report no
+    mismatch; the config refuses it instead."""
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        AuditConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs,needle", [

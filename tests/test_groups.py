@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from kpem import cli, qstate
 from kpem.audit import AuditConfig, evaluate_instance, run_suite
-from kpem.factorize import MarginalCache, finest_factorization
+from kpem.factorize import finest_factorization
 from kpem.measures import MeasureSpec, evaluate_measure
 from kpem.partitions import Partition, mask_parties
 from kpem.qstate import (
     AmplitudesFactor,
     GhzFactor,
+    MarginalCache,
     MaxEntFactor,
     PureState,
     StateSpec,
@@ -227,6 +228,22 @@ def test_factorization_reads_whole_groups_without_svd(cold_named_groups, svd_sha
     # the scan's purities: a GHZ3 single, and D and E on their own
     assert len(svd_shapes) == 3
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_factorization_purities_are_the_concurrence_sums(monkeypatch):
+    """A purity is stored once, as its piece's concurrence sums: after the
+    factorization scans a 4-qubit Haar state's singles and pairs, h of
+    concurrence on them forms no spectrum."""
+    psi = haar_state(SystemLayout.qubits("ABCD"), np.random.default_rng(4))
+    finest_factorization(psi)
+    formed = []
+    spectrum = qstate.GroupVector.spectrum
+    monkeypatch.setattr(qstate.GroupVector, "spectrum",
+                        lambda self, local: formed.append(local) or spectrum(self, local))
+    masks = [1 << i | 1 << j for i in range(4) for j in range(i, 4)]
+    assert len(masks) == 10
+    MarginalCache(psi).h_values(CONCURRENCE, masks)
+    assert formed == []
 
 
 # --- replay and counts --------------------------------------------------------------

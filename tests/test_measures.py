@@ -38,12 +38,13 @@ from kpem.qstate import (
     WFactor,
     apply_local_unitary,
     build_state,
+    evaluate,
     haar_unitary,
     marginal_spectrum,
     random_pure,
     reduced_density,
 )
-from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate, evaluate_spectrum
+from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate_spectrum
 
 from conftest import density_spectrum
 
@@ -398,6 +399,25 @@ def test_geometric_table_matches_sweep_on_haar_states(psi, data):
     k = data.draw(st.integers(2, psi.num_parties), label="k")
     for spec in geometric_specs(k):
         assert_geometric_matches_sweep(spec, psi, cache)
+
+
+def test_geometric_log_sums_match_the_list_expression():
+    """The geometric family's logs are summed a chunk at a time, over
+    more than one chunk here (115,974 partitions), and give the bits of
+    the one-list expression they replace."""
+    psi = random_pure(SystemLayout.qubits("ABCDEFGHIJ"), seed=10)
+    spec = MeasureSpec("CGq_k", 10, parameter=Q2)
+    res = measure_geometric_family(spec, psi)
+    table, log_blocks = _mask_table(10, 9)
+    assert table.shape[1] > measures._LOG_CHUNK
+    counts = np.count_nonzero(table, axis=0).tolist()
+    assert log_blocks == sum(map(math.log, counts))
+    values = np.array(measures._block_values(spec, psi, False))
+    totals = sum(values[blocks] for blocks in table).tolist()
+    assert min(totals) > 0.0
+    want = math.exp((sum(map(math.log, totals)) - log_blocks) / (2.0 * len(totals)))
+    assert res.value == want
+    assert res.breakdown == {"cardinality": len(totals)}
 
 
 TIE_HEAVY = {

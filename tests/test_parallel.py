@@ -8,13 +8,13 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from kpem import factorize
-from kpem.factorize import MarginalCache
+from kpem import qstate
 from kpem.measures import MeasureSpec, evaluate_measure, unified_mem
 from kpem.parallel import fork_map
 from kpem.qstate import (
     AmplitudesFactor,
     GhzFactor,
+    MarginalCache,
     NumericalContractError,
     PureState,
     StateSpec,
@@ -91,7 +91,7 @@ def test_forked_fill_matches_one_process(monkeypatch, cpus, pools, cold_named_gr
     """Forced to fork, every reader gives the one-process values, witnesses
     and breakdowns, and its states hold the same weights, bit for bit and
     read-only."""
-    monkeypatch.setattr(factorize, "FORK_COST", 0.0)
+    monkeypatch.setattr(qstate, "FORK_COST", 0.0)
     cpus(1)
     want = evaluate_all(make)
     assert pools == []
@@ -115,7 +115,7 @@ def test_fill_runs_only_from_the_fork_cost(monkeypatch, cpus, pools):
         filled.append(len(jobs))
         return [fn(*job) for job in jobs]
 
-    monkeypatch.setattr(factorize, "fork_map", one_process)
+    monkeypatch.setattr(qstate, "fork_map", one_process)
     evaluate_measure(SPECS[0], haar_qubits(12, 3))
     assert filled == [2047 - 12 - 66]  # the factorization took the singles and pairs
 
@@ -159,7 +159,7 @@ def test_this_process_runs_every_pth_job(cpus, pools):
 def test_nested_evaluation_runs_in_the_calling_process(monkeypatch, cpus, pools):
     """An evaluation inside a job, whether the job runs here or in a worker,
     starts no pool of its own, and gives the one-process value."""
-    monkeypatch.setattr(factorize, "FORK_COST", 0.0)
+    monkeypatch.setattr(qstate, "FORK_COST", 0.0)
 
     def job(seed):
         before = len(pools)

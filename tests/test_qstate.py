@@ -471,7 +471,7 @@ def test_ghz10_calE_alpha_half_closed_form():
 
 
 def test_w12_marginal_entropies_closed_form():
-    from kpem.factorize import MarginalCache
+    from kpem.qstate import MarginalCache
     from kpem.redfun import ENTROPY
 
     n = 12

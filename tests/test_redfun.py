@@ -1,23 +1,24 @@
 """Reduced functions: closed-form values, zero snapping, sampling checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kpem import redfun
 from kpem.measures import MeasureSpec
-from kpem.qstate import MaxEntFactor, StateSpec, build_state, reduced_density
+from kpem.qstate import MaxEntFactor, StateSpec, build_state, evaluate, reduced_density, sample_check
 from kpem.redfun import (
     CONCURRENCE,
     ENTROPY,
     ReducedFunctionSpec,
-    evaluate,
     evaluate_spectrum,
     finish,
     format_redfun,
     parse_redfun,
     product_sums,
-    sample_check,
     spectral_sums,
 )
 
@@ -160,3 +161,12 @@ def test_sample_check_deterministic():
     assert a == b
     with pytest.raises(ValueError, match="unknown property"):
         sample_check(ENTROPY, "monogamy", trials=1, seed=0)
+
+
+def test_redfun_imports_no_kpem_module():
+    """The reduced functions are spectral math: redfun has no relative
+    import, so every kpem module may import it without a cycle."""
+    tree = ast.parse(Path(redfun.__file__).read_text())
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == []
