@@ -24,16 +24,13 @@ from .measures import (
     MarginalCache,
     MeasureResult,
     MeasureSpec,
-    convex_roof_upper_bound,
     evaluate_measure,
     parse_measure,
     unified_mem,
 )
 from .partitions import (
     Partition,
-    apply_coarsening,
     bell_number,
-    coarsening_related,
     count_k_fineness,
     iter_k_fineness,
     partition_from_text,

@@ -92,7 +92,7 @@ import numpy as np
 
 from .factorize import FactorDecomposition, finest_factorization
 from .partitions import Partition, block_masks, check_integer_k, count_k_fineness, mask_parties
-from .qstate import DensityMatrix, MarginalCache, PureState
+from .qstate import MarginalCache, PureState
 from .redfun import CONCURRENCE, ReducedFunctionSpec, format_redfun, parse_parameter
 
 FACTOR, MIN, GEOMETRIC = "factor", "min", "geometric"
@@ -384,7 +384,7 @@ def _near_minimal(kind: str, values: list[float], n: int, b: int) -> tuple:
 
 
 def measure_min_family(
-    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
+    spec: MeasureSpec, state: PureState, *, unsafe_large: bool = False
 ) -> MeasureResult:
     """Minimize the per-partition score over all partitions with blocks of
     at most k-1 parties, by the subset DP and bounded DFS of `_near_minimal`.
@@ -432,7 +432,7 @@ def _log_sum(values: np.ndarray) -> float:
 
 
 def measure_geometric_family(
-    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
+    spec: MeasureSpec, state: PureState, *, unsafe_large: bool = False
 ) -> MeasureResult:
     """Geometric-mean family over the same bounded-block partition family.
 
@@ -463,7 +463,7 @@ def _check_k(k: int, n: int) -> None:
 
 
 def evaluate_measure(
-    spec: MeasureSpec, state: PureState, unsafe_large: bool = False
+    spec: MeasureSpec, state: PureState, *, unsafe_large: bool = False
 ) -> MeasureResult:
     if spec.family == FACTOR:
         return measure_factor_family(spec, state)
@@ -491,59 +491,3 @@ def parse_measure(text: str, k: int, h: Optional[ReducedFunctionSpec] = None) ->
     except ValueError:
         raise ValueError(f"cannot parse measure {text!r}") from None
     return MeasureSpec(kind, k, parameter=parameter)
-
-
-# --- mixed-state upper bound -------------------------------------------------------
-
-
-def convex_roof_upper_bound(
-    spec: MeasureSpec,
-    dm: DensityMatrix,
-    budget: int,
-    seed: int,
-    return_trace: bool = False,
-):
-    """Upper-bound the convex-roof extension by sampled pure ensembles.
-
-    The eigen-ensemble is always tried first, then `budget` random
-    ensembles obtained by mixing the support with Haar isometries of
-    growing size.  The running minimum is nonincreasing in the budget.
-    This is an upper bound only, never claimed tight.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    lam, vecs = np.linalg.eigh(dm.matrix)
-    lam = np.real(lam)
-    keep = lam > 1e-12
-    lam, vecs = lam[keep], vecs[:, keep]
-    lam = lam / lam.sum()
-    r = lam.size
-
-    def ensemble_value(weights: np.ndarray, members: np.ndarray) -> float:
-        total = 0.0
-        for p, vec in zip(weights, members.T):
-            if p < 1e-15:
-                continue
-            member = PureState(dm.layout, vec / np.linalg.norm(vec))
-            total += p * evaluate_measure(spec, member).value
-        return total
-
-    rng = np.random.default_rng(seed)
-    best = ensemble_value(lam, vecs)
-    trace = [best]
-    # every size-m ensemble of rho is scaled @ U.T for an m x r isometry U
-    scaled = vecs * np.sqrt(lam)[None, :]
-    for i in range(budget):
-        m = r + (i % (r + 1))
-        if m == 1:
-            trace.append(best)  # pure input: only one ensemble exists
-            continue
-        z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        isometry, _ = np.linalg.qr(z)
-        members = scaled @ isometry.T
-        weights = np.linalg.norm(members, axis=0) ** 2
-        val = ensemble_value(weights, members)
-        if val < best:
-            best = val
-        trace.append(best)
-    return (best, trace) if return_trace else best

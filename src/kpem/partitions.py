@@ -1,4 +1,4 @@
-"""Set partitions of party indices, bounded-block-size families, coarsening.
+"""Set partitions of party indices and bounded-block-size families.
 
 A partition is stored in canonical form: every block sorted ascending,
 blocks ordered by their smallest member.  The family Gamma_k of all
@@ -174,113 +174,6 @@ def count_k_fineness(n: int, k: int) -> int:
 
 def bell_number(n: int) -> int:
     return count_k_fineness(n, max(n, 1))
-
-
-# --- coarsening -------------------------------------------------------------
-#
-# Three ways to move down the coarsening order:
-#   discard whole blocks          (type a)
-#   merge blocks together         (type b)
-#   drop parties inside a block   (type c, block must keep >= 1 party and
-#                                  must have held >= 2 to begin with)
-
-
-@dataclass(frozen=True)
-class DiscardBlocks:
-    blocks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MergeBlocks:
-    groups: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class InnerDiscard:
-    block: int
-    parties: tuple[int, ...]
-
-
-CoarseningOp = DiscardBlocks | MergeBlocks | InnerDiscard
-
-
-def apply_coarsening(p: Partition, op: CoarseningOp) -> Partition:
-    """Apply one coarsening descriptor, validating its preconditions."""
-    if isinstance(op, DiscardBlocks):
-        drop = set(op.blocks)
-        if not drop:
-            raise ValueError("nothing to discard")
-        if not drop <= set(range(p.num_blocks)):
-            raise ValueError(f"block index out of range: {sorted(drop)}")
-        if len(drop) == p.num_blocks:
-            raise ValueError("cannot discard every block")
-        return Partition.of([b for i, b in enumerate(p.blocks) if i not in drop])
-
-    if isinstance(op, MergeBlocks):
-        flat = [i for g in op.groups for i in g]
-        if sorted(flat) != list(range(p.num_blocks)):
-            raise ValueError("groups must partition the block indices")
-        if any(not g for g in op.groups):
-            raise ValueError("empty merge group")
-        return Partition.of(
-            [tuple(q for i in g for q in p.blocks[i]) for g in op.groups]
-        )
-
-    if isinstance(op, InnerDiscard):
-        if not 0 <= op.block < p.num_blocks:
-            raise ValueError(f"block index out of range: {op.block}")
-        target = p.blocks[op.block]
-        if len(target) < 2:
-            raise ValueError("inner discard needs a block of >= 2 parties")
-        drop = set(op.parties)
-        if not drop:
-            raise ValueError("nothing to discard")
-        if not drop <= set(target):
-            raise ValueError("discarded parties must lie in the block")
-        if drop == set(target):
-            raise ValueError("cannot empty the block")
-        blocks = list(p.blocks)
-        blocks[op.block] = tuple(q for q in target if q not in drop)
-        return Partition.of(blocks)
-
-    raise TypeError(f"unknown coarsening op: {op!r}")
-
-
-def coarsening_related(p: Partition, q: Partition) -> frozenset[str]:
-    """Tags of every single-step coarsening relation taking p to q.
-
-    Single-step means one generator application: one block discarded (a),
-    one group of blocks merged (b), or one block shrunk (c).  The relation
-    is strict, so (p, p) yields the empty set.
-    """
-    tags: set[str] = set()
-    pset = set(p.blocks)
-    qset = set(q.blocks)
-
-    if qset < pset and len(qset) == len(pset) - 1:
-        tags.add("a")
-
-    if q.parties == p.parties and q.num_blocks < p.num_blocks:
-        new = qset - pset
-        if len(new) == 1 and pset - qset:
-            merged = next(iter(new))
-            absorbed = pset - qset
-            if (
-                len(absorbed) >= 2
-                and sorted(x for b in absorbed for x in b) == sorted(merged)
-            ):
-                tags.add("b")
-
-    if q.num_blocks == p.num_blocks:
-        gone = pset - qset
-        new = qset - pset
-        if len(gone) == 1 and len(new) == 1:
-            old_block = next(iter(gone))
-            new_block = next(iter(new))
-            if len(old_block) >= 2 and set(new_block) < set(old_block):
-                tags.add("c")
-
-    return frozenset(tags)
 
 
 # --- text form --------------------------------------------------------------

@@ -1,20 +1,44 @@
-"""Public names and the hook points the benchmark tracer rebinds."""
+"""Public names, the README's examples and the hook points the benchmark
+tracer rebinds."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import kpem
 import kpem.cli  # noqa: F401  (the tracer hooks kpem.cli.main)
+from kpem.partitions import partition_to_text
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def test_public_names_resolve():
     for name in kpem.__all__:
         assert getattr(kpem, name, None) is not None, name
+
+
+def test_readme_python_blocks_run():
+    """Every fenced python block in README.md runs as written, so a public
+    name the README uses cannot be removed or renamed unnoticed; the
+    Library example gives the value and witness its state implies."""
+    text = README.read_text(encoding="utf-8")
+    blocks = [(text.count("\n", 0, m.start()) + 2, m.group(1))
+              for m in re.finditer(r"^```python\n(.*?)^```", text, flags=re.M | re.S)]
+    assert blocks
+    results = []
+    for line, code in blocks:
+        namespace = {}
+        exec(compile("\n" * (line - 1) + code, str(README), "exec"), namespace)
+        if "result" in namespace:
+            results.append((namespace["result"], namespace["state"]))
+    [(result, state)] = results
+    assert result.value == 1.0
+    assert partition_to_text(result.witness, state.layout.labels) == "AB|C|DE"
 
 
 def test_tracer_hooks_exist():

@@ -1,4 +1,4 @@
-"""Measure families: closed-form values, witnesses, invariances, roof bound."""
+"""Measure families: closed-form values, witnesses, invariances, size caps."""
 
 import math
 
@@ -18,7 +18,6 @@ from kpem.measures import (
     _near_minimal,
     MarginalCache,
     MeasureSpec,
-    convex_roof_upper_bound,
     evaluate_measure,
     measure_geometric_family,
     measure_min_family,
@@ -29,7 +28,6 @@ from kpem.partitions import Partition, count_k_fineness, iter_k_fineness, mask_p
 from kpem.qstate import (
     PARTY_CAP,
     AmplitudesFactor,
-    DensityMatrix,
     GhzFactor,
     MaxEntFactor,
     PureState,
@@ -350,7 +348,7 @@ def geometric_specs(k):
 
 def assert_min_family_matches_sweep(spec, psi, cache):
     value, (witness, terms) = sweep_min_family(spec, psi, cache)
-    res = measure_min_family(spec, psi, cache)
+    res = measure_min_family(spec, psi)
     assert res.witness == witness, (spec, witness, res.witness)
     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert res.breakdown["terms"] == tuple(zip(witness.blocks, terms))
@@ -359,7 +357,7 @@ def assert_min_family_matches_sweep(spec, psi, cache):
 
 def assert_geometric_matches_sweep(spec, psi, cache):
     value, rows = sweep_geometric_family(spec, psi, cache)
-    res = measure_geometric_family(spec, psi, cache)
+    res = measure_geometric_family(spec, psi)
     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert (res.value == 0.0) == (value == 0.0)
     assert res.breakdown == {"cardinality": len(rows)}
@@ -753,6 +751,16 @@ def test_partition_families_share_one_count_cap(monkeypatch):
             value, rel=0, abs=1e-12)
 
 
+def test_unsafe_large_is_keyword_only():
+    """A truthy third positional argument cannot lift the count cap: it is
+    refused by every entry point that takes unsafe_large."""
+    psi = ghz3()
+    spec = MeasureSpec("C_k", 2)
+    for measure in (evaluate_measure, measure_min_family, measure_geometric_family):
+        with pytest.raises(TypeError, match="positional argument"):
+            measure(spec, psi, True)
+
+
 def test_allowed_mask_tables_fit_the_cache():
     """Every (n, k-1) table the caps admit fits _mask_table's cache at once,
     so it never evicts: at most its 64 entries and 130 MB, worked out from
@@ -779,37 +787,3 @@ def test_k_range_checked():
     psi = ghz3()
     with pytest.raises(ValueError, match="2 <= k <= 3"):
         evaluate_measure(MeasureSpec("C_k", 4), psi)
-
-
-# --- convex roof upper bound ---------------------------------------------------------------
-
-
-def test_roof_pure_input_reproduces_value():
-    bell = build_state(StateSpec((MaxEntFactor(("A", "B")),)))
-    rho = DensityMatrix(
-        bell.layout, np.outer(bell.amplitudes, bell.amplitudes.conj())
-    )
-    spec = MeasureSpec("Eprime_k", 2, h=ENTROPY)
-    ub = convex_roof_upper_bound(spec, rho, budget=4, seed=0)
-    assert ub == pytest.approx(1.0, abs=1e-9)
-
-
-def test_roof_separable_mixture_reaches_zero():
-    lay = SystemLayout.qubits("AB")
-    rho = DensityMatrix(lay, np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
-    spec = MeasureSpec("Eprime_k", 2, h=ENTROPY)
-    assert convex_roof_upper_bound(spec, rho, budget=10, seed=3) <= 1e-9
-
-
-def test_roof_trace_is_monotone_and_seeded():
-    lay = SystemLayout.qubits("AB")
-    rho = DensityMatrix(lay, np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex))
-    spec = MeasureSpec("Eprime_k", 2, h=ENTROPY)
-    best, trace = convex_roof_upper_bound(spec, rho, budget=25, seed=11,
-                                          return_trace=True)
-    assert best == trace[-1]
-    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-    again = convex_roof_upper_bound(spec, rho, budget=25, seed=11)
-    assert again == best
-    with pytest.raises(ValueError, match="budget"):
-        convex_roof_upper_bound(spec, rho, budget=0, seed=0)

@@ -1,4 +1,4 @@
-"""Partition machinery: canonical form, enumeration order, counts, coarsening."""
+"""Partition machinery: canonical form, enumeration order, counts, text form."""
 
 from math import comb
 
@@ -8,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpem.partitions import (
-    DiscardBlocks,
-    InnerDiscard,
-    MergeBlocks,
     Partition,
-    apply_coarsening,
     bell_number,
     block_masks,
-    coarsening_related,
     count_k_fineness,
     iter_k_fineness,
     partition_from_text,
@@ -254,60 +249,6 @@ def test_block_masks_party_bound():
         list(iter_k_fineness(range(65), 1))
     with pytest.raises(ValueError, match="k must be >= 1"):
         block_masks(3, 0)
-
-
-# --- coarsening ------------------------------------------------------------------
-
-
-def test_discard_blocks():
-    p = Partition.of([[0, 1], [2], [3, 4]])
-    q = apply_coarsening(p, DiscardBlocks((1,)))
-    assert q.blocks == ((0, 1), (3, 4))
-    with pytest.raises(ValueError, match="every block"):
-        apply_coarsening(p, DiscardBlocks((0, 1, 2)))
-    with pytest.raises(ValueError, match="out of range"):
-        apply_coarsening(p, DiscardBlocks((7,)))
-
-
-def test_merge_blocks():
-    p = Partition.of([[0, 1], [2], [3, 4]])
-    q = apply_coarsening(p, MergeBlocks(((0, 2), (1,))))
-    assert q.blocks == ((0, 1, 3, 4), (2,))
-    with pytest.raises(ValueError, match="partition the block indices"):
-        apply_coarsening(p, MergeBlocks(((0, 1), (1, 2))))
-
-
-def test_inner_discard():
-    p = Partition.of([[0, 1, 2], [3]])
-    q = apply_coarsening(p, InnerDiscard(0, (1,)))
-    assert q.blocks == ((0, 2), (3,))
-    with pytest.raises(ValueError, match="empty the block"):
-        apply_coarsening(p, InnerDiscard(0, (0, 1, 2)))
-    with pytest.raises(ValueError, match=">= 2"):
-        apply_coarsening(p, InnerDiscard(1, (3,)))
-    with pytest.raises(ValueError, match="lie in the block"):
-        apply_coarsening(p, InnerDiscard(0, (3,)))
-
-
-def test_coarsening_related_tags():
-    singles = Partition.singletons(range(4))
-    assert coarsening_related(singles, Partition.of([[0], [1], [2]])) == {"a"}
-    assert coarsening_related(singles, Partition.of([[0, 1], [2], [3]])) == {"b"}
-    assert coarsening_related(
-        Partition.of([[0, 1], [2]]), Partition.of([[0], [2]])
-    ) == {"c"}
-    # two discard steps away: not single-step related
-    assert coarsening_related(singles, Partition.of([[1], [3]])) == frozenset()
-    assert coarsening_related(singles, singles) == frozenset()
-
-
-def test_apply_coarsening_agrees_with_related():
-    p = Partition.of([[0, 1], [2, 3], [4]])
-    assert "a" in coarsening_related(p, apply_coarsening(p, DiscardBlocks((2,))))
-    assert "b" in coarsening_related(
-        p, apply_coarsening(p, MergeBlocks(((0, 1), (2,))))
-    )
-    assert "c" in coarsening_related(p, apply_coarsening(p, InnerDiscard(1, (3,))))
 
 
 # --- text form ---------------------------------------------------------------------
