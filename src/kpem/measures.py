@@ -32,13 +32,16 @@ So h on X is redfun.finish of the combined raw sums of its pieces
 combined purity; no product spectrum is formed.  In particular:
 
 * X a union of whole groups: h is exactly 0.0, with no SVD;
-* X inside one group: evaluate_spectrum of marginal_spectrum of X, bit
-  for bit.
+* X inside one group: h of its piece's normalized SVD weights, with no
+  zero tail, within 1e-12 of evaluate_spectrum of marginal_spectrum of X
+  (the padded, sorted oracle); bit for bit h of X's complement in the
+  group when the two share one SVD (unequal dimensions).
 
 Each piece is SVD'd on its own group's vector (qstate.GroupVector), not on
-the whole state.  Its squared singular values are kept under the side of
-the group's split that the SVD ran on (the smaller, or the piece itself at
-equal dimensions) and serve the piece and its complement in the group;
+the whole state.  Its squared singular values, normalized once at the SVD
+(qstate._svd_weights), are kept under the side of the group's split that
+the SVD ran on (the smaller, or the piece itself at equal dimensions) and
+serve the piece and its complement in the group;
 its spectral sums are cached by (h, piece), and its purity is the first
 of its concurrence sums.  The memos live on the GroupVector object, so
 every state holding that object shares them: the permuted, regrouped and
@@ -126,6 +129,7 @@ _KIND_BY_TOKEN = {row.token: kind for kind, row in MEASURE_TABLE.items()}
 UNIFIED_KINDS = ("additive", "bipartite_sum", "min_reduced")
 
 PARTITION_COUNT_CAP = 1_000_000   # |Gamma_{k-1}| guard of both partition families
+_LOW_BLOCKS_CACHE = 1 << 12       # entries of the _low_blocks memo (at most 33 MB)
 WITNESS_TOL = 1e-12               # tau: min-family witness band, relative to max(1, |V|)
 
 
@@ -292,15 +296,27 @@ def _block_values(spec: MeasureSpec, state: PureState, unsafe_large: bool) -> li
 # --- min family -----------------------------------------------------------------
 
 
-def _low_blocks(mask: int, b: int) -> list[int]:
-    """Every block of at most b parties inside `mask` that holds its lowest party."""
+@lru_cache(maxsize=_LOW_BLOCKS_CACHE)
+def _low_blocks(mask: int, b: int) -> tuple[int, ...]:
+    """Every block of at most b parties inside `mask` that holds its lowest
+    party, by block size, then in combinations order.
+
+    Memoized for the process, least recently used first out: the DP and
+    the DFS of every min-family evaluation read the same lists, whatever
+    the state.  Under qstate.PARTY_CAP a mask has at most 12 parties, and
+    _LOW_BLOCKS_CACHE = 4,096 entries is one b's masks on 12 parties.  The
+    worst case fills it with the 4,096 longest tuples (down to 128 blocks
+    each, from b >= 7 on 12 parties, only under unsafe_large): 33 MB,
+    tuples, ints, keys and cache links included (tracemalloc).  Under
+    PARTITION_COUNT_CAP it is 13 MB.  A pass of the benchmark's audit
+    fills 795 entries, and of its sweep 1,348."""
     low = mask & -mask
     others = [1 << i for i in mask_parties(mask ^ low)]
-    return [
+    return tuple(
         low | sum(extra)
         for size in range(min(b, len(others) + 1))
         for extra in combinations(others, size)
-    ]
+    )
 
 
 def _least_sums(values: list[float], n: int, b: int) -> dict[int, dict[int, float]]:

@@ -31,7 +31,9 @@ and the factorization's reconstruction check multiplies them.
 product of the cut pieces' purities (GroupVector.purity) against
 redfun.PURITY_TOL.  pure_restriction, the factorization search and h's
 zero rule all take it off the same group SVDs.  The density-matrix route
-(reduced_density, spectrum, evaluate, sample_check) is the tests' oracle.
+(reduced_density, spectrum, evaluate, sample_check) is the tests' oracle;
+marginal_spectrum pads the engine's weights to that route's padded,
+sorted contract (clip_spectrum), which the engine itself never reads.
 """
 
 from __future__ import annotations
@@ -184,8 +186,10 @@ class GroupVector:
 
     The memo lives on the object and serves every state holding it.  It
     has two parts: `weights` maps an SVD'd side (a local mask) to its
-    squared singular values, and `sums` maps (h kind, parameter, key of
-    the local piece) to the piece's redfun.spectral_sums (piece_sums).  A
+    normalized squared singular values (_svd_weights: the spectrum of the
+    side and of its complement in the group, with no zero tail), and
+    `sums` maps (h kind, parameter, key of the local piece) to the piece's
+    redfun.spectral_sums (piece_sums).  A
     piece's purity is its concurrence entry, whose sums are (purity,
     purity), so it is stored once.  MarginalCache combines the sums into h
     values on every call and keeps no memo of its own.
@@ -224,13 +228,15 @@ class GroupVector:
         return local if dim * dim <= self.vector.size or not rest else self.key(rest)
 
     def spectrum(self, local: int) -> np.ndarray:
-        """Clipped spectrum of the marginal on a local subset, padded to its
-        dimension, from the SVD of its side (`side`)."""
+        """Spectrum of the marginal on a local subset, without a zero
+        tail: the normalized weights of its side (`side`) as _svd_weights
+        gives them, descending, min(d_local, d_rest) of them.  A piece and
+        its complement in the group read the same array."""
         side = self.side(local)
         weights = self.weights.get(side)
         if weights is None:
             weights = self.weights[side] = _svd_weights(self.tensor(), mask_parties(side))
-        return pad_spectrum(weights, math.prod(self.dims[i] for i in mask_parties(local)))
+        return weights
 
     def piece_sums(self, h: ReducedFunctionSpec, local: int) -> tuple[float, float]:
         """redfun.spectral_sums of the spectrum of a local piece, memoized."""
@@ -826,16 +832,28 @@ def _svd_weights(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     and no Gram matrix is formed).  Values at or below
     numpy.linalg.matrix_rank's default tolerance for the split (the largest
     one times d_long times the float epsilon) are round-off and become
-    exact zeros, so they add nothing to any h.  Read-only."""
+    exact zeros, so they add nothing to any h.  The squares are then
+    clipped above at 1 and divided by their sum, once, after the sum is
+    checked against SPECTRUM_SUM_TOL: the result is the normalized
+    spectrum of the marginal on either side of the split, descending, in
+    [0, 1], with no zero tail.  A non-finite entry fails that check, or the
+    SVD itself; either raises NumericalContractError.  Read-only."""
     m = _split(t, keep)
     if m.shape[0] > m.shape[1]:
         m = m.T  # singular values are side-independent; keep SVD small
     short, long = m.shape
     if long >= _QR_ASPECT * short and short * long >= _QR_SIZE:
         m = np.linalg.qr(m.T, mode="r")
-    s = np.linalg.svd(m, compute_uv=False)
+    try:
+        s = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # LAPACK's answer to a NaN entry
+        raise NumericalContractError(f"SVD of a {short} x {long} split: {exc}") from exc
     s[s <= s[0] * long * np.finfo(s.dtype).eps] = 0.0
-    lam = s**2
+    lam = np.minimum(s**2, 1.0)
+    total = float(lam.sum())
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:  # NaN fails too
+        raise NumericalContractError(f"spectrum sums to {total}")
+    lam /= total
     lam.flags.writeable = False
     return lam
 
@@ -895,7 +913,9 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
 
 
 def clip_spectrum(raw: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues, clipped into [0, 1] and renormalized.
+    """Descending eigenvalues, clipped into [0, 1] and renormalized: the
+    oracle routes' spectrum contract (spectrum, marginal_spectrum).  The
+    engine normalizes its weights once, in _svd_weights.
 
     Raises if a value is NaN or infinite, if one sits below the -1e-10
     floor or if the sum strays from 1 by more than 1e-10 before
@@ -928,30 +948,22 @@ def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:
 def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     """Spectrum of the reduced state on `keep`, taken on the group vectors.
 
-    Same contract as spectrum(reduced_density(...)), which the tests use as
-    the independent oracle, but without forming the density matrix.  On a
-    subset inside one group it is the GroupVector's spectrum of the piece
-    (the SVD of the group vector's split, see _svd_weights), the spectrum
-    every engine value of that subset is taken from; on a union of whole
-    groups it is exactly (1, 0, ..., 0); otherwise it is the product of the
-    cut pieces' spectra.
+    Same contract as spectrum(reduced_density(...)), padded to the subset's
+    dimension and sorted, which the tests use as the independent oracle,
+    but without forming the density matrix.  It is the product of the cut
+    pieces' GroupVector spectra (the weights every engine value is taken
+    from, see _svd_weights), padded with zeros to the subset's dimension,
+    then clip_spectrum; on a union of whole groups it is exactly
+    (1, 0, ..., 0).  The engine reads the pieces' weights as they are, so
+    its h agrees with h of this spectrum within 1e-12, not bit for bit.
     """
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)
-    dim = math.prod(state.layout.dims[p] for p in keep)
     weights = np.ones(1)
     for gv, local in state.cuts(sum(1 << p for p in keep)):
         lam = gv.spectrum(local)
-        if lam.size == dim:
-            return lam  # `keep` lies inside this group
         weights = np.multiply.outer(weights, lam[lam > 0.0]).reshape(-1)
-    return pad_spectrum(weights, dim)
-
-
-def pad_spectrum(weights: np.ndarray, dim: int) -> np.ndarray:
-    """Spectrum of dimension `dim` whose nonzero part is `weights`: padded
-    with zeros, then clip_spectrum."""
-    full = np.zeros(dim)
+    full = np.zeros(math.prod(state.layout.dims[p] for p in keep))
     full[: weights.size] = weights
     return clip_spectrum(full)
 

@@ -614,14 +614,26 @@ H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
 def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
     """On a one-group state every h value, a complement's read from the
     shared SVD included, is evaluate_spectrum of marginal_spectrum's
-    spectrum bit for bit, for every kind of h."""
+    spectrum within the 1e-12 contract, for every kind of h: the engine
+    sums the unpadded weights and the oracle the zero-padded ones, which
+    numpy's pairwise sum may group differently in the last bit.  A mask
+    and its complement of unequal dimensions read one SVD, so their h
+    values agree bit for bit; equal halves each take their own."""
     for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9):
         psi = random_pure(SystemLayout.of("ABCDEFGHI"[:len(dims)], dims), seed=17)
         cache = MarginalCache(psi)
-        for mask in range(1, 1 << psi.num_parties):
+        (gv,) = psi.group_vectors()
+        full = (1 << psi.num_parties) - 1
+        shared = 0
+        for mask in range(1, full):
             lam = marginal_spectrum(psi, mask_parties(mask))
             for h in H_KINDS:
-                assert cache.h_value(h, mask) == evaluate_spectrum(h, lam), (dims, mask, h)
+                got = cache.h_value(h, mask)
+                assert abs(got - evaluate_spectrum(h, lam)) <= 1e-12, (dims, mask, h)
+                if gv.side(mask) == gv.side(full ^ mask):
+                    shared += 1
+                    assert got == cache.h_value(h, full ^ mask), (dims, mask, h)
+        assert shared, dims
 
 
 def test_grouped_cache_matches_whole_state_spectra(grouped_family):
@@ -629,7 +641,9 @@ def test_grouped_cache_matches_whole_state_spectra(grouped_family):
     pieces' spectral sums agrees within 1e-12 with h of the density route's
     spectrum of the whole amplitude vector; a union of whole groups gives
     exactly 0.0, and a subset inside one group gives h of marginal_spectrum
-    (its group vector's SVD) bit for bit."""
+    (its group vector's SVD, padded) within 1e-12.  A piece and its
+    complement in their group of unequal dimensions share one SVD, so
+    their spectral sums are identical, bit for bit."""
     for name, psi in grouped_family:
         cache = MarginalCache(psi)
         for mask in range(1, 1 << psi.num_parties):
@@ -643,7 +657,12 @@ def test_grouped_cache_matches_whole_state_spectra(grouped_family):
                 if whole_groups:
                     assert got == 0.0, (name, mask, h)
                 elif in_one_group:
-                    assert got == evaluate_spectrum(h, marginal_spectrum(psi, parties)), (name, mask, h)
+                    padded = evaluate_spectrum(h, marginal_spectrum(psi, parties))
+                    assert abs(got - padded) <= 1e-12, (name, mask, h, got, padded)
+                    (gv, local), = psi.cuts(mask)
+                    rest = local ^ ((1 << len(gv.dims)) - 1)
+                    if gv.side(local) == gv.side(rest):
+                        assert gv.piece_sums(h, local) == gv.piece_sums(h, rest), (name, mask, h)
 
 
 def test_cache_svds_each_piece_once(cold_named_groups, svd_shapes):
@@ -773,6 +792,27 @@ def test_allowed_mask_tables_fit_the_cache():
                 sizes.append(count * n * np.min_scalar_type((1 << n) - 1).itemsize)
     assert len(sizes) <= _mask_table.cache_info().maxsize == 64
     assert sum(sizes) <= 130_000_000
+
+
+def test_low_blocks_memo_matches_the_direct_formula():
+    """For every mask of at most 8 parties and every b, the memoized
+    _low_blocks is the tuple of the mask's submasks that hold its lowest
+    party and at most b parties, by size, then in lexicographic order of
+    their parties; it is immutable, served from a bounded cache."""
+    for b in range(1, 9):
+        for mask in range(1, 1 << 8):
+            low = mask & -mask
+            subs, sub = [], mask
+            while sub:
+                if sub & low and sub.bit_count() <= b:
+                    subs.append(sub)
+                sub = (sub - 1) & mask
+            want = tuple(sorted(subs, key=lambda s: (s.bit_count(), mask_parties(s))))
+            got = measures._low_blocks(mask, b)
+            assert type(got) is tuple and got == want, (mask, b)
+            assert measures._low_blocks(mask, b) is got
+    maxsize = measures._low_blocks.cache_info().maxsize
+    assert maxsize == measures._LOW_BLOCKS_CACHE and 0 < maxsize < math.inf
 
 
 def test_min_family_partition_count_cap():

@@ -147,6 +147,35 @@ def test_job_error_keeps_its_type_and_leaves_no_worker(cpus, index, error):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("where", ["here", "worker"])
+@pytest.mark.parametrize("kind", ["nan", "scaled"])
+def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, pools, where, kind):
+    """_svd_weights' spectrum check runs in whichever process takes the
+    SVD: forced to fork, a group vector with a NaN entry, or scaled by
+    1.1, raises NumericalContractError whether its side is job 0 (run
+    here) or job 1 (run in the worker), and leaves no worker behind.  The
+    state's amplitudes are a valid product; only the carried vector of
+    the costlier (here) or cheaper (worker) group is off the contract."""
+    monkeypatch.setattr(qstate, "FORK_COST", 0.0)
+    cpus(2)
+    rng = np.random.default_rng(11)
+    vectors = [qstate.haar_vector(8, rng), qstate.haar_vector(4, rng)]
+    amplitudes = np.kron(*vectors)
+    at = 0 if where == "here" else 1
+    if kind == "nan":
+        vectors[at][1] = np.nan
+    else:
+        vectors[at] *= 1.1
+    state = PureState(SystemLayout.qubits("ABCDE"), amplitudes, groups=(0b00111, 0b11000),
+                      vectors=(qstate.GroupVector(vectors[0], (2, 2, 2)),
+                               qstate.GroupVector(vectors[1], (2, 2))))
+    # A and D: the side of A (cost 2 x 8) is job 0, the side of D (2 x 4) job 1
+    with pytest.raises(NumericalContractError):
+        qstate._fill_weights(state, [0b01001])
+    assert pools == [os.getpid()]
+    assert multiprocessing.active_children() == []
+
+
 def test_this_process_runs_every_pth_job(cpus, pools):
     cpus(3)
     got = fork_map(lambda i: (i, os.getpid()), [(i,) for i in range(50)])

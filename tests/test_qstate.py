@@ -426,6 +426,39 @@ def test_svd_weights_match_the_direct_svd(dims, sides):
     assert reduced == sides  # which sides of the reduction rule the splits reach
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-11], ids=["unit", "norm-off-1e-11"])
+@pytest.mark.parametrize("dims", [(2, 3, 2, 4, 3), (2,) * 10, (4,) * 7],
+                         ids=["mixed5", "qubits10", "ququarts7"])
+def test_svd_weights_are_a_normalized_spectrum(dims, scale):
+    """The weights the engine reads as they are: descending, in [0, 1],
+    summing to 1 within 1e-14, min(d_keep, d_rest) of them, on either side
+    of the QR reduction rule; a norm off by 1e-11, within the spectrum
+    sum's tolerance, is divided out."""
+    rng = np.random.default_rng(sum(dims))
+    t = scale * qstate.haar_vector(math.prod(dims), rng).reshape(dims)
+    for keep in splits_of(dims, rng):
+        lam = qstate._svd_weights(t, keep)
+        d_keep = math.prod(dims[i] for i in keep)
+        assert lam.shape == (min(d_keep, t.size // d_keep),)
+        assert np.all(lam[:-1] >= lam[1:])
+        assert lam[-1] >= 0.0 and lam[0] <= 1.0
+        assert abs(float(lam.sum()) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["nan", "scaled"])
+def test_svd_weights_raise_off_the_spectrum_contract(kind):
+    """A Haar tensor with one NaN entry, or scaled by 1.1 (weights summing
+    to 1.21), fails the spectrum contract on every split."""
+    t = qstate.haar_vector(24, np.random.default_rng(5)).reshape(2, 3, 4)
+    if kind == "nan":
+        t[0, 1, 2] = math.nan
+    else:
+        t *= 1.1
+    for keep in [(0,), (1,), (0, 2)]:
+        with pytest.raises(NumericalContractError):
+            qstate._svd_weights(t, keep)
+
+
 W12 = [(p,) for p in range(12)]
 
 
