@@ -11,7 +11,9 @@ classification; its own state is pure_restriction(state, f.parties).
 The reconstruction fidelity check multiplies the factors' own vectors
 (qstate._own_vectors): a block that is a whole group is that group's
 vector, with no SVD, and a block cut out of a group is the leading
-singular vector of its group vector's split.  Minimality makes every
+singular vector of its group vector's split.  As no block crosses a group
+(below), the check is taken group by group, against each group's vector,
+and never forms the state's full amplitude vector.  Minimality makes every
 multi-party factor genuinely entangled: a pure proper sub-marginal would
 have been found at a smaller size first.  The producibility is the size
 of the largest factor.
@@ -187,14 +189,19 @@ def _component_unions(remaining: tuple[int, ...], comp: list[int], half: int):
 
 
 def _reconstruction_fidelity(state: PureState, blocks: list[tuple[int, ...]]) -> float:
-    """|<tensor product of the blocks' own vectors|state>|^2."""
-    pieces = [
-        piece for parties in blocks for piece in _own_vectors(state, sum(1 << p for p in parties))
-    ]
-    rec = _product_vector(
-        state.layout.dims, [mask for mask, _ in pieces], [gv.vector for _, gv in pieces]
-    )
-    return float(abs(np.vdot(rec, state.amplitudes)) ** 2)
+    """|<tensor product of the blocks' own vectors|state>|^2, taken group
+    by group: no block crosses a group, so it is the product over the
+    groups of |<product of the group's blocks' own vectors|group vector>|^2,
+    and the full amplitude vector is never formed."""
+    masks = [sum(1 << p for p in parties) for parties in blocks]
+    fid = 1.0
+    for g, gv in zip(state.groups, state.group_vectors()):
+        pieces = [piece for mask in masks if mask & g for piece in _own_vectors(state, mask)]
+        rec = _product_vector(
+            state.layout.dims, [mask for mask, _ in pieces], [v.vector for _, v in pieces]
+        )
+        fid *= abs(np.vdot(rec, gv.vector)) ** 2
+    return float(fid)
 
 
 def classify(state: PureState) -> tuple[int, bool]:

@@ -16,6 +16,13 @@ along (see _carry), so a permuted, regrouped or restricted copy of a state
 holds the same GroupVector objects for the groups it leaves alone.  A
 state built without vectors reads each group's vector once, on first use.
 
+build_state and the party-wise operations assemble their states from
+parts already checked (PureState._trusted): each explicit factor's vector
+is checked once, where build_state makes it, and a carried vector or a
+product of checked vectors is not checked again.  Such a state with more
+than one group is its group vectors, which are all the engine reads: its
+full amplitude vector is formed only when something reads `amplitudes`.
+
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
 pieces' marginals; a union of whole groups is exactly pure.  This module
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,7 +71,7 @@ SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
 # a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
 # factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
 LINK_TOL = 10 * 6 * math.sqrt(PURITY_TOL)
-FIDELITY_TOL = 1e-8       # product reconstruction in factorize
+FIDELITY_TOL = 1e-8       # product reconstructions (factorize, _check_product)
 DIM_CAP = 2 ** 14         # total Hilbert dimension guard
 PARTY_CAP = 12            # party count guard
 
@@ -219,13 +226,19 @@ class GroupVector:
 
     def side(self, local: int) -> int:
         """The memo key in `weights` of a local subset's spectrum: the
-        smaller side of the group's split (`local` at equal dimensions or
-        when it is the whole group), as in _svd_weights, whose weights
-        serve the complement too."""
+        smaller side of the group's split, as in _svd_weights, whose
+        weights serve the complement too.  At equal dimensions it is the
+        lower of the two sides' keys, so a piece and its complement read
+        one SVD either way; the whole group is its own side."""
         local = self.key(local)
-        dim = math.prod(self.dims[i] for i in mask_parties(local))
         rest = local ^ ((1 << len(self.dims)) - 1)
-        return local if dim * dim <= self.vector.size or not rest else self.key(rest)
+        if not rest:
+            return local
+        square = math.prod(self.dims[i] for i in mask_parties(local)) ** 2
+        if square < self.vector.size:
+            return local
+        rest = self.key(rest)
+        return rest if square > self.vector.size else min(local, rest)
 
     def spectrum(self, local: int) -> np.ndarray:
         """Spectrum of the marginal on a local subset, without a zero
@@ -259,7 +272,6 @@ class GroupVector:
 _NAMED_GROUPS: dict[tuple, GroupVector] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over a layout.
 
@@ -269,27 +281,40 @@ class PureState:
     when given, holds one GroupVector per group, in the order of `groups`,
     and claims that the amplitudes are their product up to a global phase;
     when None they are read off the amplitudes on first use
-    (group_vectors).  States compare and hash by identity, as arrays have
-    no truth value.
+    (group_vectors).  The claim is checked either way (_check_product):
+    given vectors by the constructor, vectors read off when they are
+    read.  The constructor also checks the groups and the amplitudes'
+    finiteness and norm.  States compare and hash by identity, as arrays
+    have no truth value, and are immutable.
+
+    build_state and the party-wise operations assemble their states from
+    parts already checked (_trusted): a state with more than one group is
+    its group vectors, which are all the engine reads, and `amplitudes`,
+    the full vector, is formed on first read, by the formula of the
+    operation that made the state.  Each group also keeps its maximal runs
+    of consecutive parties, from which `cuts` maps a party mask to the
+    group's local mask with one shift per run.
 
     A state keeps no memo of its marginals: they are memoized on its
     GroupVectors, which refer to no state, so a state is freed as soon as
     it is dropped.
     """
 
-    layout: SystemLayout
-    amplitudes: np.ndarray
-    groups: Optional[tuple[int, ...]] = field(default=None, kw_only=True)
-    vectors: Optional[tuple[GroupVector, ...]] = field(default=None, kw_only=True, repr=False)
+    __slots__ = ("layout", "groups", "vectors", "_runs", "_amplitudes", "_form", "__weakref__")
 
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amp.shape != (self.layout.total_dim,):
-            raise ValueError(
-                f"amplitude length {amp.size} != total dimension {self.layout.total_dim}"
-            )
-        full = (1 << self.layout.num_parties) - 1
-        groups = (full,) if self.groups is None else tuple(self.groups)
+    def __init__(
+        self,
+        layout: SystemLayout,
+        amplitudes: np.ndarray,
+        *,
+        groups: Optional[Sequence[int]] = None,
+        vectors: Optional[Sequence[GroupVector]] = None,
+    ) -> None:
+        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        if amp.shape != (layout.total_dim,):
+            raise ValueError(f"amplitude length {amp.size} != total dimension {layout.total_dim}")
+        full = (1 << layout.num_parties) - 1
+        groups = (full,) if groups is None else tuple(groups)
         union = 0
         for g in groups:
             if isinstance(g, bool) or not isinstance(g, int) or g <= 0 or g & ~full:
@@ -298,26 +323,76 @@ class PureState:
                 raise ValueError(f"groups overlap: {groups}")
             union |= g
         if union != full:
-            raise ValueError(f"groups {groups} do not cover all {self.layout.num_parties} parties")
-        order = sorted(range(len(groups)), key=lambda i: groups[i] & -groups[i])
-        object.__setattr__(self, "groups", tuple(groups[i] for i in order))
-        if self.vectors is not None:
-            vectors = tuple(self.vectors)
+            raise ValueError(f"groups {groups} do not cover all {layout.num_parties} parties")
+        if vectors is not None:
+            vectors = tuple(vectors)
             if len(vectors) != len(groups):
                 raise ValueError(f"{len(vectors)} group vectors for {len(groups)} groups")
             for g, gv in zip(groups, vectors):
-                if not isinstance(gv, GroupVector) or gv.dims != self._dims_of(g):
+                if not isinstance(gv, GroupVector) or gv.dims != _dims_of(layout, g):
                     raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
-            object.__setattr__(self, "vectors", tuple(vectors[i] for i in order))
-        object.__setattr__(self, "_parties", tuple(map(mask_parties, self.groups)))
-        if not np.all(np.isfinite(amp)):
-            raise NumericalContractError("state has non-finite amplitudes")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NumericalContractError(f"state norm {norm} deviates from 1")
+        _check_unit(amp)
+        if vectors is not None:
+            _check_product(layout, groups, vectors, amp)
         amp = amp.copy()
         amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
+        self._assemble(layout, groups, vectors, amp, None)
+
+    @classmethod
+    def _trusted(
+        cls,
+        layout: SystemLayout,
+        groups: Sequence[int],
+        vectors: Sequence[GroupVector],
+        form: Callable[[], np.ndarray],
+    ) -> "PureState":
+        """A state assembled from parts already checked, with no check:
+        `groups` disjoint party masks covering the layout, `vectors` their
+        unit GroupVectors, and `form` a function returning the amplitudes,
+        called on their first read."""
+        self = object.__new__(cls)
+        self._assemble(layout, groups, vectors, None, form)
+        return self
+
+    def _assemble(
+        self,
+        layout: SystemLayout,
+        groups: Sequence[int],
+        vectors: Optional[Sequence[GroupVector]],
+        amplitudes: Optional[np.ndarray],
+        form: Optional[Callable[[], np.ndarray]],
+    ) -> None:
+        """Set the fields, with groups (and vectors) ordered by lowest party."""
+        order = sorted(range(len(groups)), key=lambda i: groups[i] & -groups[i])
+        groups = tuple(groups[i] for i in order)
+        _set = object.__setattr__
+        _set(self, "layout", layout)
+        _set(self, "groups", groups)
+        _set(self, "vectors", None if vectors is None else tuple(vectors[i] for i in order))
+        _set(self, "_runs", tuple(map(_bit_runs, groups)))
+        _set(self, "_amplitudes", amplitudes)
+        _set(self, "_form", form)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PureState is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PureState is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"PureState({self.layout!r}, groups={self.groups!r})"
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The full amplitude vector (read-only), formed on first read for
+        a state assembled from its group vectors."""
+        amp = self._amplitudes
+        if amp is None:
+            amp = self._form()
+            amp.flags.writeable = False
+            object.__setattr__(self, "_amplitudes", amp)
+            object.__setattr__(self, "_form", None)
+        return amp
 
     @property
     def num_parties(self) -> int:
@@ -327,35 +402,93 @@ class PureState:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amplitudes.reshape(self.layout.dims)
 
-    def _dims_of(self, g: int) -> tuple[int, ...]:
-        return tuple(self.layout.dims[p] for p in mask_parties(g))
-
     def group_vectors(self) -> tuple[GroupVector, ...]:
         """One GroupVector per group.  Without carried vectors, a one-group
         state's vector is its amplitudes, and each group of a state with
         more is read off once, as the leading left singular vector of the
-        amplitudes' split."""
+        amplitudes' split, and their product is checked against the
+        amplitudes (_check_product)."""
         if self.vectors is None:
             if len(self.groups) == 1:
                 vectors = (GroupVector(self.amplitudes, self.layout.dims),)
             else:
                 vectors = tuple(
-                    GroupVector(_leading_vector(self.tensor(), mask_parties(g)), self._dims_of(g))
+                    GroupVector(_leading_vector(self.tensor(), mask_parties(g)),
+                                _dims_of(self.layout, g))
                     for g in self.groups
                 )
+                _check_product(self.layout, self.groups, vectors, self.amplitudes)
             object.__setattr__(self, "vectors", vectors)
         return self.vectors
 
     def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
         """(group vector, local piece) of every group that `mask` meets but
         does not hold whole, in group order: the marginal on `mask` is the
-        product of these pieces' marginals."""
+        product of these pieces' marginals.  The local piece is put
+        together run by run: a run of consecutive parties of the group
+        holds consecutive local bits, so each run's bits move by one shift
+        (_bit_runs)."""
         out = []
-        for g, parties, gv in zip(self.groups, self._parties, self.group_vectors()):
+        for g, runs, gv in zip(self.groups, self._runs, self.vectors or self.group_vectors()):
             piece = mask & g
             if piece and piece != g:
-                out.append((gv, sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)))
+                local = 0
+                for run, shift in runs:
+                    local |= (piece & run) >> shift
+                out.append((gv, local))
         return out
+
+
+def _dims_of(layout: SystemLayout, g: int) -> tuple[int, ...]:
+    return tuple(layout.dims[p] for p in mask_parties(g))
+
+
+def _bit_runs(g: int) -> tuple[tuple[int, int], ...]:
+    """(run mask, shift) of each maximal run of consecutive set bits of a
+    group mask, lowest first.  The shift is the run's lowest party minus
+    the number of the group's parties below it, so (mask & run) >> shift
+    is the run's part of a local mask (GroupVector: local bit i is the
+    group's i-th lowest party)."""
+    runs, below = [], 0
+    while g:
+        low = g & -g
+        run = g & ~(g + low)
+        runs.append((run, low.bit_length() - 1 - below))
+        below += run.bit_count()
+        g ^= run
+    return tuple(runs)
+
+
+def _check_product(
+    layout: SystemLayout,
+    groups: Sequence[int],
+    vectors: Sequence[GroupVector],
+    amplitudes: np.ndarray,
+) -> None:
+    """Raise NumericalContractError unless the amplitudes are the product
+    of the groups' vectors up to a global phase, with fidelity within
+    FIDELITY_TOL of 1 (above it only when a vector is not a unit vector):
+    the claim a state's groups and vectors make, which the engine, reading
+    only the vectors, takes on trust."""
+    rec = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
+    fid = float(abs(np.vdot(rec, amplitudes)) ** 2)
+    if not abs(fid - 1.0) <= FIDELITY_TOL:
+        raise NumericalContractError(
+            f"amplitudes are not the product of their groups' vectors: fidelity {fid}"
+        )
+
+
+def _check_unit(vec: np.ndarray, what: str = "state") -> None:
+    """Raise NumericalContractError unless every entry of vec is finite and
+    its norm is within NORM_TOL of 1.  Both are read off one sum of
+    squares, which is NaN or infinite when an entry is; only then are the
+    entries themselves tested, to tell that from an overflowing norm."""
+    squares = float(np.vdot(vec, vec).real)
+    if not math.isfinite(squares) and not np.isfinite(vec).all():
+        raise NumericalContractError(f"{what} has non-finite amplitudes")
+    norm = math.sqrt(squares)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NumericalContractError(f"{what} norm {norm} deviates from 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,8 +626,12 @@ def _factor_vector(f: StateFactor) -> np.ndarray:
 
 def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     """Materialize a StateSpec as a PureState in the listed party order,
-    with one group per factor, carrying each factor's vector (a state of
-    one explicit factor reads it off its amplitudes, see group_vectors).
+    with one group per factor, each a run of consecutive parties, carrying
+    each factor's vector.  The amplitudes are the product of the factors'
+    vectors in party order, divided by its norm; a state of one explicit
+    factor is built from them (its vector is read off them, see
+    group_vectors), any other state forms them on first read.  Each
+    explicit factor's normalized vector is checked once, here.
 
     The size caps are checked on the layout before any vector is built.
     """
@@ -505,20 +642,34 @@ def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     for f in spec.factors:
         groups.append(((1 << len(f.labels)) - 1) << at)
         at += len(f.labels)
+    if len(spec.factors) == 1 and isinstance(spec.factors[0], AmplitudesFactor):
+        # one explicit factor: the amplitudes are its vector, checked and kept once
+        vec = _unit_product(layout.dims, groups, [_factor_vector(spec.factors[0])])
+        return PureState(layout, vec)
     vectors = tuple(map(_group_vector, spec.factors))
-    vec = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
+    return PureState._trusted(layout, groups, vectors, lambda: _unit_product(
+        layout.dims, groups, [gv.vector for gv in vectors]))
+
+
+def _unit_product(
+    dims: Sequence[int], groups: Sequence[int], vectors: Sequence[np.ndarray]
+) -> np.ndarray:
+    """_product_vector in ascending party order, divided by its norm."""
+    vec = _product_vector(dims, groups, vectors)
     # a product of unit vectors: its norm is near 1, so no scaling is needed
     vec /= np.linalg.norm(vec)
-    if len(vectors) == 1 and not vectors[0].symmetric:
-        vectors = None  # one explicit factor: the amplitudes are its vector, kept once
-    return PureState(layout, vec, groups=tuple(groups), vectors=vectors)
+    return vec
 
 
 def _group_vector(f: StateFactor) -> GroupVector:
-    """A factor's GroupVector: a new one for explicit amplitudes, the
-    shared one of its (kind, size, dimension) for a named factor."""
+    """A factor's GroupVector: a new one for explicit amplitudes, whose
+    normalized vector is checked (_check_unit), the shared one of its
+    (kind, size, dimension) for a named factor."""
     if isinstance(f, AmplitudesFactor):
-        return GroupVector(_factor_vector(f), f.dims)
+        vec = _factor_vector(f)
+        _check_unit(vec, f"factor {''.join(f.labels)}")
+        vec.flags.writeable = False  # a fresh array: the GroupVector keeps it uncopied
+        return GroupVector(vec, f.dims)
     key = (type(f).__name__, len(f.labels), getattr(f, "dim", 2))
     gv = _NAMED_GROUPS.get(key)
     if gv is None:
@@ -553,10 +704,15 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
     The vector is first divided by the power of two just above its largest
     real or imaginary part, so the norm neither overflows nor underflows.
     Scaling by a power of two is exact, so a vector whose norm was already
-    representable normalizes to the same bits as without the scaling.
+    representable normalizes to the same bits as without the scaling.  A
+    non-finite entry raises NumericalContractError before any arithmetic
+    on it.
     """
     parts = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64)
-    _, exp = math.frexp(float(np.abs(parts).max()))
+    top = float(np.abs(parts).max())
+    if not math.isfinite(top):
+        raise NumericalContractError("state has non-finite amplitudes")
+    _, exp = math.frexp(top)
     scaled = np.ldexp(parts, -exp).view(np.complex128)
     return scaled / np.linalg.norm(scaled)
 
@@ -771,15 +927,22 @@ def regroup(state: PureState, partition: Partition) -> PureState:
 
 def _join(state: PureState, blocks: Sequence[Sequence[int]]) -> PureState:
     """The state whose party j joins the input parties blocks[j], its
-    digits in that order: labels joined, dimensions multiplied."""
+    digits in that order: labels joined, dimensions multiplied.  An output
+    of one group has its carried vector as its amplitudes; one of more
+    groups forms them on first read, as the input's amplitudes with their
+    axes reordered, and holds the input until then."""
     labels, dims = state.layout.labels, state.layout.dims
     parties = tuple(
         ("".join(labels[i] for i in block), math.prod(dims[i] for i in block))
         for block in blocks
     )
-    amp = state.tensor().transpose([i for block in blocks for i in block]).reshape(-1)
     groups, vectors = _carry(_sources(state), blocks, dims)
-    return PureState(SystemLayout(parties), amp, groups=groups, vectors=vectors)
+    if len(groups) == 1:
+        form = lambda: vectors[0].vector  # noqa: E731
+    else:
+        axes = [i for block in blocks for i in block]
+        form = lambda: state.tensor().transpose(axes).reshape(-1)  # noqa: E731
+    return PureState._trusted(SystemLayout(parties), groups, vectors, form)
 
 
 def _sources(state: PureState) -> list[tuple[int, GroupVector]]:
@@ -876,8 +1039,8 @@ def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureStat
     layout = state.layout.sub_layout(keep)
     sources = _own_vectors(state, sum(1 << p for p in keep))
     groups, vectors = _carry(sources, [(p,) for p in keep], state.layout.dims)
-    amp = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
-    return PureState(layout, canonical_phase(amp), groups=groups, vectors=vectors)
+    return PureState._trusted(layout, groups, vectors, lambda: canonical_phase(
+        _product_vector(layout.dims, groups, [gv.vector for gv in vectors])))
 
 
 def _own_vectors(state: PureState, mask: int) -> list[tuple[int, GroupVector]]:

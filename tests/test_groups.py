@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from kpem import cli, qstate
 from kpem.audit import AuditConfig, evaluate_instance, run_suite
 from kpem.factorize import finest_factorization
-from kpem.measures import MeasureSpec, evaluate_measure
+from kpem.measures import MEASURE_TABLE, MeasureSpec, evaluate_measure
 from kpem.partitions import Partition, mask_parties
 from kpem.qstate import (
     AmplitudesFactor,
@@ -67,16 +67,22 @@ def product_specs(draw, max_parties=6):
 # --- build_state ------------------------------------------------------------------
 
 
+def kron_amplitudes(spec):
+    """build_state's amplitudes by the eager formula: the np.kron chain of
+    the factors' vectors, divided by its norm."""
+    ref = np.ones(1, dtype=np.complex128)
+    for f in spec.factors:
+        ref = np.kron(ref, qstate._factor_vector(f))
+    return ref / np.linalg.norm(ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=product_specs(max_parties=7))
 def test_build_state_amplitudes_match_a_kron_chain(spec):
     """The outer-product chain forms the same products as np.kron: the
-    amplitudes are bit-identical to the kron reference."""
-    ref = np.ones(1, dtype=np.complex128)
-    for f in spec.factors:
-        ref = np.kron(ref, qstate._factor_vector(f))
-    ref /= np.linalg.norm(ref)
-    assert build_state(spec).amplitudes.tobytes() == ref.tobytes()
+    amplitudes, formed on first read, are bit-identical to the kron
+    reference."""
+    assert build_state(spec).amplitudes.tobytes() == kron_amplitudes(spec).tobytes()
 
 
 def test_named_factors_share_one_group_vector_per_shape():
@@ -156,6 +162,121 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
         assert_engine_matches_oracle(rest)
 
 
+# --- states assembled from their group vectors -------------------------------------
+
+
+def assert_passes_the_public_constructor(state, want):
+    """The state's parts pass every check of the public constructor, its
+    amplitudes (formed on this first read) are within 1e-15 per entry of
+    `want`, and its group vectors' product is them up to a global phase."""
+    PureState(state.layout, state.amplitudes, groups=state.groups, vectors=state.group_vectors())
+    assert np.max(np.abs(state.amplitudes - want)) <= 1e-15
+    rec = qstate._product_vector(state.layout.dims, state.groups,
+                                 [gv.vector for gv in state.group_vectors()])
+    assert abs(np.vdot(rec, state.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=product_specs(max_parties=8), data=st.data())
+def test_assembled_states_pass_the_public_constructor(spec, data):
+    """build_state, permute_parties, regroup and pure_restriction assemble
+    their outputs from checked parts, unchecked: each output passes the
+    public constructor, and its amplitudes match the eager formula of the
+    operation (the kron chain, its axes reordered, the canonical phase of
+    the kept groups' product) within 1e-15 per entry."""
+    psi = build_state(spec)
+    n = psi.num_parties
+    ref = kron_amplitudes(spec)
+    if len(psi.groups) > 1:
+        assert psi._amplitudes is None  # not formed until read
+    assert_passes_the_public_constructor(psi, ref)
+
+    perm = data.draw(st.permutations(range(n)))
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    partition = Partition.of([[p for p in range(n) if labels[p] == b]
+                              for b in sorted(set(labels))])
+    for blocks, out in (([(p,) for p in perm], permute_parties(psi, perm)),
+                        (partition.blocks, regroup(psi, partition))):
+        axes = [p for block in blocks for p in block]
+        assert_passes_the_public_constructor(
+            out, ref.reshape(psi.layout.dims).transpose(axes).reshape(-1))
+
+    if len(psi.groups) > 1:
+        picked = data.draw(st.lists(st.sampled_from(psi.groups), min_size=1,
+                                    max_size=len(psi.groups) - 1, unique=True))
+        keep = mask_parties(sum(picked))
+        kept = [(g, gv) for g, gv in zip(psi.groups, psi.group_vectors()) if g in picked]
+        local = [sum(1 << keep.index(p) for p in mask_parties(g)) for g, _ in kept]
+        dims = [psi.layout.dims[p] for p in keep]
+        want = qstate.canonical_phase(
+            qstate._product_vector(dims, local, [gv.vector for _, gv in kept]))
+        assert_passes_the_public_constructor(pure_restriction(psi, keep), want)
+
+
+def per_party_cuts(state, mask):
+    """state.cuts(mask) by the per-party formula: local bit i for the
+    group's i-th lowest party."""
+    out = []
+    for g, gv in zip(state.groups, state.group_vectors()):
+        piece = mask & g
+        if piece and piece != g:
+            parties = mask_parties(g)
+            out.append((gv, sum(1 << i for i, p in enumerate(parties) if piece >> p & 1)))
+    return out
+
+
+def test_bit_runs_of_a_scattered_group():
+    # parties 0, 2, 5 and 6 hold local bits 0, 1, 2 and 3
+    assert qstate._bit_runs(0b1100101) == ((0b1, 0), (0b100, 1), (0b1100000, 3))
+    assert qstate._bit_runs(0b111000) == ((0b111000, 3),)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=product_specs(max_parties=8), data=st.data())
+def test_bit_run_cuts_match_the_per_party_formula(spec, data):
+    """Every group build_state makes is one run of parties; a permuted copy
+    scatters them, and on both every mask's cuts are the per-party ones."""
+    psi = build_state(spec)
+    n = psi.num_parties
+    assert all(len(runs) == 1 for runs in psi._runs)
+    moved = permute_parties(psi, data.draw(st.permutations(range(n))))
+    for state in (psi, moved):
+        for mask in range(1, 1 << n):
+            got, want = state.cuts(mask), per_party_cuts(state, mask)
+            assert [local for _, local in got] == [local for _, local in want], mask
+            assert all(a is b for (a, _), (b, _) in zip(got, want)), mask
+
+
+def test_measures_never_form_the_full_vector():
+    """A product state and what the party-wise operations make of it,
+    evaluated by every measure kind at k = 2 and 3 and factorized: the
+    engine reads only the group vectors, so none of these multi-group
+    states ever forms its amplitude vector."""
+    rng = np.random.default_rng(27)
+    haar = SystemLayout.of(("D", "E"), (2, 3))
+    psi = build_state(StateSpec((
+        GhzFactor(("A", "B", "C")),
+        AmplitudesFactor(haar.labels, haar.dims, tuple(haar_state(haar, rng).amplitudes)),
+        WFactor(("F", "G", "H")),
+    )))
+    states = [
+        psi,
+        permute_parties(psi, (5, 3, 0, 7, 1, 4, 2, 6)),
+        regroup(psi, Partition.of([[0, 3], [1], [2], [4], [5, 6], [7]])),
+        pure_restriction(psi, (0, 1, 2, 5, 6, 7)),
+    ]
+    parameters = {None: {"h": ENTROPY}, "concurrence": {},
+                  "q_family": {"parameter": 2.0}, "alpha_family": {"parameter": 0.5}}
+    specs = [MeasureSpec(kind, k, **parameters[row.fixed_h])
+             for kind, row in MEASURE_TABLE.items() for k in (2, 3)]
+    for state in states:
+        assert len(state.groups) > 1
+        for spec in specs:
+            evaluate_measure(spec, state)
+        finest_factorization(state)
+        assert state._amplitudes is None, state
+
+
 def test_permuted_named_product_adds_no_svd(cold_named_groups, svd_shapes):
     """GHZ3 (x) W3 (x) Bell: once one copy is evaluated, a permuted copy
     reads every spectrum and its factorization from the shared groups."""
@@ -225,8 +346,9 @@ def test_factorization_reads_whole_groups_without_svd(cold_named_groups, svd_sha
     )))
     dec = finest_factorization(psi)
     assert [f.parties for f in dec.factors] == [(0, 1, 2), (3, 4)]
-    # the scan's purities: a GHZ3 single, and D and E on their own
-    assert len(svd_shapes) == 3
+    # the scan's purities: a GHZ3 single, and D and E, equal halves of
+    # their group, off one SVD
+    assert len(svd_shapes) == 2
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -272,5 +394,5 @@ def test_small_audit_svd_count(cold_named_groups, svd_shapes, cpus):
     cpus(1)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["audit", "--json", "--trials", "2"]) == 0
-    assert len(svd_shapes) == 532
+    assert len(svd_shapes) == 376
 

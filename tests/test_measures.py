@@ -617,23 +617,20 @@ def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
     spectrum within the 1e-12 contract, for every kind of h: the engine
     sums the unpadded weights and the oracle the zero-padded ones, which
     numpy's pairwise sum may group differently in the last bit.  A mask
-    and its complement of unequal dimensions read one SVD, so their h
-    values agree bit for bit; equal halves each take their own."""
-    for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9):
+    and its complement read one SVD, equal halves included, so their h
+    values agree bit for bit."""
+    for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9, (2, 3, 3, 2)):
         psi = random_pure(SystemLayout.of("ABCDEFGHI"[:len(dims)], dims), seed=17)
         cache = MarginalCache(psi)
         (gv,) = psi.group_vectors()
         full = (1 << psi.num_parties) - 1
-        shared = 0
         for mask in range(1, full):
             lam = marginal_spectrum(psi, mask_parties(mask))
+            assert gv.side(mask) == gv.side(full ^ mask), (dims, mask)
             for h in H_KINDS:
                 got = cache.h_value(h, mask)
                 assert abs(got - evaluate_spectrum(h, lam)) <= 1e-12, (dims, mask, h)
-                if gv.side(mask) == gv.side(full ^ mask):
-                    shared += 1
-                    assert got == cache.h_value(h, full ^ mask), (dims, mask, h)
-        assert shared, dims
+                assert got == cache.h_value(h, full ^ mask), (dims, mask, h)
 
 
 def test_grouped_cache_matches_whole_state_spectra(grouped_family):
@@ -642,7 +639,7 @@ def test_grouped_cache_matches_whole_state_spectra(grouped_family):
     spectrum of the whole amplitude vector; a union of whole groups gives
     exactly 0.0, and a subset inside one group gives h of marginal_spectrum
     (its group vector's SVD, padded) within 1e-12.  A piece and its
-    complement in their group of unequal dimensions share one SVD, so
+    complement in their group share one SVD, equal halves included, so
     their spectral sums are identical, bit for bit."""
     for name, psi in grouped_family:
         cache = MarginalCache(psi)
@@ -661,8 +658,8 @@ def test_grouped_cache_matches_whole_state_spectra(grouped_family):
                     assert abs(got - padded) <= 1e-12, (name, mask, h, got, padded)
                     (gv, local), = psi.cuts(mask)
                     rest = local ^ ((1 << len(gv.dims)) - 1)
-                    if gv.side(local) == gv.side(rest):
-                        assert gv.piece_sums(h, local) == gv.piece_sums(h, rest), (name, mask, h)
+                    assert gv.side(local) == gv.side(rest), (name, mask)
+                    assert gv.piece_sums(h, local) == gv.piece_sums(h, rest), (name, mask, h)
 
 
 def test_cache_svds_each_piece_once(cold_named_groups, svd_shapes):
@@ -689,8 +686,8 @@ def test_cache_svds_each_piece_once(cold_named_groups, svd_shapes):
     for h in H_KINDS:
         for mask in range(1, 1 << 4):
             cache.h_value(h, mask)
-    # triples read their single complement's SVD; equal halves take their own
-    assert sorted(svd_shapes) == [(2, 8)] * 4 + [(4, 4)] * 6
+    # triples read their single complement's SVD; equal halves share one
+    assert sorted(svd_shapes) == [(2, 8)] * 4 + [(4, 4)] * 3
 
 
 def test_purity_threshold_applies_once_to_raw_piece_sums():

@@ -155,7 +155,8 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, pool
     1.1, raises NumericalContractError whether its side is job 0 (run
     here) or job 1 (run in the worker), and leaves no worker behind.  The
     state's amplitudes are a valid product; only the carried vector of
-    the costlier (here) or cheaper (worker) group is off the contract."""
+    the costlier (here) or cheaper (worker) group is off the contract, so
+    the state is assembled unchecked (the public constructor refuses it)."""
     monkeypatch.setattr(qstate, "FORK_COST", 0.0)
     cpus(2)
     rng = np.random.default_rng(11)
@@ -166,9 +167,11 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, pool
         vectors[at][1] = np.nan
     else:
         vectors[at] *= 1.1
-    state = PureState(SystemLayout.qubits("ABCDE"), amplitudes, groups=(0b00111, 0b11000),
-                      vectors=(qstate.GroupVector(vectors[0], (2, 2, 2)),
-                               qstate.GroupVector(vectors[1], (2, 2))))
+    groups = (0b00111, 0b11000)
+    carried = (qstate.GroupVector(vectors[0], (2, 2, 2)), qstate.GroupVector(vectors[1], (2, 2)))
+    with pytest.raises(NumericalContractError, match="product"):
+        PureState(SystemLayout.qubits("ABCDE"), amplitudes, groups=groups, vectors=carried)
+    state = PureState._trusted(SystemLayout.qubits("ABCDE"), groups, carried, lambda: amplitudes)
     # A and D: the side of A (cost 2 x 8) is job 0, the side of D (2 x 4) job 1
     with pytest.raises(NumericalContractError):
         qstate._fill_weights(state, [0b01001])

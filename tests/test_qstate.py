@@ -13,6 +13,7 @@ from kpem.qstate import (
     AmplitudesFactor,
     DensityMatrix,
     GhzFactor,
+    MarginalCache,
     MaxEntFactor,
     NumericalContractError,
     PureState,
@@ -39,6 +40,7 @@ from kpem.qstate import (
     spectrum,
 )
 from kpem.partitions import Partition
+from kpem.redfun import ENTROPY
 
 
 def qubits(n):
@@ -214,6 +216,19 @@ def test_pure_state_norm_contract():
         PureState(qubits(1), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("named", [True, False], ids=["with-ghz", "alone"])
+def test_build_state_rejects_non_finite_factor_amplitudes(bad, named):
+    """An explicit factor holding NaN or inf, built through the API (the
+    state-file parser rejects it first): its vector is checked where it is
+    made, whether the state has one group or more, with no RuntimeWarning
+    on the way (the Tier-1 tests turn those into errors)."""
+    explicit = AmplitudesFactor(("C", "D"), (2, 2), (bad, 0j, 1.0 + 0j, 0j))
+    spec = StateSpec((GhzFactor(("A", "B")), explicit) if named else (explicit,))
+    with pytest.raises(NumericalContractError, match="non-finite"):
+        build_state(spec)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     # NaN compares false against the norm tolerance, so it needs its own check
@@ -269,6 +284,22 @@ def test_malformed_groups_raise(groups):
     psi = random_pure(qubits(3), seed=2)
     with pytest.raises(ValueError):
         PureState(qubits(3), psi.amplitudes, groups=groups)
+
+
+def test_a_false_group_claim_fails_the_contract():
+    """The engine reads only the group vectors, so their product must be
+    the amplitudes: vectors read off the amplitudes are checked when they
+    are read, and given vectors when the state is made."""
+    psi = random_pure(qubits(2), seed=1)
+    split = PureState(psi.layout, psi.amplitudes, groups=(0b01, 0b10))
+    with pytest.raises(NumericalContractError, match="product"):
+        MarginalCache(split).h_value(ENTROPY, 0b01)
+    zero = qstate.GroupVector(np.array([1.0, 0.0]), (2,))
+    with pytest.raises(NumericalContractError, match="product"):
+        PureState(psi.layout, psi.amplitudes, groups=(0b01, 0b10), vectors=(zero, zero))
+    other = qstate.GroupVector(random_pure(qubits(2), seed=2).amplitudes, (2, 2))
+    with pytest.raises(NumericalContractError, match="product"):
+        PureState(psi.layout, psi.amplitudes, vectors=(other,))
 
 
 def test_build_state_records_one_group_per_factor():
@@ -504,9 +535,6 @@ def test_ghz10_calE_alpha_half_closed_form():
 
 
 def test_w12_marginal_entropies_closed_form():
-    from kpem.qstate import MarginalCache
-    from kpem.redfun import ENTROPY
-
     n = 12
     cache = MarginalCache(amplitude_state(qubit_basis_state(n, W12), (2,) * n))
     for s in range(1, n):
