@@ -341,7 +341,7 @@ def _labels(n: int, offset: int = 0) -> tuple[str, ...]:
 def _haar_factor(rng: np.random.Generator, labels: tuple[str, ...]) -> AmplitudesFactor:
     # a Haar state is a product with probability zero: one draw is entangled
     amps = canonical_phase(haar_vector(2 ** len(labels), rng))
-    return AmplitudesFactor(labels, (2,) * len(labels), tuple(amps))
+    return AmplitudesFactor(labels, (2,) * len(labels), tuple(amps.tolist()))
 
 
 def _random_factor(rng: np.random.Generator, labels: tuple[str, ...]):

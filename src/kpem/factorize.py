@@ -4,9 +4,10 @@ Each of the state's groups (PureState.groups, across which the amplitudes
 are a tensor product) is split on its own, by repeatedly taking the
 smallest subset of its unassigned parties whose marginal is pure (by
 subset size, then lexicographic on the original party indices).  The
-purities are qstate.marginal_purity, taken on the group's own vector
-(PureState.group_vectors), so no remainder state is ever formed, and they
-are the numbers h's zero rule reads.  A factor is its parties and a
+purities are qstate.marginal_purity, read by party mask (_mask_purity),
+taken on the group's own vector (PureState.group_vectors), so no
+remainder state is ever formed, and they are the numbers h's zero rule
+reads.  A factor is its parties and a
 classification; its own state is pure_restriction(state, f.parties).
 The reconstruction fidelity check multiplies the factors' own vectors
 (qstate._own_vectors): a block that is a whole group is that group's
@@ -66,7 +67,7 @@ from .qstate import (
     NumericalContractError,
     PureState,
     PURITY_TOL,
-    marginal_purity,
+    _mask_purity,
     _own_vectors,
     _product_vector,
     _split,
@@ -115,7 +116,7 @@ def finest_factorization(state: PureState) -> FactorDecomposition:
     comp = [1 << p for p in range(state.num_parties)]  # each party's link component
 
     def is_pure(mask: int) -> bool:
-        return marginal_purity(state, mask_parties(mask)) >= 1.0 - PURITY_TOL
+        return _mask_purity(state, mask) >= 1.0 - PURITY_TOL
 
     blocks: list[tuple[int, ...]] = []
     for left in state.groups:

@@ -34,13 +34,14 @@ kept whole is its GroupVector, with no SVD, and a cut piece is its group
 vector's leading singular vector.  pure_restriction wraps them in a state,
 and the factorization's reconstruction check multiplies them.
 
-"This marginal is pure" is decided by one number, marginal_purity: the
-product of the cut pieces' purities (GroupVector.purity) against
-redfun.PURITY_TOL.  pure_restriction, the factorization search and h's
-zero rule all take it off the same group SVDs.  The density-matrix route
-(reduced_density, spectrum, evaluate, sample_check) is the tests' oracle;
-marginal_spectrum pads the engine's weights to that route's padded,
-sorted contract (clip_spectrum), which the engine itself never reads.
+"This marginal is pure" is decided by one number, marginal_purity (read
+by party mask as _mask_purity): the product of the cut pieces' purities
+(GroupVector.purity) against redfun.PURITY_TOL.  pure_restriction, the
+factorization search and h's zero rule all take it off the same group
+SVDs.  The density-matrix route (reduced_density, spectrum, evaluate,
+sample_check) is the tests' oracle; marginal_spectrum pads the engine's
+weights to that route's padded, sorted contract (clip_spectrum), which
+the engine itself never reads.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class SystemLayout:
         for lab, d in self.parties:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        self._derive(labels)
+
+    def _derive(self, labels: tuple[str, ...]) -> None:
         dims = tuple(d for _, d in self.parties)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
@@ -112,6 +116,24 @@ class SystemLayout:
             if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
                 raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
         return cls(tuple(zip(labels, map(int, dims))))
+
+    @classmethod
+    def _of_checked_labels(cls, labels: tuple[str, ...], dims: Sequence[int]) -> "SystemLayout":
+        """The layout of nonempty labels already checked by _check_labels
+        (StateSpec checks its own): only the dimensions are checked, once,
+        each as `of` and the constructor check it, with their message."""
+        parties = []
+        for lab, d in zip(labels, dims):
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+            d = int(d)
+            if d < 2:
+                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+            parties.append((lab, d))
+        self = object.__new__(cls)
+        object.__setattr__(self, "parties", tuple(parties))
+        self._derive(labels)
+        return self
 
     @classmethod
     def qubits(cls, labels: Sequence[str]) -> "SystemLayout":
@@ -291,16 +313,16 @@ class PureState:
     parts already checked (_trusted): a state with more than one group is
     its group vectors, which are all the engine reads, and `amplitudes`,
     the full vector, is formed on first read, by the formula of the
-    operation that made the state.  Each group also keeps its maximal runs
-    of consecutive parties, from which `cuts` maps a party mask to the
-    group's local mask with one shift per run.
+    operation that made the state.  Each group of two or more parties also
+    keeps its maximal runs of consecutive parties, from which `cuts` maps a
+    party mask to the group's local mask with one shift per run.
 
     A state keeps no memo of its marginals: they are memoized on its
     GroupVectors, which refer to no state, so a state is freed as soon as
     it is dropped.
     """
 
-    __slots__ = ("layout", "groups", "vectors", "_runs", "_amplitudes", "_form", "__weakref__")
+    __slots__ = ("layout", "groups", "vectors", "_cut", "_amplitudes", "_form", "__weakref__")
 
     def __init__(
         self,
@@ -368,8 +390,9 @@ class PureState:
         _set = object.__setattr__
         _set(self, "layout", layout)
         _set(self, "groups", groups)
-        _set(self, "vectors", None if vectors is None else tuple(vectors[i] for i in order))
-        _set(self, "_runs", tuple(map(_bit_runs, groups)))
+        vectors = None if vectors is None else tuple(vectors[i] for i in order)
+        _set(self, "vectors", vectors)
+        _set(self, "_cut", None if vectors is None else _cut_groups(groups, vectors))
         _set(self, "_amplitudes", amplitudes)
         _set(self, "_form", form)
 
@@ -419,17 +442,23 @@ class PureState:
                 )
                 _check_product(self.layout, self.groups, vectors, self.amplitudes)
             object.__setattr__(self, "vectors", vectors)
+            object.__setattr__(self, "_cut", _cut_groups(self.groups, vectors))
         return self.vectors
 
     def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
         """(group vector, local piece) of every group that `mask` meets but
         does not hold whole, in group order: the marginal on `mask` is the
-        product of these pieces' marginals.  The local piece is put
-        together run by run: a run of consecutive parties of the group
-        holds consecutive local bits, so each run's bits move by one shift
-        (_bit_runs)."""
+        product of these pieces' marginals.  Only the groups of two or more
+        parties are visited, as a single party is empty or whole in any
+        mask.  The local piece is put together run by run: a run of
+        consecutive parties of the group holds consecutive local bits, so
+        each run's bits move by one shift (_bit_runs)."""
+        cut = self._cut
+        if cut is None:  # vectors not read yet
+            self.group_vectors()
+            cut = self._cut
         out = []
-        for g, runs, gv in zip(self.groups, self._runs, self.vectors or self.group_vectors()):
+        for g, runs, gv in cut:
             piece = mask & g
             if piece and piece != g:
                 local = 0
@@ -441,6 +470,14 @@ class PureState:
 
 def _dims_of(layout: SystemLayout, g: int) -> tuple[int, ...]:
     return tuple(layout.dims[p] for p in mask_parties(g))
+
+
+def _cut_groups(
+    groups: Sequence[int], vectors: Sequence[GroupVector]
+) -> tuple[tuple[int, tuple[tuple[int, int], ...], GroupVector], ...]:
+    """(group, its bit runs, its vector) of every group that a mask can
+    cut, those of two or more parties, in group order."""
+    return tuple((g, _bit_runs(g), gv) for g, gv in zip(groups, vectors) if g & (g - 1))
 
 
 def _bit_runs(g: int) -> tuple[tuple[int, int], ...]:
@@ -633,10 +670,12 @@ def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     group_vectors), any other state forms them on first read.  Each
     explicit factor's normalized vector is checked once, here.
 
-    The size caps are checked on the layout before any vector is built.
+    The layout takes the labels as StateSpec has checked them, and checks
+    each dimension once (SystemLayout._of_checked_labels).  The size caps
+    are checked on the layout before any vector is built.
     """
     dims = [d for f in spec.factors for d in _factor_dims(f)]
-    layout = SystemLayout.of(spec.labels, dims)
+    layout = SystemLayout._of_checked_labels(spec.labels, dims)
     check_size_caps(layout, unsafe_large)
     groups, at = [], 0
     for f in spec.factors:
@@ -832,9 +871,11 @@ def spec_from_dict(obj: dict) -> StateSpec:
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector of length dim."""
+    """Haar-random unit vector of length dim: z / ||z||, the norm taken as
+    numpy.linalg.norm takes it for complex input, sqrt(re.re + im.im)."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    re, im = z.real, z.imag
+    return z / math.sqrt(re.dot(re) + im.dot(im))
 
 
 def haar_state(layout: SystemLayout, rng: np.random.Generator) -> PureState:
@@ -951,7 +992,10 @@ def _sources(state: PureState) -> list[tuple[int, GroupVector]]:
 
 def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureState:
     """u acting on one party; a local unitary keeps every group a product,
-    and only the vector of the group holding the party changes."""
+    and only the vector of the group holding the party changes.  That new
+    vector is checked (_check_unit), so a u that is not unitary raises
+    NumericalContractError; the other groups keep their vectors, and the
+    amplitudes, u acting on the input's, are formed on first read."""
     d = state.layout.dims[party]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
@@ -959,9 +1003,11 @@ def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureStat
     vectors = list(state.group_vectors())
     i = next(i for i, g in enumerate(state.groups) if g >> party & 1)
     local = mask_parties(state.groups[i]).index(party)
-    vectors[i] = GroupVector(_act(u, vectors[i].tensor(), local), vectors[i].dims)
-    return PureState(state.layout, _act(u, state.tensor(), party),
-                     groups=state.groups, vectors=tuple(vectors))
+    vec = _act(u, vectors[i].tensor(), local)
+    _check_unit(vec)
+    vectors[i] = GroupVector(vec, vectors[i].dims)
+    return PureState._trusted(state.layout, state.groups, vectors,
+                              lambda: _act(u, state.tensor(), party))
 
 
 def _act(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
@@ -1137,16 +1183,22 @@ def purity(dm: DensityMatrix) -> float:
 
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
-    """tr(rho_keep^2) as the product, in group order, of the purities of
-    the pieces `keep` cuts out of its groups (GroupVector.purity): the
-    number that decides "pure" for pure_restriction and
-    factorize.finest_factorization.  Each piece's purity is the first of
-    its spectral sums, which redfun.product_sums multiplies in the same
-    order for h's zero rule."""
+    """tr(rho_keep^2) of a party subset, checked: _mask_purity of its
+    mask."""
     keep = sorted(keep)
     _check_party_indices(keep, state.num_parties)
+    return _mask_purity(state, sum(1 << p for p in keep))
+
+
+def _mask_purity(state: PureState, mask: int) -> float:
+    """tr(rho^2) of the marginal on a nonempty party bitmask, as the
+    product, in group order, of the purities of the pieces it cuts out of
+    the groups (GroupVector.purity): the number that decides "pure" for
+    pure_restriction and factorize.finest_factorization.  Each piece's
+    purity is the first of its spectral sums, which redfun.product_sums
+    multiplies in the same order for h's zero rule."""
     pur = 1.0
-    for gv, local in state.cuts(sum(1 << p for p in keep)):
+    for gv, local in state.cuts(mask):
         pur *= gv.purity(local)
     return pur
 
@@ -1176,8 +1228,14 @@ class MarginalCache:
         """h of the marginal on `mask`, from the raw spectral sums of the
         pieces it cuts out of the groups (redfun.product_sums); the purity
         threshold is applied once, at the end (redfun.finish).  A whole
-        group inside mask is pure and adds nothing."""
-        pieces = [gv.piece_sums(h, local) for gv, local in self.state.cuts(mask)]
+        group inside mask is pure and adds nothing.  Each piece's sums are
+        read straight off its GroupVector's memo, and taken by
+        GroupVector.piece_sums only when they are not there yet."""
+        kind, parameter = h.kind, h.parameter
+        pieces = []
+        for gv, local in self.state.cuts(mask):
+            got = gv.sums.get((kind, parameter, gv.key(local)))
+            pieces.append(gv.piece_sums(h, local) if got is None else got)
         return finish(h, product_sums(h, pieces))
 
     def h_values(self, h: ReducedFunctionSpec, masks: Sequence[int]) -> list[float]:
@@ -1233,11 +1291,16 @@ def overlap_fidelity(a: PureState, b: PureState) -> float:
 
 
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first nonzero entry is real > 0."""
-    idx = np.flatnonzero(np.abs(vec) > 1e-12)
-    if idx.size == 0:
-        raise ValueError("zero vector")
-    z = vec[idx[0]]
+    """Rotate a vector's global phase so its first entry above 1e-12 in
+    modulus is real > 0.  Entry 0 is tested first; only when it is not
+    above the threshold are the entries scanned."""
+    if vec.size and abs(vec[0]) > 1e-12:
+        z = vec[0]
+    else:
+        idx = np.flatnonzero(np.abs(vec) > 1e-12)
+        if idx.size == 0:
+            raise ValueError("zero vector")
+        z = vec[idx[0]]
     return vec * (abs(z) / z)
 
 

@@ -62,17 +62,21 @@ ENTROPY = ReducedFunctionSpec("entropy")
 
 
 def spectral_sums(h: ReducedFunctionSpec, lam: np.ndarray) -> tuple[float, float]:
-    """(purity, kind sum) of a clipped spectrum, raw: no threshold applied."""
+    """(purity, kind sum) of a clipped spectrum, raw: no threshold applied.
+    The spectrum may come in any order; its zeros are left out of the
+    entropy and alpha sums.  Summed by ndarray.sum, the reduction np.sum
+    calls, so the bits are np.sum's."""
     lam = np.asarray(lam)
-    pur = float(np.sum(lam * lam))
-    if h.kind == "concurrence":
+    pur = float((lam * lam).sum())
+    kind = h.kind
+    if kind == "concurrence":
         return pur, pur
-    if h.kind == "entropy":
-        pos = lam[lam > 0.0]
-        return pur, float(-np.sum(pos * np.log2(pos)))
-    if h.kind == "q_family":
-        return pur, float(np.sum(lam ** h.parameter))
-    return pur, float(np.sum(lam[lam > 0.0] ** h.parameter))
+    if kind == "q_family":
+        return pur, float((lam ** h.parameter).sum())
+    pos = lam[lam > 0.0]
+    if kind == "entropy":
+        return pur, float(-(pos * np.log2(pos)).sum())
+    return pur, float((pos ** h.parameter).sum())
 
 
 def product_sums(

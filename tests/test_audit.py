@@ -35,7 +35,14 @@ from kpem.audit import (
     tight_b_condition,
 )
 from kpem.measures import MeasureSpec
-from kpem.qstate import GhzFactor, StateSpec, AmplitudesFactor, NumericalContractError, build_state
+from kpem.qstate import (
+    AmplitudesFactor,
+    GhzFactor,
+    NumericalContractError,
+    StateSpec,
+    build_state,
+    canonical_phase,
+)
 from kpem.redfun import CONCURRENCE, ENTROPY
 
 import numpy as np
@@ -355,6 +362,23 @@ def test_engineered_merge_family():
         h_last, h_first, h_pair, realized = tight_b_condition(h)
         assert realized
         assert h_last >= h_first > h_pair
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240801])
+def test_haar_factor_draws_are_the_normalized_phase_fixed_draws(seed):
+    """_haar_factor's amplitudes are canonical_phase(z / np.linalg.norm(z))
+    of the same draws, bit for bit, as Python complex, and it leaves the
+    generator where the draws leave it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in (1, 2, 3, 5):
+        labels = tuple("ABCDE"[:size])
+        factor = audit._haar_factor(rng, labels)
+        z = ref_rng.standard_normal(2 ** size) + 1j * ref_rng.standard_normal(2 ** size)
+        want = canonical_phase(z / np.linalg.norm(z))
+        assert all(type(a) is complex for a in factor.amplitudes)
+        assert np.array(factor.amplitudes).tobytes() == want.tobytes()
+        assert factor.dims == (2,) * size and factor.labels == labels
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_braided_factor_shape():

@@ -319,9 +319,10 @@ def test_linked_scan_matches_scan_on_dense_shapes(sizes, dims):
 
 @pytest.fixture()
 def scan_calls(monkeypatch):
-    """Counts of the marginal purities and the pair link marginals a scan takes."""
+    """Counts of the marginal purities (the scan reads each by party mask)
+    and the pair link marginals a scan takes."""
     calls = {"purity": 0, "link": 0}
-    purity, link = factorize.marginal_purity, factorize._link_distance
+    purity, link = factorize._mask_purity, factorize._link_distance
 
     def count_purity(*args):
         calls["purity"] += 1
@@ -331,7 +332,7 @@ def scan_calls(monkeypatch):
         calls["link"] += 1
         return link(*args)
 
-    monkeypatch.setattr(factorize, "marginal_purity", count_purity)
+    monkeypatch.setattr(factorize, "_mask_purity", count_purity)
     monkeypatch.setattr(factorize, "_link_distance", count_link)
     return calls
 

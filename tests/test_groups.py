@@ -24,14 +24,24 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     WFactor,
+    apply_local_unitary,
     build_state,
     haar_state,
+    haar_unitary,
     marginal_purity,
     permute_parties,
     pure_restriction,
     regroup,
 )
-from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate_spectrum, spectral_sums
+from kpem.redfun import (
+    CONCURRENCE,
+    ENTROPY,
+    ReducedFunctionSpec,
+    evaluate_spectrum,
+    finish,
+    product_sums,
+    spectral_sums,
+)
 
 from conftest import density_spectrum
 
@@ -179,11 +189,12 @@ def assert_passes_the_public_constructor(state, want):
 @settings(max_examples=40, deadline=None)
 @given(spec=product_specs(max_parties=8), data=st.data())
 def test_assembled_states_pass_the_public_constructor(spec, data):
-    """build_state, permute_parties, regroup and pure_restriction assemble
-    their outputs from checked parts, unchecked: each output passes the
-    public constructor, and its amplitudes match the eager formula of the
-    operation (the kron chain, its axes reordered, the canonical phase of
-    the kept groups' product) within 1e-15 per entry."""
+    """build_state, permute_parties, regroup, apply_local_unitary and
+    pure_restriction assemble their outputs from checked parts, unchecked:
+    each output passes the public constructor, and its amplitudes match the
+    eager formula of the operation (the kron chain, its axes reordered, u
+    acting on one of its axes, the canonical phase of the kept groups'
+    product) within 1e-15 per entry."""
     psi = build_state(spec)
     n = psi.num_parties
     ref = kron_amplitudes(spec)
@@ -200,6 +211,13 @@ def test_assembled_states_pass_the_public_constructor(spec, data):
         axes = [p for block in blocks for p in block]
         assert_passes_the_public_constructor(
             out, ref.reshape(psi.layout.dims).transpose(axes).reshape(-1))
+
+    party = data.draw(st.integers(0, n - 1))
+    u = haar_unitary(psi.layout.dims[party], np.random.default_rng(data.draw(st.integers(0, 99))))
+    rotated = apply_local_unitary(psi, party, u)
+    assert rotated._amplitudes is None
+    assert_passes_the_public_constructor(
+        rotated, qstate._act(u, ref.reshape(psi.layout.dims), party))
 
     if len(psi.groups) > 1:
         picked = data.draw(st.lists(st.sampled_from(psi.groups), min_size=1,
@@ -238,7 +256,7 @@ def test_bit_run_cuts_match_the_per_party_formula(spec, data):
     scatters them, and on both every mask's cuts are the per-party ones."""
     psi = build_state(spec)
     n = psi.num_parties
-    assert all(len(runs) == 1 for runs in psi._runs)
+    assert all(len(qstate._bit_runs(g)) == 1 for g in psi.groups)
     moved = permute_parties(psi, data.draw(st.permutations(range(n))))
     for state in (psi, moved):
         for mask in range(1, 1 << n):
@@ -247,11 +265,31 @@ def test_bit_run_cuts_match_the_per_party_formula(spec, data):
             assert all(a is b for (a, _), (b, _) in zip(got, want)), mask
 
 
+@settings(max_examples=30, deadline=None)
+@given(spec=product_specs(max_parties=8), data=st.data())
+def test_h_value_is_finish_of_the_pieces_product_sums(spec, data):
+    """h_value reads each piece's sums off its group's memo, taking them
+    only on a miss: on every mask (each group empty, whole or cut) and for
+    every h kind its value is finish of product_sums of the pieces'
+    piece_sums, bit for bit and sign of zero included, on the groups
+    build_state makes and on a permuted copy's scattered ones."""
+    psi = build_state(spec)
+    n = psi.num_parties
+    moved = permute_parties(psi, data.draw(st.permutations(range(n))))
+    for state in (psi, moved):
+        cache = MarginalCache(state)
+        for h in H_KINDS:
+            for mask in range(1 << n):
+                got = cache.h_value(h, mask)
+                pieces = [gv.piece_sums(h, local) for gv, local in state.cuts(mask)]
+                assert repr(got) == repr(finish(h, product_sums(h, pieces))), (mask, h)
+
+
 def test_measures_never_form_the_full_vector():
-    """A product state and what the party-wise operations make of it,
-    evaluated by every measure kind at k = 2 and 3 and factorized: the
-    engine reads only the group vectors, so none of these multi-group
-    states ever forms its amplitude vector."""
+    """A product state and what the party-wise operations and a local
+    unitary make of it, evaluated by every measure kind at k = 2 and 3 and
+    factorized: the engine reads only the group vectors, so none of these
+    multi-group states ever forms its amplitude vector."""
     rng = np.random.default_rng(27)
     haar = SystemLayout.of(("D", "E"), (2, 3))
     psi = build_state(StateSpec((
@@ -264,6 +302,7 @@ def test_measures_never_form_the_full_vector():
         permute_parties(psi, (5, 3, 0, 7, 1, 4, 2, 6)),
         regroup(psi, Partition.of([[0, 3], [1], [2], [4], [5, 6], [7]])),
         pure_restriction(psi, (0, 1, 2, 5, 6, 7)),
+        apply_local_unitary(psi, 4, haar_unitary(3, rng)),
     ]
     parameters = {None: {"h": ENTROPY}, "concurrence": {},
                   "q_family": {"parameter": 2.0}, "alpha_family": {"parameter": 0.5}}

@@ -1,6 +1,7 @@
 """State construction, indexing convention, marginals, serialization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,37 @@ def test_layout_dims_are_never_coerced(bad):
 def test_layout_takes_numpy_integer_dims():
     dims = SystemLayout.of(("A", "B"), np.array([2, 3])).dims
     assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+
+# the exact message of each spec build_state refuses: a dimension's type is
+# checked at the layout; its value, duplicate and prefix labels at the spec
+@pytest.mark.parametrize("factors,message", [
+    ((GhzFactor(("A", "B"), 2.0),), "party 'A' has invalid dimension 2.0"),
+    ((GhzFactor(("A", "B"), np.float64(3.0)),), "party 'A' has invalid dimension np.float64(3.0)"),
+    ((AmplitudesFactor(("A", "B"), (2, 2.0), (1 + 0j, 0j, 0j, 0j)),),
+     "party 'B' has invalid dimension 2.0"),
+    ((GhzFactor(("A", "B"), True),), "local dimension must be >= 2, got True"),
+    ((MaxEntFactor(("A", "B"), 1),), "local dimension must be >= 2, got 1"),
+    ((AmplitudesFactor(("A",), (np.int64(1),), (1 + 0j,)),), "local dimension must be >= 2, got (np.int64(1),)"),
+    ((GhzFactor(("A", "A")),), "label 'A' used by more than one factor"),
+    ((GhzFactor(("A", "B")), WFactor(("C", "B"))), "label 'B' used by more than one factor"),
+    ((GhzFactor(("A", "B")), WFactor(("AB", "C"))), "label 'A' is a prefix of label 'AB'"),
+])
+def test_build_state_rejects_bad_dims_and_labels(factors, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_state(StateSpec(factors))
+
+
+def test_build_state_checks_each_label_once(monkeypatch):
+    """The spec checks its labels; the layout build_state makes from them
+    does not check them again, and takes numpy integer dimensions as ints."""
+    spec = StateSpec((GhzFactor(("A", "B"), np.int64(3)), WFactor(("C", "D"))))
+    checked = []
+    monkeypatch.setattr(qstate, "_check_labels", checked.append)
+    layout = build_state(spec).layout
+    assert checked == []
+    assert layout == SystemLayout.of(("A", "B", "C", "D"), (3, 3, 2, 2))
+    assert all(type(d) is int for d in layout.dims) and layout.total_dim == 36
 
 
 def test_layout_rejects_empty_labels():
@@ -390,6 +422,16 @@ def test_apply_local_unitary_preserves_marginals_elsewhere():
         apply_local_unitary(psi, 0, np.eye(3))
 
 
+def test_apply_local_unitary_refuses_a_non_unitary():
+    """u = 2 I doubles the touched group's vector, which is checked: on one
+    group and on a product, the contract error is raised, as the public
+    constructor raises it on the doubled amplitudes."""
+    product = build_state(StateSpec((MaxEntFactor(("A", "B")), WFactor(("C", "D", "E")))))
+    for psi, party in ((random_pure(qubits(3), seed=7), 1), (product, 3)):
+        with pytest.raises(NumericalContractError, match="^state norm 2.0"):
+            apply_local_unitary(psi, party, 2 * np.eye(2))
+
+
 # --- spectra ------------------------------------------------------------------------
 
 
@@ -639,12 +681,34 @@ def test_haar_state_normalized_and_spectrum_valid(seed):
 # --- helpers -----------------------------------------------------------------------
 
 
+def scanned_phase(vec):
+    """canonical_phase by the scan alone: the first entry above 1e-12 in
+    modulus made real > 0."""
+    z = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
+    return vec * (abs(z) / z)
+
+
 def test_canonical_phase():
     v = np.array([0.0, 1j, 1.0])
     w = canonical_phase(v)
     assert w[1] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="zero vector"):
         canonical_phase(np.zeros(3))
+    with pytest.raises(ValueError, match="zero vector"):
+        canonical_phase(np.array([1e-13j, -1e-12, 0.0]))
+    with pytest.raises(ValueError, match="zero vector"):
+        canonical_phase(np.zeros(0, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("head", [0.6 - 0.8j, -1e-12, 1e-12j, 5e-13 + 5e-13j, 0.0])
+def test_canonical_phase_tests_entry_zero_then_scans(head):
+    """Entry 0 above the threshold is the phase reference; at or below it,
+    the scan finds the first entry that is above it."""
+    vec = np.array([head, 0.0, -1e-13, 0.3j, -0.2 + 0.1j])
+    got = canonical_phase(vec)
+    assert got.tobytes() == scanned_phase(vec).tobytes()
+    ref = got[0] if abs(head) > 1e-12 else got[3]
+    assert ref.real > 0 and abs(ref.imag) <= 1e-15
 
 
 def test_overlap_fidelity():

@@ -2,10 +2,13 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpem import redfun
 from kpem.measures import MeasureSpec
@@ -66,6 +69,36 @@ def test_product_sums_are_the_sums_of_the_kron_spectrum():
         got = product_sums(h, [spectral_sums(h, lam) for lam in pieces])
         np.testing.assert_allclose(got, spectral_sums(h, kron), rtol=1e-14, err_msg=str(h))
         assert finish(h, product_sums(h, [])) == 0.0
+
+
+def np_sum_sums(h, lam):
+    """spectral_sums in its np.sum form, the reference for its bits."""
+    pur = float(np.sum(lam * lam))
+    if h.kind == "concurrence":
+        return pur, pur
+    if h.kind == "entropy":
+        pos = lam[lam > 0.0]
+        return pur, float(-np.sum(pos * np.log2(pos)))
+    if h.kind == "q_family":
+        return pur, float(np.sum(lam ** h.parameter))
+    return pur, float(np.sum(lam[lam > 0.0] ** h.parameter))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+def test_spectral_sums_are_the_np_sum_sums_bit_for_bit(lam):
+    """On unsorted clipped spectra with zeros anywhere, every kind's sums
+    are those of the np.sum form, bit for bit, and no zero raises a
+    RuntimeWarning (0 log 0 and 0 ** alpha are never formed)."""
+    lam = np.array(lam)
+    for h in (CONCURRENCE, ENTROPY, ReducedFunctionSpec("q_family", 2.0),
+              ReducedFunctionSpec("q_family", 3.5), ReducedFunctionSpec("alpha_family", 0.25),
+              ReducedFunctionSpec("alpha_family", 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_sums(h, lam)
+        assert [repr(x) for x in got] == [repr(x) for x in np_sum_sums(h, lam)], h
+        assert all(type(x) is float for x in got)
 
 
 def test_evaluate_on_density_matrix():
