@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .qstate import (
     AmplitudesFactor,
-    DensityMatrix,
     GhzFactor,
     MaxEntFactor,
     NumericalContractError,
@@ -47,12 +46,9 @@ from .qstate import (
     SystemLayout,
     WFactor,
     build_state,
-    evaluate,
     permute_parties,
     random_pure,
-    reduced_density,
     regroup,
-    sample_check,
     spec_from_dict,
     spec_to_dict,
 )

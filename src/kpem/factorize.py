@@ -5,7 +5,7 @@ are a tensor product) is split on its own, by repeatedly taking the
 smallest subset of its unassigned parties whose marginal is pure (by
 subset size, then lexicographic on the original party indices).  The
 purities are qstate.marginal_purity, read by party mask (_mask_purity),
-taken on the group's own vector (PureState.group_vectors), so no
+taken on the group's own vector (PureState.vectors), so no
 remainder state is ever formed, and they are the numbers h's zero rule
 reads.  A factor is its parties and a
 classification; its own state is pure_restriction(state, f.parties).
@@ -162,7 +162,7 @@ def _link_distance(state: PureState, pair: tuple[int, int]) -> float:
     """||rho_ij - rho_i (x) rho_j||_2 of one pair marginal (i < j), formed
     on the group vector holding both parties; 0.0 across groups."""
     i, j = pair
-    for g, gv in zip(state.groups, state.group_vectors()):
+    for g, gv in zip(state.groups, state.vectors):
         if g >> i & 1 and g >> j & 1:
             parties = mask_parties(g)
             m = _split(gv.tensor(), (parties.index(i), parties.index(j)))
@@ -196,7 +196,7 @@ def _reconstruction_fidelity(state: PureState, blocks: list[tuple[int, ...]]) ->
     and the full amplitude vector is never formed."""
     masks = [sum(1 << p for p in parties) for parties in blocks]
     fid = 1.0
-    for g, gv in zip(state.groups, state.group_vectors()):
+    for g, gv in zip(state.groups, state.vectors):
         pieces = [piece for mask in masks if mask & g for piece in _own_vectors(state, mask)]
         rec = _product_vector(
             state.layout.dims, [mask for mask, _ in pieces], [v.vector for _, v in pieces]

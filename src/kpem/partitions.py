@@ -57,14 +57,6 @@ class Partition:
     def of(cls, blocks: Sequence[Sequence[int]]) -> "Partition":
         return cls(tuple(tuple(b) for b in blocks))
 
-    @classmethod
-    def singletons(cls, parties: Sequence[int]) -> "Partition":
-        return cls(tuple((p,) for p in sorted(parties)))
-
-    @classmethod
-    def merged(cls, parties: Sequence[int]) -> "Partition":
-        return cls((tuple(sorted(parties)),))
-
     @property
     def parties(self) -> tuple[int, ...]:
         """All covered party indices, ascending."""
@@ -78,19 +70,6 @@ class Partition:
     def fineness(self) -> int:
         """Size of the largest block."""
         return max(len(b) for b in self.blocks)
-
-    def block_of(self, party: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if party in block:
-                return i
-        raise KeyError(party)
-
-    def __le__(self, other: "Partition") -> bool:
-        # refinement order: every block of self sits inside a block of other
-        if self.parties != other.parties:
-            return NotImplemented
-        lookup = {p: i for i, b in enumerate(other.blocks) for p in b}
-        return all(len({lookup[p] for p in block}) == 1 for block in self.blocks)
 
 
 def check_integer_k(k: int, least: int = 1) -> None:

@@ -1,4 +1,4 @@
-"""Labeled qudit systems, pure state vectors, reduced density matrices.
+"""Labeled qudit systems and pure state vectors, and their marginal engine.
 
 Index convention (bit-exact contract): party 0 is the most significant
 digit of the row-major mixed-radix index into the amplitude vector, so for
@@ -6,22 +6,20 @@ qubits ABC the basis state |100> sits at index 4.
 
 A PureState carries `groups`: disjoint party bitmasks (bit i is party i)
 covering every party, across which its amplitudes are a tensor product,
-and one GroupVector per group: the group's own unit vector, over its
-parties in ascending order.  The default is one group, whose vector is the
-amplitudes themselves, which claims nothing.  build_state records one
-group per declared factor and keeps each factor's vector; the named
-factors (GHZ, W, maxent) take one shared GroupVector per (kind, size,
-dimension).  The party-wise operations carry the groups and their vectors
-along (see _carry), so a permuted, regrouped or restricted copy of a state
-holds the same GroupVector objects for the groups it leaves alone.  A
-state built without vectors reads each group's vector once, on first use.
-
-build_state and the party-wise operations assemble their states from
-parts already checked (PureState._trusted): each explicit factor's vector
-is checked once, where build_state makes it, and a carried vector or a
-product of checked vectors is not checked again.  Such a state with more
-than one group is its group vectors, which are all the engine reads: its
-full amplitude vector is formed only when something reads `amplitudes`.
+and one GroupVector per group (`vectors`): the group's own unit vector,
+over its parties in ascending order.  The public constructor makes a state
+of one group, whose vector is the amplitudes themselves, which claims
+nothing.  Every state of more groups is assembled from parts already
+checked (PureState._trusted): build_state records one group per declared
+factor and keeps each factor's vector, checked once where build_state
+makes it; the named factors (GHZ, W, maxent) take one shared GroupVector
+per (kind, size, dimension).  The party-wise operations carry the groups
+and their vectors along (see _carry), so a permuted, regrouped or
+restricted copy of a state holds the same GroupVector objects for the
+groups it leaves alone, and a carried vector or a product of checked
+vectors is not checked again.  Such a state is its group vectors, which
+are all the engine reads: its full amplitude vector is formed only when
+something reads `amplitudes`.
 
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
@@ -38,10 +36,10 @@ and the factorization's reconstruction check multiplies them.
 by party mask as _mask_purity): the product of the cut pieces' purities
 (GroupVector.purity) against redfun.PURITY_TOL.  pure_restriction, the
 factorization search and h's zero rule all take it off the same group
-SVDs.  The density-matrix route (reduced_density, spectrum, evaluate,
-sample_check) is the tests' oracle; marginal_spectrum pads the engine's
-weights to that route's padded, sorted contract (clip_spectrum), which
-the engine itself never reads.
+SVDs.  marginal_spectrum pads the engine's weights to the padded, sorted
+spectrum contract of clip_spectrum, which the engine itself never reads;
+the tests hold it against an independent density-matrix route, which
+lives with them (tests/oracle.py), not here.
 """
 
 from __future__ import annotations
@@ -58,21 +56,18 @@ from .redfun import (
     CONCURRENCE,
     PURITY_TOL,
     ReducedFunctionSpec,
-    evaluate_spectrum,
     finish,
     product_sums,
     spectral_sums,
 )
 
 NORM_TOL = 1e-12          # state vector norm
-HERM_TOL = 1e-12          # elementwise hermiticity of density matrices
-TRACE_TOL = 1e-12         # |tr(rho) - 1|
 EIG_FLOOR = -1e-10        # eigenvalues below this are a contract failure
 SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
 # a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
 # factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
 LINK_TOL = 10 * 6 * math.sqrt(PURITY_TOL)
-FIDELITY_TOL = 1e-8       # product reconstructions (factorize, _check_product)
+FIDELITY_TOL = 1e-8       # product reconstructions (factorize)
 DIM_CAP = 2 ** 14         # total Hilbert dimension guard
 PARTY_CAP = 12            # party count guard
 
@@ -109,19 +104,23 @@ class SystemLayout:
     @classmethod
     def of(cls, labels: Sequence[str], dims: Sequence[int]) -> "SystemLayout":
         """Dimensions are Python or numpy integers; floats, strings and
-        booleans are rejected, never truncated or parsed."""
+        booleans are rejected, never truncated or parsed.  The labels are
+        checked (_check_labels), then the dimensions (_of_checked_labels)."""
         if len(labels) != len(dims):
             raise ValueError("labels and dims differ in length")
-        for lab, d in zip(labels, dims):
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
-        return cls(tuple(zip(labels, map(int, dims))))
+        labels = tuple(labels)
+        if not labels:
+            raise ValueError("layout needs at least one party")
+        _check_labels(labels)
+        return cls._of_checked_labels(labels, dims)
 
     @classmethod
     def _of_checked_labels(cls, labels: tuple[str, ...], dims: Sequence[int]) -> "SystemLayout":
         """The layout of nonempty labels already checked by _check_labels
-        (StateSpec checks its own): only the dimensions are checked, once,
-        each as `of` and the constructor check it, with their message."""
+        (by `of`, by StateSpec, or joined from a checked layout's disjoint
+        blocks, which keeps them unique and prefix-free): only the
+        dimensions are checked, once, each as the constructor checks it,
+        with its message."""
         parties = []
         for lab, d in zip(labels, dims):
             if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
@@ -153,7 +152,8 @@ class SystemLayout:
         """Layout of a party subset, original order kept."""
         idx = sorted(indices)
         _check_party_indices(idx, self.num_parties)
-        return SystemLayout(tuple(self.parties[i] for i in idx))
+        return SystemLayout._of_checked_labels(
+            tuple(self.labels[i] for i in idx), [self.dims[i] for i in idx])
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -298,24 +298,21 @@ class PureState:
     """Normalized complex amplitude vector over a layout.
 
     `groups` are disjoint party bitmasks covering every party, ordered by
-    lowest party; the amplitudes are claimed to be a tensor product across
-    them.  The default (None) is the one group of all parties.  `vectors`,
-    when given, holds one GroupVector per group, in the order of `groups`,
-    and claims that the amplitudes are their product up to a global phase;
-    when None they are read off the amplitudes on first use
-    (group_vectors).  The claim is checked either way (_check_product):
-    given vectors by the constructor, vectors read off when they are
-    read.  The constructor also checks the groups and the amplitudes'
-    finiteness and norm.  States compare and hash by identity, as arrays
-    have no truth value, and are immutable.
+    lowest party, across which the amplitudes are a tensor product, and
+    `vectors` holds one GroupVector per group, in the same order.  The
+    constructor checks the amplitudes' length, finiteness and norm, and
+    makes a state of one group, the whole layout, whose GroupVector holds
+    the amplitudes themselves (the same read-only array, no second copy).
+    States compare and hash by identity, as arrays have no truth value,
+    and are immutable.
 
-    build_state and the party-wise operations assemble their states from
-    parts already checked (_trusted): a state with more than one group is
-    its group vectors, which are all the engine reads, and `amplitudes`,
-    the full vector, is formed on first read, by the formula of the
-    operation that made the state.  Each group of two or more parties also
-    keeps its maximal runs of consecutive parties, from which `cuts` maps a
-    party mask to the group's local mask with one shift per run.
+    Every state of more groups is assembled by build_state or a party-wise
+    operation from parts already checked (_trusted): it is its group
+    vectors, which are all the engine reads, and `amplitudes`, the full
+    vector, is formed on first read, by the formula of the operation that
+    made the state.  Each group of two or more parties also keeps its
+    maximal runs of consecutive parties, from which `cuts` maps a party
+    mask to the group's local mask with one shift per run.
 
     A state keeps no memo of its marginals: they are memoized on its
     GroupVectors, which refer to no state, so a state is freed as soon as
@@ -324,41 +321,15 @@ class PureState:
 
     __slots__ = ("layout", "groups", "vectors", "_cut", "_amplitudes", "_form", "__weakref__")
 
-    def __init__(
-        self,
-        layout: SystemLayout,
-        amplitudes: np.ndarray,
-        *,
-        groups: Optional[Sequence[int]] = None,
-        vectors: Optional[Sequence[GroupVector]] = None,
-    ) -> None:
+    def __init__(self, layout: SystemLayout, amplitudes: np.ndarray) -> None:
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if amp.shape != (layout.total_dim,):
             raise ValueError(f"amplitude length {amp.size} != total dimension {layout.total_dim}")
-        full = (1 << layout.num_parties) - 1
-        groups = (full,) if groups is None else tuple(groups)
-        union = 0
-        for g in groups:
-            if isinstance(g, bool) or not isinstance(g, int) or g <= 0 or g & ~full:
-                raise ValueError(f"group {g!r} is not a nonempty party bitmask")
-            if g & union:
-                raise ValueError(f"groups overlap: {groups}")
-            union |= g
-        if union != full:
-            raise ValueError(f"groups {groups} do not cover all {layout.num_parties} parties")
-        if vectors is not None:
-            vectors = tuple(vectors)
-            if len(vectors) != len(groups):
-                raise ValueError(f"{len(vectors)} group vectors for {len(groups)} groups")
-            for g, gv in zip(groups, vectors):
-                if not isinstance(gv, GroupVector) or gv.dims != _dims_of(layout, g):
-                    raise ValueError(f"group {g:#b} has no vector over its parties' dimensions")
         _check_unit(amp)
-        if vectors is not None:
-            _check_product(layout, groups, vectors, amp)
         amp = amp.copy()
         amp.flags.writeable = False
-        self._assemble(layout, groups, vectors, amp, None)
+        gv = GroupVector(amp, layout.dims)
+        self._assemble(layout, ((1 << layout.num_parties) - 1,), (gv,), gv.vector, None)
 
     @classmethod
     def _trusted(
@@ -380,19 +351,19 @@ class PureState:
         self,
         layout: SystemLayout,
         groups: Sequence[int],
-        vectors: Optional[Sequence[GroupVector]],
+        vectors: Sequence[GroupVector],
         amplitudes: Optional[np.ndarray],
         form: Optional[Callable[[], np.ndarray]],
     ) -> None:
-        """Set the fields, with groups (and vectors) ordered by lowest party."""
+        """Set the fields, with groups and vectors ordered by lowest party."""
         order = sorted(range(len(groups)), key=lambda i: groups[i] & -groups[i])
         groups = tuple(groups[i] for i in order)
+        vectors = tuple(vectors[i] for i in order)
         _set = object.__setattr__
         _set(self, "layout", layout)
         _set(self, "groups", groups)
-        vectors = None if vectors is None else tuple(vectors[i] for i in order)
         _set(self, "vectors", vectors)
-        _set(self, "_cut", None if vectors is None else _cut_groups(groups, vectors))
+        _set(self, "_cut", _cut_groups(groups, vectors))
         _set(self, "_amplitudes", amplitudes)
         _set(self, "_form", form)
 
@@ -425,26 +396,6 @@ class PureState:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amplitudes.reshape(self.layout.dims)
 
-    def group_vectors(self) -> tuple[GroupVector, ...]:
-        """One GroupVector per group.  Without carried vectors, a one-group
-        state's vector is its amplitudes, and each group of a state with
-        more is read off once, as the leading left singular vector of the
-        amplitudes' split, and their product is checked against the
-        amplitudes (_check_product)."""
-        if self.vectors is None:
-            if len(self.groups) == 1:
-                vectors = (GroupVector(self.amplitudes, self.layout.dims),)
-            else:
-                vectors = tuple(
-                    GroupVector(_leading_vector(self.tensor(), mask_parties(g)),
-                                _dims_of(self.layout, g))
-                    for g in self.groups
-                )
-                _check_product(self.layout, self.groups, vectors, self.amplitudes)
-            object.__setattr__(self, "vectors", vectors)
-            object.__setattr__(self, "_cut", _cut_groups(self.groups, vectors))
-        return self.vectors
-
     def cuts(self, mask: int) -> list[tuple[GroupVector, int]]:
         """(group vector, local piece) of every group that `mask` meets but
         does not hold whole, in group order: the marginal on `mask` is the
@@ -453,12 +404,8 @@ class PureState:
         mask.  The local piece is put together run by run: a run of
         consecutive parties of the group holds consecutive local bits, so
         each run's bits move by one shift (_bit_runs)."""
-        cut = self._cut
-        if cut is None:  # vectors not read yet
-            self.group_vectors()
-            cut = self._cut
         out = []
-        for g, runs, gv in cut:
+        for g, runs, gv in self._cut:
             piece = mask & g
             if piece and piece != g:
                 local = 0
@@ -466,10 +413,6 @@ class PureState:
                     local |= (piece & run) >> shift
                 out.append((gv, local))
         return out
-
-
-def _dims_of(layout: SystemLayout, g: int) -> tuple[int, ...]:
-    return tuple(layout.dims[p] for p in mask_parties(g))
 
 
 def _cut_groups(
@@ -496,25 +439,6 @@ def _bit_runs(g: int) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _check_product(
-    layout: SystemLayout,
-    groups: Sequence[int],
-    vectors: Sequence[GroupVector],
-    amplitudes: np.ndarray,
-) -> None:
-    """Raise NumericalContractError unless the amplitudes are the product
-    of the groups' vectors up to a global phase, with fidelity within
-    FIDELITY_TOL of 1 (above it only when a vector is not a unit vector):
-    the claim a state's groups and vectors make, which the engine, reading
-    only the vectors, takes on trust."""
-    rec = _product_vector(layout.dims, groups, [gv.vector for gv in vectors])
-    fid = float(abs(np.vdot(rec, amplitudes)) ** 2)
-    if not abs(fid - 1.0) <= FIDELITY_TOL:
-        raise NumericalContractError(
-            f"amplitudes are not the product of their groups' vectors: fidelity {fid}"
-        )
-
-
 def _check_unit(vec: np.ndarray, what: str = "state") -> None:
     """Raise NumericalContractError unless every entry of vec is finite and
     its norm is within NORM_TOL of 1.  Both are read off one sum of
@@ -526,31 +450,6 @@ def _check_unit(vec: np.ndarray, what: str = "state") -> None:
     norm = math.sqrt(squares)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise NumericalContractError(f"{what} norm {norm} deviates from 1")
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian trace-one matrix over a layout; compares by identity."""
-
-    layout: SystemLayout
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        d = self.layout.total_dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        if not np.all(np.isfinite(m)):
-            raise NumericalContractError("density matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERM_TOL:
-            raise NumericalContractError(f"hermiticity defect {herm}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NumericalContractError(f"trace {tr} deviates from 1")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 # --- state specifications ----------------------------------------------------
@@ -666,9 +565,9 @@ def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
     with one group per factor, each a run of consecutive parties, carrying
     each factor's vector.  The amplitudes are the product of the factors'
     vectors in party order, divided by its norm; a state of one explicit
-    factor is built from them (its vector is read off them, see
-    group_vectors), any other state forms them on first read.  Each
-    explicit factor's normalized vector is checked once, here.
+    factor is built from them by the public constructor, whose one group
+    vector is the amplitudes, and any other state forms them on first
+    read.  Each explicit factor's normalized vector is checked once, here.
 
     The layout takes the labels as StateSpec has checked them, and checks
     each dimension once (SystemLayout._of_checked_labels).  The size caps
@@ -889,14 +788,6 @@ def random_pure(layout: SystemLayout, seed: int, unsafe_large: bool = False) -> 
     return haar_state(layout, np.random.default_rng(seed))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the usual phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 # --- party-wise operations ---------------------------------------------------
 
 
@@ -971,11 +862,13 @@ def _join(state: PureState, blocks: Sequence[Sequence[int]]) -> PureState:
     digits in that order: labels joined, dimensions multiplied.  An output
     of one group has its carried vector as its amplitudes; one of more
     groups forms them on first read, as the input's amplitudes with their
-    axes reordered, and holds the input until then."""
+    axes reordered, and holds the input until then.  The joined labels of
+    disjoint blocks of checked labels are unique and prefix-free again, so
+    they are not checked twice (SystemLayout._of_checked_labels)."""
     labels, dims = state.layout.labels, state.layout.dims
-    parties = tuple(
-        ("".join(labels[i] for i in block), math.prod(dims[i] for i in block))
-        for block in blocks
+    layout = SystemLayout._of_checked_labels(
+        tuple("".join(labels[i] for i in block) for block in blocks),
+        [math.prod(dims[i] for i in block) for block in blocks],
     )
     groups, vectors = _carry(_sources(state), blocks, dims)
     if len(groups) == 1:
@@ -983,36 +876,11 @@ def _join(state: PureState, blocks: Sequence[Sequence[int]]) -> PureState:
     else:
         axes = [i for block in blocks for i in block]
         form = lambda: state.tensor().transpose(axes).reshape(-1)  # noqa: E731
-    return PureState._trusted(SystemLayout(parties), groups, vectors, form)
+    return PureState._trusted(layout, groups, vectors, form)
 
 
 def _sources(state: PureState) -> list[tuple[int, GroupVector]]:
-    return list(zip(state.groups, state.group_vectors()))
-
-
-def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureState:
-    """u acting on one party; a local unitary keeps every group a product,
-    and only the vector of the group holding the party changes.  That new
-    vector is checked (_check_unit), so a u that is not unitary raises
-    NumericalContractError; the other groups keep their vectors, and the
-    amplitudes, u acting on the input's, are formed on first read."""
-    d = state.layout.dims[party]
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} != ({d}, {d})")
-    vectors = list(state.group_vectors())
-    i = next(i for i, g in enumerate(state.groups) if g >> party & 1)
-    local = mask_parties(state.groups[i]).index(party)
-    vec = _act(u, vectors[i].tensor(), local)
-    _check_unit(vec)
-    vectors[i] = GroupVector(vec, vectors[i].dims)
-    return PureState._trusted(state.layout, state.groups, vectors,
-                              lambda: _act(u, state.tensor(), party))
-
-
-def _act(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-    """u applied to one axis of a tensor, flattened."""
-    return np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis).reshape(-1)
+    return list(zip(state.groups, state.vectors))
 
 
 def _split(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -1111,20 +979,10 @@ def _own_vectors(state: PureState, mask: int) -> list[tuple[int, GroupVector]]:
     return sources
 
 
-def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace onto the kept parties (ascending original order)."""
-    keep = sorted(keep)
-    _check_party_indices(keep, state.num_parties)
-    m = _split(state.tensor(), keep)
-    rho = m @ m.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(state.layout.sub_layout(keep), rho)
-
-
 def clip_spectrum(raw: np.ndarray) -> np.ndarray:
     """Descending eigenvalues, clipped into [0, 1] and renormalized: the
-    oracle routes' spectrum contract (spectrum, marginal_spectrum).  The
-    engine normalizes its weights once, in _svd_weights.
+    spectrum contract of marginal_spectrum and of the tests' density-matrix
+    route.  The engine normalizes its weights once, in _svd_weights.
 
     Raises if a value is NaN or infinite, if one sits below the -1e-10
     floor or if the sum strays from 1 by more than 1e-10 before
@@ -1144,25 +1002,15 @@ def clip_spectrum(raw: np.ndarray) -> np.ndarray:
     return lam / total
 
 
-def spectrum(dm: DensityMatrix) -> np.ndarray:
-    """Clipped eigenvalue spectrum of a density matrix, descending."""
-    return clip_spectrum(np.linalg.eigvalsh(dm.matrix))
-
-
-def evaluate(h: ReducedFunctionSpec, dm: DensityMatrix) -> float:
-    """h of a density matrix, from its clipped spectrum."""
-    return evaluate_spectrum(h, spectrum(dm))
-
-
 def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     """Spectrum of the reduced state on `keep`, taken on the group vectors.
 
-    Same contract as spectrum(reduced_density(...)), padded to the subset's
-    dimension and sorted, which the tests use as the independent oracle,
-    but without forming the density matrix.  It is the product of the cut
-    pieces' GroupVector spectra (the weights every engine value is taken
-    from, see _svd_weights), padded with zeros to the subset's dimension,
-    then clip_spectrum; on a union of whole groups it is exactly
+    Same contract as the tests' density-matrix route (the clipped
+    eigenvalues of the partial trace, padded to the subset's dimension and
+    sorted), but without forming the density matrix.  It is the product of
+    the cut pieces' GroupVector spectra (the weights every engine value is
+    taken from, see _svd_weights), padded with zeros to the subset's
+    dimension, then clip_spectrum; on a union of whole groups it is exactly
     (1, 0, ..., 0).  The engine reads the pieces' weights as they are, so
     its h agrees with h of this spectrum within 1e-12, not bit for bit.
     """
@@ -1175,11 +1023,6 @@ def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
     full = np.zeros(math.prod(state.layout.dims[p] for p in keep))
     full[: weights.size] = weights
     return clip_spectrum(full)
-
-
-def purity(dm: DensityMatrix) -> float:
-    """tr(rho^2) = sum |rho_ij|^2 of a Hermitian matrix."""
-    return float(np.real(np.vdot(dm.matrix, dm.matrix)))
 
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:
@@ -1244,7 +1087,7 @@ class MarginalCache:
         dimensions) first fills the weights of every missing SVD side
         (GroupVector.side) of its pieces; the fill forks only when their
         estimated cost, d_small^2 * d_large each, reaches FORK_COST."""
-        bound = len(masks) * sum(gv.vector.size ** 1.5 for gv in self.state.group_vectors())
+        bound = len(masks) * sum(gv.vector.size ** 1.5 for gv in self.state.vectors)
         if bound >= FORK_COST:
             _fill_weights(self.state, masks)
         return [self.h_value(h, mask) for mask in masks]
@@ -1279,17 +1122,6 @@ def _fill_weights(state: PureState, masks: Sequence[int]) -> None:
         gv.weights[side] = lam
 
 
-def is_pure(dm: DensityMatrix) -> bool:
-    return purity(dm) >= 1.0 - PURITY_TOL
-
-
-def overlap_fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2; ignores global phase by construction."""
-    if a.layout.dims != b.layout.dims:
-        raise ValueError("layout mismatch")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
 def canonical_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first entry above 1e-12 in
     modulus is real > 0.  Entry 0 is tested first; only when it is not
@@ -1302,86 +1134,3 @@ def canonical_phase(vec: np.ndarray) -> np.ndarray:
             raise ValueError("zero vector")
         z = vec[idx[0]]
     return vec * (abs(z) / z)
-
-
-# --- statistical property checks ---------------------------------------------
-
-SAMPLE_TOL = 1e-9
-PROPERTIES = ("concave", "subadditive")
-
-
-@dataclass(frozen=True)
-class SampleCheckReport:
-    h: ReducedFunctionSpec
-    property: str
-    trials: int
-    seed: int
-    passed: bool
-    violations: int
-    worst_margin: float
-    witness: Optional[dict]
-
-
-def _random_mixed(rng: np.random.Generator, d: int) -> DensityMatrix:
-    # marginal of a Haar state on d x d, generically full rank
-    layout = SystemLayout.of(["a", "b"], [d, d])
-    return reduced_density(haar_state(layout, rng), [0])
-
-
-def sample_check(
-    h: ReducedFunctionSpec, property: str, trials: int, seed: int
-) -> SampleCheckReport:
-    """Monte-Carlo check of concavity or subadditivity of h.
-
-    Margins are oriented so that anything above SAMPLE_TOL is a violation;
-    the worst trial is always recorded as a witness and can be replayed by
-    rerunning with the same seed.  No pass/fail is asserted beyond the
-    observed margins.
-    """
-    if property not in PROPERTIES:
-        raise ValueError(f"unknown property {property!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_witness: Optional[dict] = None
-    violations = 0
-    for t in range(trials):
-        if property == "concave":
-            d = int(rng.integers(2, 5))
-            m = int(rng.integers(2, 4))
-            states = [_random_mixed(rng, d) for _ in range(m)]
-            w = rng.random(m) + 1e-3
-            w /= w.sum()
-            mix = DensityMatrix(
-                states[0].layout,
-                sum(p * s.matrix for p, s in zip(w, states)),
-            )
-            margin = float(
-                sum(p * evaluate(h, s) for p, s in zip(w, states)) - evaluate(h, mix)
-            )
-            desc = {"trial": t, "d": d, "weights": w.tolist()}
-        else:
-            da, db, dc = (int(rng.integers(2, 4)) for _ in range(3))
-            psi = haar_state(SystemLayout.of(["a", "b", "c"], [da, db, dc]), rng)
-            margin = float(
-                evaluate(h, reduced_density(psi, [0, 1]))
-                - evaluate(h, reduced_density(psi, [0]))
-                - evaluate(h, reduced_density(psi, [1]))
-            )
-            desc = {"trial": t, "dims": [da, db, dc]}
-        if margin > SAMPLE_TOL:
-            violations += 1
-        if margin > worst:
-            worst = margin
-            worst_witness = desc
-    return SampleCheckReport(
-        h=h,
-        property=property,
-        trials=trials,
-        seed=seed,
-        passed=violations == 0,
-        violations=violations,
-        worst_margin=worst,
-        witness=worst_witness,
-    )

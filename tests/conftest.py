@@ -8,16 +8,9 @@ import pytest
 from kpem import qstate
 from kpem.audit import random_product_spec
 from kpem.partitions import Partition, mask_parties
-from kpem.qstate import (
-    apply_local_unitary,
-    build_state,
-    haar_unitary,
-    permute_parties,
-    pure_restriction,
-    reduced_density,
-    regroup,
-    spectrum,
-)
+from kpem.qstate import build_state, permute_parties, pure_restriction, regroup
+
+from oracle import apply_local_unitary, haar_unitary, reduced_density, spectrum
 
 # eigvalsh puts the zero eigenvalues of a density matrix near +-1e-16, which
 # alpha_family raises to a small power (1e-16 ** 0.25 = 1e-4), so the oracle

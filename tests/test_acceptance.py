@@ -36,15 +36,13 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     WFactor,
-    apply_local_unitary,
     build_state,
     haar_state,
-    haar_unitary,
     marginal_spectrum,
-    reduced_density,
-    sample_check,
 )
 from kpem.redfun import CONCURRENCE, ENTROPY
+
+from oracle import apply_local_unitary, haar_unitary, reduced_density, sample_check
 
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)

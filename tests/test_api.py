@@ -1,6 +1,7 @@
 """Public names, the README's examples and the hook points the benchmark
 tracer rebinds."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -20,6 +21,46 @@ README = ROOT / "README.md"
 def test_public_names_resolve():
     for name in kpem.__all__:
         assert getattr(kpem, name, None) is not None, name
+
+
+# kpem's public names, pinned: a name leaves or joins the package only by
+# an edit here
+PUBLIC_NAMES = [
+    "AXIOMS", "AmplitudesFactor", "AuditConfig", "AuditReport", "AxiomCheck",
+    "AxiomInstance", "CONCURRENCE", "DEFAULT_VARIANTS", "ENTROPY", "Factor",
+    "FactorDecomposition", "GhzFactor", "KINDS", "MEASURE_KINDS", "MarginalCache",
+    "MaxEntFactor", "MeasureResult", "MeasureSpec", "NumericalContractError",
+    "Partition", "PureState", "ReducedFunctionSpec", "StateSpec", "SystemLayout",
+    "WFactor", "audit", "bell_number", "build_state", "check_axiom", "classify",
+    "count_k_fineness", "evaluate_instance", "evaluate_measure", "evaluate_spectrum",
+    "expected_verdict", "factorize", "finest_factorization", "format_redfun",
+    "iter_k_fineness", "measures", "parallel", "parse_measure", "parse_redfun",
+    "partition_from_text", "partition_to_text", "partitions", "permute_parties",
+    "qstate", "random_pure", "redfun", "regroup", "run_suite", "spec_from_dict",
+    "spec_to_dict", "unified_mem",
+]
+
+
+def test_public_names_are_pinned():
+    assert kpem.__all__ == PUBLIC_NAMES
+
+
+def test_the_density_matrix_oracle_stays_out_of_the_package():
+    """The density-matrix route is the tests' oracle (tests/oracle.py): no
+    kpem module defines it or imports the tests' helpers."""
+    package = Path(kpem.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & {"DensityMatrix", "reduced_density", "sample_check"}, path.name
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        assert not imported & {"oracle", "conftest", "tests"}, path.name
 
 
 def test_readme_python_blocks_run():

@@ -30,11 +30,11 @@ from kpem.qstate import (
     permute_parties,
     pure_restriction,
     random_pure,
-    reduced_density,
     _product_vector,
 )
-from kpem.qstate import purity as density_purity
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
+
+from oracle import purity as density_purity, reduced_density
 
 
 def test_product_state_decomposition():
@@ -239,7 +239,7 @@ def test_planted_blocks_and_shared_engine(planted):
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
 
     # a copy holding the same groups and vectors, with an empty engine memo
-    copy = PureState(psi.layout, psi.amplitudes, groups=psi.groups, vectors=psi.group_vectors())
+    copy = PureState._trusted(psi.layout, psi.groups, psi.vectors, lambda: psi.amplitudes)
     for k in range(2, psi.num_parties + 1):
         for kind, unified in (("E_k", "additive"), ("calE_k", "bipartite_sum")):
             for h in (ENTROPY, CONCURRENCE):

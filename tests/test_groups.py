@@ -24,10 +24,8 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     WFactor,
-    apply_local_unitary,
     build_state,
     haar_state,
-    haar_unitary,
     marginal_purity,
     permute_parties,
     pure_restriction,
@@ -44,6 +42,7 @@ from kpem.redfun import (
 )
 
 from conftest import density_spectrum
+from oracle import _act, apply_local_unitary, check_product, haar_unitary
 
 H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
            ReducedFunctionSpec("alpha_family", 0.25))
@@ -98,13 +97,13 @@ def test_build_state_amplitudes_match_a_kron_chain(spec):
 def test_named_factors_share_one_group_vector_per_shape():
     a = build_state(StateSpec((GhzFactor(("A", "B", "C")), MaxEntFactor(("D", "E"), 3))))
     b = build_state(StateSpec((MaxEntFactor(("A", "B"), 3), GhzFactor(("X", "Y", "Z")))))
-    ga, gb = a.group_vectors(), b.group_vectors()
+    ga, gb = a.vectors, b.vectors
     assert ga[0] is gb[1] and ga[1] is gb[0]
     qutrits = build_state(StateSpec((GhzFactor(("A", "B", "C"), 3),)))
-    assert ga[0] is not qutrits.group_vectors()[0]
+    assert ga[0] is not qutrits.vectors[0]
     haar = StateSpec((AmplitudesFactor(("A", "B"), (2, 2), (0.6 + 0j, 0j, 0j, 0.8 + 0j)),))
     # explicit amplitudes are never shared, so no memo is keyed by vector bytes
-    first, second = (build_state(haar).group_vectors()[0] for _ in range(2))
+    first, second = (build_state(haar).vectors[0] for _ in range(2))
     assert first is not second
 
 
@@ -125,7 +124,7 @@ def assert_engine_matches_oracle(psi):
 
 
 def output_group(state, out_mask):
-    return state.group_vectors()[state.groups.index(out_mask)]
+    return state.vectors[state.groups.index(out_mask)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,15 +133,13 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
     psi = build_state(spec)
     n = psi.num_parties
     assert_engine_matches_oracle(psi)
-    # the same groups without carried vectors: each is read off the amplitudes
-    assert_engine_matches_oracle(PureState(psi.layout, psi.amplitudes, groups=psi.groups))
 
     # permute: a group keeps its object when its order is kept, and a named
     # group always
     perm = data.draw(st.permutations(range(n)))
     moved = permute_parties(psi, perm)
     at = {p: i for i, p in enumerate(perm)}
-    for g, gv in zip(psi.groups, psi.group_vectors()):
+    for g, gv in zip(psi.groups, psi.vectors):
         outs = [at[p] for p in mask_parties(g)]
         carried = output_group(moved, sum(1 << i for i in outs))
         assert (carried is gv) == (gv.symmetric or outs == sorted(outs))
@@ -154,10 +151,10 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
                               for b in sorted(set(labels))])
     merged = regroup(psi, partition)
     index_of = {p: j for j, block in enumerate(partition.blocks) for p in block}
-    for g, gv in zip(psi.groups, psi.group_vectors()):
+    for g, gv in zip(psi.groups, psi.vectors):
         untouched = all(len(partition.blocks[index_of[p]]) == 1 for p in mask_parties(g))
         out = next(i for i, m in enumerate(merged.groups) if m >> index_of[g.bit_length() - 1] & 1)
-        assert (merged.group_vectors()[out] is gv) == untouched
+        assert (merged.vectors[out] is gv) == untouched
     assert_engine_matches_oracle(merged)
 
     # restriction to whole groups: each keeps its object, with no SVD
@@ -166,9 +163,9 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
                                     max_size=len(psi.groups) - 1, unique=True))
         keep = mask_parties(sum(picked))
         rest = pure_restriction(psi, keep)
-        kept = [gv for g, gv in zip(psi.groups, psi.group_vectors()) if g in picked]
-        assert len(rest.group_vectors()) == len(kept)
-        assert all(a is b for a, b in zip(rest.group_vectors(), kept))
+        kept = [gv for g, gv in zip(psi.groups, psi.vectors) if g in picked]
+        assert len(rest.vectors) == len(kept)
+        assert all(a is b for a, b in zip(rest.vectors, kept))
         assert_engine_matches_oracle(rest)
 
 
@@ -176,13 +173,16 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
 
 
 def assert_passes_the_public_constructor(state, want):
-    """The state's parts pass every check of the public constructor, its
-    amplitudes (formed on this first read) are within 1e-15 per entry of
-    `want`, and its group vectors' product is them up to a global phase."""
-    PureState(state.layout, state.amplitudes, groups=state.groups, vectors=state.group_vectors())
+    """The state's amplitudes (formed on this first read) pass every check
+    of the public constructor and are within 1e-15 per entry of `want`,
+    and its groups' claim holds: the product of its group vectors is them
+    up to a global phase, within FIDELITY_TOL (oracle.check_product) and
+    within 1e-12."""
+    PureState(state.layout, state.amplitudes)
+    check_product(state)
     assert np.max(np.abs(state.amplitudes - want)) <= 1e-15
     rec = qstate._product_vector(state.layout.dims, state.groups,
-                                 [gv.vector for gv in state.group_vectors()])
+                                 [gv.vector for gv in state.vectors])
     assert abs(np.vdot(rec, state.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -217,13 +217,13 @@ def test_assembled_states_pass_the_public_constructor(spec, data):
     rotated = apply_local_unitary(psi, party, u)
     assert rotated._amplitudes is None
     assert_passes_the_public_constructor(
-        rotated, qstate._act(u, ref.reshape(psi.layout.dims), party))
+        rotated, _act(u, ref.reshape(psi.layout.dims), party))
 
     if len(psi.groups) > 1:
         picked = data.draw(st.lists(st.sampled_from(psi.groups), min_size=1,
                                     max_size=len(psi.groups) - 1, unique=True))
         keep = mask_parties(sum(picked))
-        kept = [(g, gv) for g, gv in zip(psi.groups, psi.group_vectors()) if g in picked]
+        kept = [(g, gv) for g, gv in zip(psi.groups, psi.vectors) if g in picked]
         local = [sum(1 << keep.index(p) for p in mask_parties(g)) for g, _ in kept]
         dims = [psi.layout.dims[p] for p in keep]
         want = qstate.canonical_phase(
@@ -235,7 +235,7 @@ def per_party_cuts(state, mask):
     """state.cuts(mask) by the per-party formula: local bit i for the
     group's i-th lowest party."""
     out = []
-    for g, gv in zip(state.groups, state.group_vectors()):
+    for g, gv in zip(state.groups, state.vectors):
         piece = mask & g
         if piece and piece != g:
             parties = mask_parties(g)
@@ -345,12 +345,12 @@ def test_pure_restriction_svds(svd_shapes):
     psi = build_state(StateSpec((zero_bell, haar)))
     svd_shapes.clear()
     whole = pure_restriction(psi, (3, 4))
-    assert not svd_shapes and whole.group_vectors() == (psi.group_vectors()[1],)
+    assert not svd_shapes and whole.vectors == (psi.vectors[1],)
 
     # |0> on A, cut out of the group ABC: one SVD for its purity, one for its vector
     kept = pure_restriction(psi, (0, 3, 4))
     assert len(svd_shapes) == 2
-    assert kept.groups == (0b001, 0b110) and kept.group_vectors()[1] is psi.group_vectors()[1]
+    assert kept.groups == (0b001, 0b110) and kept.vectors[1] is psi.vectors[1]
     np.testing.assert_allclose(np.abs(kept.amplitudes), [0.5] * 4 + [0.0] * 4, atol=1e-12)
     # a copy holding the same group finds the purity memoized on it: the
     # vector takes the only SVD
@@ -363,19 +363,6 @@ def test_pure_restriction_svds(svd_shapes):
     assert marginal_purity(psi, (1,)) == pytest.approx(0.5)
     assert pure_restriction(psi, (1, 3, 4)) is None
     assert len(svd_shapes) == 1
-
-
-def test_groups_without_vectors_are_read_once(svd_shapes):
-    psi = build_state(StateSpec((
-        MaxEntFactor(("A", "B")),
-        AmplitudesFactor(("C", "D"), (2, 2), (0.5 + 0j, 0.5j, 0.5 + 0j, -0.5j)),
-    )))
-    bare = PureState(psi.layout, psi.amplitudes, groups=psi.groups)
-    svd_shapes.clear()
-    vectors = bare.group_vectors()
-    assert len(svd_shapes) == 2 and bare.group_vectors() is vectors
-    for gv, want in zip(vectors, psi.group_vectors()):
-        assert abs(np.vdot(gv.vector, want.vector)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_factorization_reads_whole_groups_without_svd(cold_named_groups, svd_shapes):

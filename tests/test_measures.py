@@ -34,17 +34,14 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     WFactor,
-    apply_local_unitary,
     build_state,
-    evaluate,
-    haar_unitary,
     marginal_spectrum,
     random_pure,
-    reduced_density,
 )
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate_spectrum
 
 from conftest import density_spectrum
+from oracle import apply_local_unitary, evaluate, haar_unitary, reduced_density
 
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)
@@ -169,7 +166,7 @@ def test_min_family_ghz3():
     for spec, want in cases:
         res = evaluate_measure(spec, psi)
         assert res.value == pytest.approx(want, abs=1e-12), spec.kind
-        assert res.witness == Partition.singletons(range(3))
+        assert res.witness == Partition.of([[0], [1], [2]])
 
 
 def test_geometric_family_closed_form():
@@ -622,7 +619,7 @@ def test_cache_h_is_h_of_the_marginal_spectrum_of_its_mask():
     for dims in ((2, 3, 2, 4, 3), (4,) * 6, (2,) * 9, (2, 3, 3, 2)):
         psi = random_pure(SystemLayout.of("ABCDEFGHI"[:len(dims)], dims), seed=17)
         cache = MarginalCache(psi)
-        (gv,) = psi.group_vectors()
+        (gv,) = psi.vectors
         full = (1 << psi.num_parties) - 1
         for mask in range(1, full):
             lam = marginal_spectrum(psi, mask_parties(mask))

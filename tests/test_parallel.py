@@ -24,6 +24,8 @@ from kpem.qstate import (
 )
 from kpem.redfun import ENTROPY
 
+from oracle import check_product
+
 SPECS = (
     MeasureSpec("calE_k", 3, h=ENTROPY),
     MeasureSpec("Eprime_k", 4, h=ENTROPY),
@@ -80,7 +82,7 @@ def evaluate_all(make):
         if not isinstance(result, float):
             result = (result.value, result.witness, result.breakdown)
         weights = [{side: (lam.dtype, lam.shape, lam.tobytes(), lam.flags.writeable)
-                    for side, lam in gv.weights.items()} for gv in state.group_vectors()]
+                    for side, lam in gv.weights.items()} for gv in state.vectors]
         out.append((result, weights))
     return out
 
@@ -156,7 +158,8 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, pool
     here) or job 1 (run in the worker), and leaves no worker behind.  The
     state's amplitudes are a valid product; only the carried vector of
     the costlier (here) or cheaper (worker) group is off the contract, so
-    the state is assembled unchecked (the public constructor refuses it)."""
+    the state is assembled unchecked (the oracle's product check refuses
+    it)."""
     monkeypatch.setattr(qstate, "FORK_COST", 0.0)
     cpus(2)
     rng = np.random.default_rng(11)
@@ -169,9 +172,9 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, pool
         vectors[at] *= 1.1
     groups = (0b00111, 0b11000)
     carried = (qstate.GroupVector(vectors[0], (2, 2, 2)), qstate.GroupVector(vectors[1], (2, 2)))
-    with pytest.raises(NumericalContractError, match="product"):
-        PureState(SystemLayout.qubits("ABCDE"), amplitudes, groups=groups, vectors=carried)
     state = PureState._trusted(SystemLayout.qubits("ABCDE"), groups, carried, lambda: amplitudes)
+    with pytest.raises(NumericalContractError, match="product"):
+        check_product(state)
     # A and D: the side of A (cost 2 x 8) is job 0, the side of D (2 x 4) job 1
     with pytest.raises(NumericalContractError):
         qstate._fill_weights(state, [0b01001])

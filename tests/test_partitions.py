@@ -53,7 +53,6 @@ def test_blocks_are_canonicalized():
     assert p.parties == (0, 1, 2, 3)
     assert p.num_blocks == 2
     assert p.fineness == 2
-    assert p.block_of(3) == 1
 
 
 def test_equal_partitions_compare_equal():
@@ -68,19 +67,6 @@ def test_overlapping_blocks_rejected():
 def test_empty_block_rejected():
     with pytest.raises(ValueError, match="empty block"):
         Partition.of([[0], []])
-
-
-def test_singletons_and_merged():
-    assert Partition.singletons([2, 0, 1]).blocks == ((0,), (1,), (2,))
-    assert Partition.merged([2, 0, 1]).blocks == ((0, 1, 2),)
-
-
-def test_refinement_order():
-    fine = Partition.of([[0], [1], [2, 3]])
-    coarse = Partition.of([[0, 1], [2, 3]])
-    assert fine <= coarse
-    assert not coarse <= fine
-    assert fine <= fine
 
 
 # --- enumeration ---------------------------------------------------------------

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kpem import qstate
 from kpem.qstate import (
     AmplitudesFactor,
-    DensityMatrix,
     GhzFactor,
     MarginalCache,
     MaxEntFactor,
@@ -21,27 +20,31 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     WFactor,
-    apply_local_unitary,
     build_state,
     canonical_phase,
     check_size_caps,
     clip_spectrum,
-    haar_unitary,
-    is_pure,
     marginal_purity,
     marginal_spectrum,
-    overlap_fidelity,
     permute_parties,
-    purity,
     random_pure,
-    reduced_density,
     regroup,
     spec_from_dict,
     spec_to_dict,
-    spectrum,
 )
 from kpem.partitions import Partition
 from kpem.redfun import ENTROPY
+
+from oracle import (
+    DensityMatrix,
+    apply_local_unitary,
+    haar_unitary,
+    is_pure,
+    overlap_fidelity,
+    purity,
+    reduced_density,
+    spectrum,
+)
 
 
 def qubits(n):
@@ -76,6 +79,39 @@ def test_layout_dims_are_never_coerced(bad):
 def test_layout_takes_numpy_integer_dims():
     dims = SystemLayout.of(("A", "B"), np.array([2, 3])).dims
     assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+
+@pytest.mark.parametrize("indices,message", [
+    ([], "empty party subset"),
+    ([1, 1], "duplicate party indices"),
+    ([0, 3], "party index out of range for n=3"),
+    ([-1], "party index out of range for n=3"),
+])
+def test_sub_layout_rejects_bad_indices(indices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemLayout.of(("A", "B", "C"), (2, 3, 2)).sub_layout(indices)
+
+
+def test_party_wise_layouts_pass_the_checking_constructor(grouped_family, monkeypatch):
+    """permute_parties, regroup and pure_restriction join or pick labels of
+    a checked layout and check them no more; every layout they make on the
+    grouped family is the one the checking constructor makes of its
+    parties, derived fields included."""
+    made = [(tag, state) for tag, state in grouped_family
+            if tag.endswith(("-permuted", "-regrouped", "-restricted"))]
+    assert {tag.rsplit("-", 1)[1] for tag, _ in made} == {"permuted", "regrouped", "restricted"}
+    for tag, state in made:
+        lay = state.layout
+        ref = SystemLayout(lay.parties)
+        assert lay == ref, tag
+        assert (lay.labels, lay.dims, lay.total_dim) == (ref.labels, ref.dims, ref.total_dim), tag
+    psi = build_state(StateSpec((MaxEntFactor(("A", "B")), WFactor(("C", "D", "E")))))
+    checked = []
+    monkeypatch.setattr(qstate, "_check_labels", checked.append)
+    permute_parties(psi, (4, 2, 0, 1, 3))
+    regroup(psi, Partition.of([[0, 2], [1, 4], [3]]))
+    qstate.pure_restriction(psi, (2, 3, 4))
+    assert checked == []
 
 
 # the exact message of each spec build_state refuses: a dimension's type is
@@ -301,37 +337,21 @@ def test_states_compare_and_hash_by_identity():
 def test_groups_default_to_one_group():
     psi = random_pure(qubits(3), seed=1)
     assert psi.groups == (0b111,)
-    assert PureState(qubits(3), psi.amplitudes, groups=(0b100, 0b011)).groups == (0b011, 0b100)
 
 
-@pytest.mark.parametrize("groups", [
-    (0b011, 0b110),   # overlapping
-    (0b011,),         # party 2 in no group
-    (0b011, 0b100, 0b1000),  # party 3 does not exist
-    (0b111, 0),
-    (3.0, 4),
-    (True, 0b110),
-], ids=["overlap", "uncovered", "out-of-range", "empty", "float", "bool"])
-def test_malformed_groups_raise(groups):
-    psi = random_pure(qubits(3), seed=2)
-    with pytest.raises(ValueError):
-        PureState(qubits(3), psi.amplitudes, groups=groups)
-
-
-def test_a_false_group_claim_fails_the_contract():
-    """The engine reads only the group vectors, so their product must be
-    the amplitudes: vectors read off the amplitudes are checked when they
-    are read, and given vectors when the state is made."""
-    psi = random_pure(qubits(2), seed=1)
-    split = PureState(psi.layout, psi.amplitudes, groups=(0b01, 0b10))
-    with pytest.raises(NumericalContractError, match="product"):
-        MarginalCache(split).h_value(ENTROPY, 0b01)
-    zero = qstate.GroupVector(np.array([1.0, 0.0]), (2,))
-    with pytest.raises(NumericalContractError, match="product"):
-        PureState(psi.layout, psi.amplitudes, groups=(0b01, 0b10), vectors=(zero, zero))
-    other = qstate.GroupVector(random_pure(qubits(2), seed=2).amplitudes, (2, 2))
-    with pytest.raises(NumericalContractError, match="product"):
-        PureState(psi.layout, psi.amplitudes, vectors=(other,))
+def test_the_public_constructor_makes_one_group_over_the_amplitudes():
+    """PureState(layout, amplitudes) holds one group, all parties, whose
+    GroupVector is the state's read-only amplitude array itself, not a
+    copy of it; the caller's array is copied once."""
+    amp = random_pure(SystemLayout.of("ABC", (2, 3, 2)), seed=3).amplitudes.copy()
+    psi = PureState(SystemLayout.of("ABC", (2, 3, 2)), amp)
+    assert psi.groups == (0b111,)
+    (gv,) = psi.vectors
+    assert gv.vector is psi.amplitudes
+    assert gv.dims == (2, 3, 2) and not gv.symmetric
+    assert not psi.amplitudes.flags.writeable and psi.amplitudes is not amp
+    np.testing.assert_array_equal(psi.amplitudes, amp)
+    assert psi.cuts(0b010) == [(gv, 0b010)] and psi.cuts(0b111) == []
 
 
 def test_build_state_records_one_group_per_factor():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kpem import redfun
 from kpem.measures import MeasureSpec
-from kpem.qstate import MaxEntFactor, StateSpec, build_state, evaluate, reduced_density, sample_check
+from kpem.qstate import MaxEntFactor, StateSpec, build_state
 from kpem.redfun import (
     CONCURRENCE,
     ENTROPY,
@@ -24,6 +24,8 @@ from kpem.redfun import (
     product_sums,
     spectral_sums,
 )
+
+from oracle import evaluate, reduced_density, sample_check
 
 HALF = np.array([0.5, 0.5])
 W_SINGLE = np.array([2 / 3, 1 / 3])
