@@ -56,10 +56,11 @@ Every family reads h over a batch of subsets through
 MarginalCache.h_values: calE's one side per bipartition of a factor, the
 partition families' subsets of at most k-1 parties, and unified_mem's
 batches.  A batch whose missing SVDs reach an estimated cost of FORK_COST
-(calE on 12 Haar qubits: 1,969 SVDs, about 2.7e8) takes them on every
-CPU in the process's affinity through kpem.parallel.fork_map, before any
-h is read; the weights, and so every value and witness, are those of one
-process, bit for bit.
+= 1e7 (calE on 7 Haar ququarts: 35 SVDs, about 3.7e7; on 12 Haar qubits:
+1,969 SVDs, about 2.7e8) takes them on every CPU in the process's
+affinity through kpem.parallel.fork_map, before any h is read; the
+weights, and so every value and witness, are those of one process, bit
+for bit.
 
 Both partition families read h once per subset of at most k-1 parties.
 The min family runs an O(3^n) subset DP for the least block sum per block

@@ -90,9 +90,7 @@ class SystemLayout:
         if not labels:
             raise ValueError("layout needs at least one party")
         _check_labels(labels)
-        for lab, d in self.parties:
-            if not isinstance(d, int) or d < 2:
-                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        object.__setattr__(self, "parties", _checked_parties(labels, [d for _, d in self.parties]))
         self._derive(labels)
 
     def _derive(self, labels: tuple[str, ...]) -> None:
@@ -119,18 +117,9 @@ class SystemLayout:
         """The layout of nonempty labels already checked by _check_labels
         (by `of`, by StateSpec, or joined from a checked layout's disjoint
         blocks, which keeps them unique and prefix-free): only the
-        dimensions are checked, once, each as the constructor checks it,
-        with its message."""
-        parties = []
-        for lab, d in zip(labels, dims):
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
-            d = int(d)
-            if d < 2:
-                raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
-            parties.append((lab, d))
+        dimensions are checked, once, as the constructor checks them."""
         self = object.__new__(cls)
-        object.__setattr__(self, "parties", tuple(parties))
+        object.__setattr__(self, "parties", _checked_parties(labels, dims))
         self._derive(labels)
         return self
 
@@ -154,6 +143,21 @@ class SystemLayout:
         _check_party_indices(idx, self.num_parties)
         return SystemLayout._of_checked_labels(
             tuple(self.labels[i] for i in idx), [self.dims[i] for i in idx])
+
+
+def _checked_parties(labels: tuple[str, ...], dims: Sequence[int]) -> tuple[tuple[str, int], ...]:
+    """The layout's one dimension rule: each dimension is a Python or numpy
+    integer of at least 2, stored as int; a bool, float or string is
+    refused, never truncated or parsed."""
+    parties = []
+    for lab, d in zip(labels, dims):
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        d = int(d)
+        if d < 2:
+            raise ValueError(f"party {lab!r} has invalid dimension {d!r}")
+        parties.append((lab, d))
+    return tuple(parties)
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -1094,11 +1098,16 @@ class MarginalCache:
 
 
 # estimated cost (the sum of d_small^2 * d_large over a batch's SVDs) from
-# which the batch forks.  On a 2-vCPU VM a pool starts in 15-35 ms; with the
-# QR-reduced kernel a cost of 4.3e7 took 50 ms in one process and 44 ms in
-# two, 2.7e8 took 534 and 367 ms, and 8.4e6 lost by forking (BENCH_22.json,
-# threshold)
-FORK_COST = 1e8
+# which the batch forks.  On a 2-vCPU VM, medians of 15 alternating runs of
+# the batch in one process and forked into two (BENCH_30.json, break_even):
+# 2.1e6 took 5.5 and 8.1 ms, 3.2e6 15.6 and 17.2 ms, 4.6e6 (the largest
+# batch of the benchmark's sweep) 23.1 and 21.6 ms, 8.4e6 and 8.6e6 gained
+# 10% and 26%, and from 1.4e7 on every batch gained 20-41%: 2.9e7 (8
+# qutrits) 40.9 and 27.4 ms, 3.7e7 (7 ququarts) 42.2 and 25.8 ms, 2.7e8
+# (12 qubits) 451 and 266 ms.  The bound sits at about 2.5 times the
+# break-even (near 4e6), so a batch forks only where the gain is clear of
+# the fork's own noise
+FORK_COST = 1e7
 
 
 def _fill_weights(state: PureState, masks: Sequence[int]) -> None:

@@ -84,3 +84,27 @@ def cpus(monkeypatch):
     n - 1 forked workers for the others)."""
     return lambda n: monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pid of the process that made each os.fork call from now on; a
+    forked child appends to its own copy."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@pytest.fixture()
+def no_child():
+    """no_child(): this process has no child left, running or unreaped."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return check

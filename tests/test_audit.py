@@ -3,10 +3,8 @@
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import re
-from concurrent.futures.process import BrokenProcessPool
 from itertools import repeat
 
 import pytest
@@ -218,10 +216,10 @@ def _cells_run_here(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_pooled_suite_matches_one_process(tmp_path, monkeypatch, cpus, n):
-    """With n CPUs this process checks every n-th cell and n - 1 workers the
-    others; the checks, records and CLI bytes are those of every cell run
-    here, and every worker is gone when the suite returns."""
+def test_pooled_suite_matches_one_process(tmp_path, monkeypatch, cpus, no_child, n):
+    """With n CPUs this process checks every n-th cell and n - 1 forked
+    children the others; the checks, records and CLI bytes are those of
+    every cell run here, and every child is gone when the suite returns."""
     config = AuditConfig(instances_per_check=3)
     ran = _cells_run_here(monkeypatch)
     cpus(1)
@@ -231,9 +229,9 @@ def test_pooled_suite_matches_one_process(tmp_path, monkeypatch, cpus, n):
     ran.clear()
     cpus(n)
     pooled = run_suite(config)
-    assert multiprocessing.active_children() == []
+    no_child()
     pooled_cli = _cli_audit_bytes(tmp_path, "pooled")
-    assert multiprocessing.active_children() == []
+    no_child()
     assert ran == CELLS[::n] + CELLS[::n]
     assert len(pooled.checks) == len(alone.checks) == len(CELLS) == 79
     for got, want in zip(pooled.checks, alone.checks):
@@ -243,9 +241,9 @@ def test_pooled_suite_matches_one_process(tmp_path, monkeypatch, cpus, n):
 
 
 def _failing_cell(monkeypatch, index, fail):
-    """CELLS[index] calls fail(); set before the fork, so the workers
+    """CELLS[index] calls fail(); set before the fork, so the children
     inherit it.  With two CPUs, even cells run here and odd ones in the
-    worker."""
+    child."""
     axiom, name = CELLS[index]
     original = audit.evaluate_instance
 
@@ -263,19 +261,21 @@ def _failing_cell(monkeypatch, index, fail):
     (ValueError("bad cell"), cli.USAGE_ERROR),
 ])
 def test_cell_error_keeps_its_exit_code_and_leaves_no_worker(
-        monkeypatch, capsys, cpus, index, error, code):
+        monkeypatch, capsys, cpus, no_child, index, error, code):
     def fail():
         raise error
 
     _failing_cell(monkeypatch, index, fail)
     cpus(2)
     assert cli.main(["audit", "--trials", "1"]) == code
-    assert multiprocessing.active_children() == []
+    no_child()
     captured = capsys.readouterr()
     assert str(error) in captured.err and captured.out == ""
 
 
-def test_dead_worker_breaks_the_pool_and_leaves_no_worker(monkeypatch, cpus):
+def test_dead_worker_raises_its_exit_status_and_leaves_no_worker(monkeypatch, cpus, no_child):
+    """A child that exits without a result raises RuntimeError naming its
+    exit status."""
     parent = os.getpid()
 
     def die():
@@ -284,9 +284,9 @@ def test_dead_worker_breaks_the_pool_and_leaves_no_worker(monkeypatch, cpus):
 
     _failing_cell(monkeypatch, 41, die)
     cpus(2)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
         run_suite(AuditConfig(instances_per_check=1))
-    assert multiprocessing.active_children() == []
+    no_child()
 
 
 # --- seeded counterexamples individually --------------------------------------------

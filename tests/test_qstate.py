@@ -72,8 +72,27 @@ def test_layout_rejects_duplicates_and_bad_dims():
 
 @pytest.mark.parametrize("bad", [2.7, 3.0, np.float64(2.0), "3", True, np.bool_(True), None])
 def test_layout_dims_are_never_coerced(bad):
-    with pytest.raises(ValueError, match="invalid dimension"):
+    message = "^" + re.escape("party 'B' has invalid dimension " + repr(bad)) + "$"
+    with pytest.raises(ValueError, match=message):
         SystemLayout.of(("A", "B"), (2, bad))
+    with pytest.raises(ValueError, match=message):
+        SystemLayout((("A", 2), ("B", bad)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda dims: SystemLayout.of(("A", "B"), dims),
+    lambda dims: SystemLayout((("A", dims[0]), ("B", dims[1]))),
+], ids=["of", "constructor"])
+def test_both_layout_constructors_keep_one_dimension_rule(make):
+    """Numpy integers are taken and stored as int, by `of` and by the
+    dataclass constructor alike; a dimension below 2 is refused."""
+    lay = make((np.int64(2), np.int32(3)))
+    assert lay.dims == (2, 3) and [type(d) for d in lay.dims] == [int, int]
+    assert lay.parties == (("A", 2), ("B", 3))
+    assert lay == SystemLayout.of(("A", "B"), (2, 3))
+    for low in (1, np.int64(1), 0):
+        with pytest.raises(ValueError, match=f"^party 'B' has invalid dimension {int(low)}$"):
+            make((2, low))
 
 
 def test_layout_takes_numpy_integer_dims():
