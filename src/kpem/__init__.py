@@ -18,7 +18,7 @@ from .audit import (
     expected_verdict,
     run_suite,
 )
-from .factorize import Factor, FactorDecomposition, classify, finest_factorization
+from .factorize import Factor, FactorDecomposition, finest_factorization
 from .measures import (
     MEASURE_KINDS,
     MarginalCache,
@@ -30,7 +30,6 @@ from .measures import (
 )
 from .partitions import (
     Partition,
-    bell_number,
     count_k_fineness,
     iter_k_fineness,
     partition_from_text,

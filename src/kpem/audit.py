@@ -820,12 +820,6 @@ class AuditReport:
     config: AuditConfig
     checks: list[AxiomCheck]
 
-    def find(self, axiom: str, variant_name: str) -> Optional[AxiomCheck]:
-        for c in self.checks:
-            if c.axiom == axiom and c.variant == variant_name:
-                return c
-        return None
-
     def mismatches(self) -> list[tuple[str, str, str, str]]:
         """(axiom, variant, expected, observed) for every asserted cell
         whose verdict came out wrong."""

@@ -203,9 +203,3 @@ def _reconstruction_fidelity(state: PureState, blocks: list[tuple[int, ...]]) ->
         )
         fid *= abs(np.vdot(rec, gv.vector)) ** 2
     return float(fid)
-
-
-def classify(state: PureState) -> tuple[int, bool]:
-    """(producibility, genuinely multipartite entangled) of a pure state."""
-    dec = finest_factorization(state)
-    return dec.producibility, dec.genuine

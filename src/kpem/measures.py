@@ -33,9 +33,9 @@ combined purity; no product spectrum is formed.  In particular:
 
 * X a union of whole groups: h is exactly 0.0, with no SVD;
 * X inside one group: h of its piece's normalized SVD weights, with no
-  zero tail, within 1e-12 of evaluate_spectrum of marginal_spectrum of X
-  (the padded, sorted oracle); bit for bit h of X's complement in the
-  group when the two share one SVD (unequal dimensions).
+  zero tail, within 1e-12 of h of X's padded, sorted spectrum (the tests'
+  oracle, tests/oracle.py); bit for bit h of X's complement in the group
+  when the two share one SVD (unequal dimensions).
 
 Each piece is SVD'd on its own group's vector (qstate.GroupVector), not on
 the whole state.  Its squared singular values, normalized once at the SVD

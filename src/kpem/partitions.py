@@ -66,11 +66,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def fineness(self) -> int:
-        """Size of the largest block."""
-        return max(len(b) for b in self.blocks)
-
 
 def check_integer_k(k: int, least: int = 1) -> None:
     """k must be a Python or numpy integer (not a bool) of at least `least`."""
@@ -149,10 +144,6 @@ def count_k_fineness(n: int, k: int) -> int:
         counts.append(sum(map(mul, row, reversed(counts))))
         row = [a + b for a, b in zip([0] + row, row + [0])][:k]
     return counts[n]
-
-
-def bell_number(n: int) -> int:
-    return count_k_fineness(n, max(n, 1))
 
 
 # --- text form --------------------------------------------------------------

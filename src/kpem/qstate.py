@@ -36,10 +36,9 @@ and the factorization's reconstruction check multiplies them.
 by party mask as _mask_purity): the product of the cut pieces' purities
 (GroupVector.purity) against redfun.PURITY_TOL.  pure_restriction, the
 factorization search and h's zero rule all take it off the same group
-SVDs.  marginal_spectrum pads the engine's weights to the padded, sorted
-spectrum contract of clip_spectrum, which the engine itself never reads;
-the tests hold it against an independent density-matrix route, which
-lives with them (tests/oracle.py), not here.
+SVDs.  The padded, sorted spectrum contract and the independent
+density-matrix route the tests hold the engine against live with the
+tests (tests/oracle.py), not here: the engine reads no padded spectrum.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .redfun import (
 )
 
 NORM_TOL = 1e-12          # state vector norm
-EIG_FLOOR = -1e-10        # eigenvalues below this are a contract failure
 SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
 # a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
 # factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
@@ -102,22 +100,18 @@ class SystemLayout:
     @classmethod
     def of(cls, labels: Sequence[str], dims: Sequence[int]) -> "SystemLayout":
         """Dimensions are Python or numpy integers; floats, strings and
-        booleans are rejected, never truncated or parsed.  The labels are
-        checked (_check_labels), then the dimensions (_of_checked_labels)."""
+        booleans are rejected, never truncated or parsed.  Past the length
+        check, the constructor checks the labels, then the dimensions."""
         if len(labels) != len(dims):
             raise ValueError("labels and dims differ in length")
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("layout needs at least one party")
-        _check_labels(labels)
-        return cls._of_checked_labels(labels, dims)
+        return cls(tuple(zip(labels, dims)))
 
     @classmethod
     def _of_checked_labels(cls, labels: tuple[str, ...], dims: Sequence[int]) -> "SystemLayout":
         """The layout of nonempty labels already checked by _check_labels
-        (by `of`, by StateSpec, or joined from a checked layout's disjoint
-        blocks, which keeps them unique and prefix-free): only the
-        dimensions are checked, once, as the constructor checks them."""
+        (by StateSpec, or joined from a checked layout's disjoint blocks,
+        which keeps them unique and prefix-free): only the dimensions are
+        checked, once, as the constructor checks them."""
         self = object.__new__(cls)
         object.__setattr__(self, "parties", _checked_parties(labels, dims))
         self._derive(labels)
@@ -781,15 +775,11 @@ def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / math.sqrt(re.dot(re) + im.dot(im))
 
 
-def haar_state(layout: SystemLayout, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state; one group, since it is generically entangled."""
-    return PureState(layout, haar_vector(layout.total_dim, rng))
-
-
 def random_pure(layout: SystemLayout, seed: int, unsafe_large: bool = False) -> PureState:
-    """Haar-distributed pure state, deterministic for a given seed."""
+    """Haar-distributed pure state, deterministic for a given seed; one
+    group, since it is generically entangled."""
     check_size_caps(layout, unsafe_large)
-    return haar_state(layout, np.random.default_rng(seed))
+    return PureState(layout, haar_vector(layout.total_dim, np.random.default_rng(seed)))
 
 
 # --- party-wise operations ---------------------------------------------------
@@ -981,52 +971,6 @@ def _own_vectors(state: PureState, mask: int) -> list[tuple[int, GroupVector]]:
             vec = _leading_vector(gv.tensor(), mask_parties(local))
             sources.append((piece, GroupVector(vec, [dims[p] for p in mask_parties(piece)])))
     return sources
-
-
-def clip_spectrum(raw: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues, clipped into [0, 1] and renormalized: the
-    spectrum contract of marginal_spectrum and of the tests' density-matrix
-    route.  The engine normalizes its weights once, in _svd_weights.
-
-    Raises if a value is NaN or infinite, if one sits below the -1e-10
-    floor or if the sum strays from 1 by more than 1e-10 before
-    renormalization.
-    """
-    lam = np.sort(np.real(np.asarray(raw)))[::-1]
-    # np.sort puts NaN last, so after the reversal lam[0] is NaN if any entry
-    # is, and +inf if the largest is; -inf fails the floor test
-    if lam.size and not math.isfinite(lam[0]):
-        raise NumericalContractError(f"non-finite eigenvalue {lam[0]}")
-    if lam.size and lam[-1] < EIG_FLOOR:
-        raise NumericalContractError(f"eigenvalue {lam[-1]} below floor {EIG_FLOOR}")
-    lam = np.clip(lam, 0.0, 1.0)
-    total = float(lam.sum())
-    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
-        raise NumericalContractError(f"spectrum sums to {total}")
-    return lam / total
-
-
-def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
-    """Spectrum of the reduced state on `keep`, taken on the group vectors.
-
-    Same contract as the tests' density-matrix route (the clipped
-    eigenvalues of the partial trace, padded to the subset's dimension and
-    sorted), but without forming the density matrix.  It is the product of
-    the cut pieces' GroupVector spectra (the weights every engine value is
-    taken from, see _svd_weights), padded with zeros to the subset's
-    dimension, then clip_spectrum; on a union of whole groups it is exactly
-    (1, 0, ..., 0).  The engine reads the pieces' weights as they are, so
-    its h agrees with h of this spectrum within 1e-12, not bit for bit.
-    """
-    keep = sorted(keep)
-    _check_party_indices(keep, state.num_parties)
-    weights = np.ones(1)
-    for gv, local in state.cuts(sum(1 << p for p in keep)):
-        lam = gv.spectrum(local)
-        weights = np.multiply.outer(weights, lam[lam > 0.0]).reshape(-1)
-    full = np.zeros(math.prod(state.layout.dims[p] for p in keep))
-    full[: weights.size] = weights
-    return clip_spectrum(full)
 
 
 def marginal_purity(state: PureState, keep: Sequence[int]) -> float:

@@ -1,12 +1,16 @@
-"""The tests' independent oracle: density matrices, local unitaries and the
-seeded property sampler.
+"""The tests' independent oracle: the padded spectrum contract, density
+matrices, local unitaries, Haar states and the seeded property sampler.
 
 The engine (kpem.qstate) takes every marginal on the group vectors of a
-state and never forms a density matrix.  The tests check it against the
-route here, which forms the partial trace from the whole amplitude vector
-and reads its clipped eigenvalues (spectrum(reduced_density(...))), and
-against check_product, which multiplies a state's group vectors and
-compares the product with the state's amplitudes.  No kpem module imports
+state, never forms a density matrix and reads no padded spectrum.  The
+tests check it against the routes here: the density-matrix route, which
+forms the partial trace from the whole amplitude vector and reads its
+clipped eigenvalues (spectrum(reduced_density(...))); marginal_spectrum,
+which pads and sorts the engine's own piece weights to that same
+contract (clip_spectrum); and check_product, which multiplies a state's
+group vectors and compares the product with the state's amplitudes.
+haar_state draws a Haar state from a caller's generator with the bits
+kpem.qstate.random_pure draws from its seed's.  No kpem module imports
 this one.
 """
 
@@ -21,6 +25,7 @@ import numpy as np
 from kpem.partitions import mask_parties
 from kpem.qstate import (
     FIDELITY_TOL,
+    SPECTRUM_SUM_TOL,
     GroupVector,
     NumericalContractError,
     PureState,
@@ -29,13 +34,64 @@ from kpem.qstate import (
     _check_unit,
     _product_vector,
     _split,
-    clip_spectrum,
-    haar_state,
+    haar_vector,
 )
 from kpem.redfun import PURITY_TOL, ReducedFunctionSpec, evaluate_spectrum
 
 HERM_TOL = 1e-12          # elementwise hermiticity of density matrices
 TRACE_TOL = 1e-12         # |tr(rho) - 1|
+EIG_FLOOR = -1e-10        # eigenvalues below this are a contract failure
+
+
+def haar_state(layout: SystemLayout, rng: np.random.Generator) -> PureState:
+    """Haar-random pure state of one group: random_pure's draw, from rng."""
+    return PureState(layout, haar_vector(layout.total_dim, rng))
+
+
+def clip_spectrum(raw: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues, clipped into [0, 1] and renormalized: the
+    spectrum contract of marginal_spectrum and of the density-matrix
+    route.  The engine normalizes its weights once, in _svd_weights.
+
+    Raises if a value is NaN or infinite, if one sits below the -1e-10
+    floor or if the sum strays from 1 by more than 1e-10 before
+    renormalization.
+    """
+    lam = np.sort(np.real(np.asarray(raw)))[::-1]
+    # np.sort puts NaN last, so after the reversal lam[0] is NaN if any entry
+    # is, and +inf if the largest is; -inf fails the floor test
+    if lam.size and not math.isfinite(lam[0]):
+        raise NumericalContractError(f"non-finite eigenvalue {lam[0]}")
+    if lam.size and lam[-1] < EIG_FLOOR:
+        raise NumericalContractError(f"eigenvalue {lam[-1]} below floor {EIG_FLOOR}")
+    lam = np.clip(lam, 0.0, 1.0)
+    total = float(lam.sum())
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:
+        raise NumericalContractError(f"spectrum sums to {total}")
+    return lam / total
+
+
+def marginal_spectrum(state: PureState, keep: Sequence[int]) -> np.ndarray:
+    """Spectrum of the reduced state on `keep`, taken on the group vectors.
+
+    Same contract as the density-matrix route (the clipped eigenvalues of
+    the partial trace, padded to the subset's dimension and sorted), but
+    without forming the density matrix.  It is the product of the cut
+    pieces' GroupVector spectra (the weights every engine value is taken
+    from), padded with zeros to the subset's dimension, then clip_spectrum;
+    on a union of whole groups it is exactly (1, 0, ..., 0).  The engine
+    reads the pieces' weights as they are, so its h agrees with h of this
+    spectrum within 1e-12, not bit for bit.
+    """
+    keep = sorted(keep)
+    _check_party_indices(keep, state.num_parties)
+    weights = np.ones(1)
+    for gv, local in state.cuts(sum(1 << p for p in keep)):
+        lam = gv.spectrum(local)
+        weights = np.multiply.outer(weights, lam[lam > 0.0]).reshape(-1)
+    full = np.zeros(math.prod(state.layout.dims[p] for p in keep))
+    full[: weights.size] = weights
+    return clip_spectrum(full)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 from itertools import repeat
@@ -32,6 +33,7 @@ from kpem.audit import (
     seeded_instances,
     tight_b_condition,
 )
+from kpem.factorize import finest_factorization
 from kpem.measures import MeasureSpec
 from kpem.qstate import (
     AmplitudesFactor,
@@ -46,6 +48,11 @@ from kpem.redfun import CONCURRENCE, ENTROPY
 import numpy as np
 
 VARIANTS = {v.name: v for v in DEFAULT_VARIANTS}
+
+
+def find(report, axiom, variant):
+    """The report's cell for (axiom, variant name), or None."""
+    return next((c for c in report.checks if (c.axiom, c.variant) == (axiom, variant)), None)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +89,14 @@ def test_small_suite_matches_expectation(small_report):
     # every asserted cell was actually exercised
     for axiom, row in EXPECTED_MATRIX.items():
         for name in row:
-            check = small_report.find(axiom, name)
+            check = find(small_report, axiom, name)
             assert check is not None, (axiom, name)
             assert check.evaluated > 0
 
 
 def test_inapplicable_cells_are_not_run(small_report):
     assert expected_verdict("ordering_chain", "C") is None
-    assert small_report.find("ordering_chain", "C") is None
+    assert find(small_report, "ordering_chain", "C") is None
 
 
 def test_violated_checks_have_replayable_witnesses(small_report):
@@ -113,9 +120,27 @@ def test_records_stream_is_serializable(small_report):
         json.dumps(rec)
         assert rec["axiom"] in AXIOMS
         assert rec["variant"] in VARIANTS
-        if rec.get("violation"):
-            assert "instance" in rec
     assert count > 0
+
+
+def test_records_carry_instances_on_violations_and_new_worsts(small_report):
+    """A record carries its replayable `instance` exactly when it is a
+    violation or its margin beats every earlier margin of its cell."""
+    carried = 0
+    for check in small_report.checks:
+        worst = -math.inf
+        for rec in sorted(check.records, key=lambda rec: rec["index"]):
+            if rec["skipped"]:
+                assert "instance" not in rec
+                continue
+            assert ("instance" in rec) == (rec["violation"] or rec["margin"] > worst), rec
+            worst = max(worst, rec["margin"])
+            if "instance" in rec:
+                carried += 1
+                inst = AxiomInstance.from_dict(json.loads(json.dumps(rec["instance"])))
+                out = evaluate_instance(VARIANTS[rec["variant"]], inst)
+                assert out.margin == pytest.approx(rec["margin"], abs=REPLAY_TOL), rec
+    assert carried > len(small_report.checks)
 
 
 def test_summary_table_mentions_deviations(small_report):
@@ -144,7 +169,7 @@ def test_cell_reruns_alone():
         axioms=("additivity",),
         variants=(VARIANTS["Eprime[entropy]"],),
     ))
-    assert list(alone.records()) == wide.find("additivity", "Eprime[entropy]").records
+    assert list(alone.records()) == find(wide, "additivity", "Eprime[entropy]").records
 
 
 def test_empty_config_gives_empty_report():
@@ -387,9 +412,8 @@ def test_braided_factor_shape():
     with pytest.raises(ValueError, match="strictly between"):
         cross_braided_factor(("A", "B", "C", "D"), eps=1.0)
     psi = build_state(StateSpec((cross_braided_factor(("A", "B", "C", "D")),)))
-    from kpem.factorize import classify
-    producibility, genuine = classify(psi)
-    assert producibility == 4 and genuine
+    dec = finest_factorization(psi)
+    assert dec.producibility == 4 and dec.genuine
 
 
 def test_partial_trace_seeded_instances_sit_on_equality():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpem import factorize
+from kpem import factorize, qstate
 from kpem.audit import _weak_pair
-from kpem.factorize import GENUINE, SINGLE, classify, finest_factorization
+from kpem.factorize import GENUINE, SINGLE, finest_factorization
 from kpem.measures import MarginalCache, MeasureSpec, evaluate_measure, unified_mem
 from kpem.partitions import Partition, mask_parties
 from kpem.qstate import (
@@ -25,7 +25,6 @@ from kpem.qstate import (
     SystemLayout,
     WFactor,
     build_state,
-    haar_state,
     marginal_purity,
     permute_parties,
     pure_restriction,
@@ -34,7 +33,7 @@ from kpem.qstate import (
 )
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec
 
-from oracle import purity as density_purity, reduced_density
+from oracle import haar_state, purity as density_purity, reduced_density
 
 
 def test_product_state_decomposition():
@@ -67,9 +66,24 @@ def test_genuinely_entangled_states():
 
 def test_single_party_state():
     psi = build_state(StateSpec((AmplitudesFactor(("A",), (2,), (0.8 + 0j, 0.6j)),)))
-    producibility, genuine = classify(psi)
-    assert producibility == 1
-    assert not genuine  # a lone party carries no multiparty entanglement
+    dec = finest_factorization(psi)
+    assert dec.producibility == 1
+    assert not dec.genuine  # a lone party carries no multiparty entanglement
+
+
+def test_purity_at_the_threshold_is_pure(monkeypatch):
+    """A purity of exactly 1 - PURITY_TOL counts as pure for the
+    factorization's scan and for pure_restriction."""
+    t = 1.0 - PURITY_TOL
+    bells = AmplitudesFactor(("A", "B", "C", "D"), (2,) * 4,
+                             tuple(0.5 + 0j if i in (0, 3, 12, 15) else 0j for i in range(16)))
+    psi = build_state(StateSpec((bells,)))
+    assert psi.groups == (0b1111,)
+    for module in (factorize, qstate):
+        capped = lambda state, mask, orig=module._mask_purity: min(orig(state, mask), t)  # noqa: E731
+        monkeypatch.setattr(module, "_mask_purity", capped)
+    assert [f.parties for f in finest_factorization(psi).factors] == [(0, 1), (2, 3)]
+    assert pure_restriction(psi, (0, 1)) is not None
 
 
 def test_non_contiguous_factor_found():
@@ -87,9 +101,9 @@ def test_non_contiguous_factor_found():
 
 def test_haar_state_is_generically_genuine():
     psi = random_pure(SystemLayout.qubits("ABCD"), seed=77)
-    producibility, genuine = classify(psi)
-    assert producibility == 4
-    assert genuine
+    dec = finest_factorization(psi)
+    assert dec.producibility == 4
+    assert dec.genuine
 
 
 def test_weak_entanglement_still_counts():
@@ -99,9 +113,9 @@ def test_weak_entanglement_still_counts():
         AmplitudesFactor(("A", "B"), (2, 2),
                          (1 / norm + 0j, 0j, 0j, delta / norm + 0j)),
     )))
-    producibility, genuine = classify(psi)
-    assert producibility == 2
-    assert genuine
+    dec = finest_factorization(psi)
+    assert dec.producibility == 2
+    assert dec.genuine
 
 
 def test_factor_states_reproduce_marginals():

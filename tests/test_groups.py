@@ -25,7 +25,6 @@ from kpem.qstate import (
     SystemLayout,
     WFactor,
     build_state,
-    haar_state,
     marginal_purity,
     permute_parties,
     pure_restriction,
@@ -42,7 +41,7 @@ from kpem.redfun import (
 )
 
 from conftest import density_spectrum
-from oracle import _act, apply_local_unitary, check_product, haar_unitary
+from oracle import _act, apply_local_unitary, check_product, haar_state, haar_unitary
 
 H_KINDS = (ENTROPY, CONCURRENCE, ReducedFunctionSpec("q_family", 3.0),
            ReducedFunctionSpec("alpha_family", 0.25))

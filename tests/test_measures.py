@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpem.audit import _weak_pair
-from kpem.factorize import classify, finest_factorization
+from kpem.factorize import finest_factorization
 from kpem import measures
 from kpem.measures import (
     PARTITION_COUNT_CAP,
@@ -35,13 +35,12 @@ from kpem.qstate import (
     SystemLayout,
     WFactor,
     build_state,
-    marginal_spectrum,
     random_pure,
 )
 from kpem.redfun import CONCURRENCE, ENTROPY, ReducedFunctionSpec, evaluate_spectrum
 
 from conftest import density_spectrum
-from oracle import apply_local_unitary, evaluate, haar_unitary, reduced_density
+from oracle import apply_local_unitary, evaluate, haar_unitary, marginal_spectrum, reduced_density
 
 S2 = math.sqrt(2.0)
 L3 = math.log2(3.0)
@@ -249,7 +248,7 @@ def test_min_family_witness_recomputes():
         MeasureSpec("Cq_k", 4, parameter=Q2),
     ):
         res = evaluate_measure(spec, psi)
-        assert res.witness.fineness <= spec.k - 1
+        assert max(map(len, res.witness.blocks)) <= spec.k - 1
         assert res.witness.parties == tuple(range(8))
         terms = res.breakdown["terms"]
         total = sum(val for _, val in terms)
@@ -470,6 +469,13 @@ def test_witness_survives_last_bit_nudges(psi, data):
         assert got == want, (spec, want, got)
 
 
+def test_witness_band_has_an_absolute_floor():
+    """The band is WITNESS_TOL * max(1, |V|), not WITNESS_TOL * |V|: at a
+    minimum V = 1e-13 (the split A|B) the whole block, 5e-13 above it, is
+    inside the band and comes first in RGS order."""
+    assert _near_minimal("Eprime_k", [0.0, 1e-13, 1e-13, 1.2e-12], 2, 2) == (6e-13, (0, 0), (3,))
+
+
 # --- invariances ------------------------------------------------------------------------
 
 
@@ -551,7 +557,7 @@ def test_minimal_partition_fineness_report():
             res = evaluate_measure(MeasureSpec("Eprime_k", k, h=ENTROPY), psi)
             if res.value > 1e-9:
                 total += 1
-                hits += res.witness.fineness == k - 1
+                hits += max(map(len, res.witness.blocks)) == k - 1
     assert total > 20
     assert hits == total
 

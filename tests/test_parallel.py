@@ -21,11 +21,10 @@ from kpem.qstate import (
     StateSpec,
     SystemLayout,
     build_state,
-    haar_state,
 )
 from kpem.redfun import ENTROPY
 
-from oracle import check_product
+from oracle import check_product, haar_state
 
 SPECS = (
     MeasureSpec("calE_k", 3, h=ENTROPY),

@@ -23,9 +23,7 @@ from kpem.qstate import (
     build_state,
     canonical_phase,
     check_size_caps,
-    clip_spectrum,
     marginal_purity,
-    marginal_spectrum,
     permute_parties,
     random_pure,
     regroup,
@@ -38,8 +36,10 @@ from kpem.redfun import ENTROPY
 from oracle import (
     DensityMatrix,
     apply_local_unitary,
+    clip_spectrum,
     haar_unitary,
     is_pure,
+    marginal_spectrum,
     overlap_fidelity,
     purity,
     reduced_density,

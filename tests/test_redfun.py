@@ -60,6 +60,8 @@ def test_pure_spectrum_gives_exact_zero():
         assert evaluate_spectrum(h, np.array([1.0, 0.0])) == 0.0
         # near-pure within the shared purity threshold snaps to exactly 0
         assert evaluate_spectrum(h, np.array([1.0 - 1e-10, 1e-10])) == 0.0
+        # and so does a purity exactly at the threshold, whatever the kind sum
+        assert finish(h, (1.0 - redfun.PURITY_TOL, 0.5)) == 0.0
 
 
 def test_product_sums_are_the_sums_of_the_kron_spectrum():
