@@ -334,6 +334,9 @@ def _least_sums(values: list[float], n: int, b: int) -> dict[int, dict[int, floa
             h = values[block]
             for m, total in sub.items():
                 total += h
+                # `<=` stores the same bits: the row keeps a value, not a
+                # partition, and equal totals are one float, as no h is -0.0
+                # (finish gives +0.0) and sums from +0.0 stay off -0.0
                 if total < row.get(m + 1, math.inf):
                     row[m + 1] = total
         least[mask] = row

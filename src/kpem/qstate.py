@@ -9,17 +9,19 @@ covering every party, across which its amplitudes are a tensor product,
 and one GroupVector per group (`vectors`): the group's own unit vector,
 over its parties in ascending order.  The public constructor makes a state
 of one group, whose vector is the amplitudes themselves, which claims
-nothing.  Every state of more groups is assembled from parts already
-checked (PureState._trusted): build_state records one group per declared
-factor and keeps each factor's vector, checked once where build_state
-makes it; the named factors (GHZ, W, maxent) take one shared GroupVector
-per (kind, size, dimension).  The party-wise operations carry the groups
-and their vectors along (see _carry), so a permuted, regrouped or
-restricted copy of a state holds the same GroupVector objects for the
-groups it leaves alone, and a carried vector or a product of checked
-vectors is not checked again.  Such a state is its group vectors, which
-are all the engine reads: its full amplitude vector is formed only when
-something reads `amplitudes`.
+nothing.  Every other state is assembled from parts already checked
+(PureState._trusted): build_state records one group per declared factor
+and keeps each factor's vector, checked once where build_state makes it;
+the named factors (GHZ, W, maxent) take one shared GroupVector per
+(formula, size, dimension), and maxent is the two-party GHZ.  The
+party-wise operations carry the groups and their vectors along (see
+_carry), so a permuted, regrouped or restricted copy of a state holds the
+same GroupVector objects for the groups it leaves alone, and a carried
+vector or a product of checked vectors is not checked again.  Such a state
+is its group vectors, which are all the engine reads, and holds no
+reference to the state it was made from: its full amplitude vector is the
+normalized product of its group vectors, formed only when something reads
+`amplitudes`.
 
 Every marginal of a party subset X is taken on the group vectors: X cuts a
 piece out of each group it meets, and its marginal is the product of the
@@ -30,7 +32,8 @@ the same object; a state holds no memo of its own.  A pure marginal's own
 state is the product of the pieces' own vectors (_own_vectors): a group
 kept whole is its GroupVector, with no SVD, and a cut piece is its group
 vector's leading singular vector.  pure_restriction wraps them in a state,
-and the factorization's reconstruction check multiplies them.
+with no global phase fixed, and the factorization's reconstruction check
+multiplies them.
 
 "This marginal is pure" is decided by one number, marginal_purity (read
 by party mask as _mask_purity): the product of the cut pieces' purities
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,7 +66,10 @@ from .redfun import (
 NORM_TOL = 1e-12          # state vector norm
 SPECTRUM_SUM_TOL = 1e-10  # clipped spectrum must sum to 1 within this
 # a pair with ||rho_ij - rho_i (x) rho_j||_2 above this lies inside one
-# factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows
+# factor: 10x the 6 sqrt(PURITY_TOL) that any pure cut between them allows.
+# A link at the bare bound also prunes only subsets that cannot be pure, so
+# the factorization is the same; the 10x only keeps the rounding of a pair's
+# distance clear of the bound (so no mutation test tells the two apart)
 LINK_TOL = 10 * 6 * math.sqrt(PURITY_TOL)
 FIDELITY_TOL = 1e-8       # product reconstructions (factorize)
 DIM_CAP = 2 ** 14         # total Hilbert dimension guard
@@ -285,10 +291,11 @@ class GroupVector:
         return self.piece_sums(CONCURRENCE, local)[0]
 
 
-# shared GroupVectors of the named factors, one per (kind, size, dimension),
-# for the life of the process.  Their memos hold weights and spectral sums,
-# which are the same whichever state asks first, so sharing cannot change a
-# value; they grow with the named shapes and h parameters in use.
+# shared GroupVectors of the named factors, one per (formula, size,
+# dimension), for the life of the process; maxent takes the GHZ formula.
+# Their memos hold weights and spectral sums, which are the same whichever
+# state asks first, so sharing cannot change a value; they grow with the
+# named shapes and h parameters in use.
 _NAMED_GROUPS: dict[tuple, GroupVector] = {}
 
 
@@ -304,20 +311,21 @@ class PureState:
     States compare and hash by identity, as arrays have no truth value,
     and are immutable.
 
-    Every state of more groups is assembled by build_state or a party-wise
+    Every other state is assembled by build_state or a party-wise
     operation from parts already checked (_trusted): it is its group
     vectors, which are all the engine reads, and `amplitudes`, the full
-    vector, is formed on first read, by the formula of the operation that
-    made the state.  Each group of two or more parties also keeps its
+    vector, is one formula for every such state, formed on first read:
+    the normalized product of the group vectors in party order
+    (_unit_product).  Each group of two or more parties also keeps its
     maximal runs of consecutive parties, from which `cuts` maps a party
     mask to the group's local mask with one shift per run.
 
     A state keeps no memo of its marginals: they are memoized on its
-    GroupVectors, which refer to no state, so a state is freed as soon as
-    it is dropped.
+    GroupVectors, which refer to no state, and a state made from another
+    holds only GroupVectors, so a state is freed as soon as it is dropped.
     """
 
-    __slots__ = ("layout", "groups", "vectors", "_cut", "_amplitudes", "_form", "__weakref__")
+    __slots__ = ("layout", "groups", "vectors", "_cut", "_amplitudes", "__weakref__")
 
     def __init__(self, layout: SystemLayout, amplitudes: np.ndarray) -> None:
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
@@ -327,22 +335,17 @@ class PureState:
         amp = amp.copy()
         amp.flags.writeable = False
         gv = GroupVector(amp, layout.dims)
-        self._assemble(layout, ((1 << layout.num_parties) - 1,), (gv,), gv.vector, None)
+        self._assemble(layout, ((1 << layout.num_parties) - 1,), (gv,), gv.vector)
 
     @classmethod
     def _trusted(
-        cls,
-        layout: SystemLayout,
-        groups: Sequence[int],
-        vectors: Sequence[GroupVector],
-        form: Callable[[], np.ndarray],
+        cls, layout: SystemLayout, groups: Sequence[int], vectors: Sequence[GroupVector]
     ) -> "PureState":
         """A state assembled from parts already checked, with no check:
         `groups` disjoint party masks covering the layout, `vectors` their
-        unit GroupVectors, and `form` a function returning the amplitudes,
-        called on their first read."""
+        unit GroupVectors."""
         self = object.__new__(cls)
-        self._assemble(layout, groups, vectors, None, form)
+        self._assemble(layout, groups, vectors, None)
         return self
 
     def _assemble(
@@ -351,7 +354,6 @@ class PureState:
         groups: Sequence[int],
         vectors: Sequence[GroupVector],
         amplitudes: Optional[np.ndarray],
-        form: Optional[Callable[[], np.ndarray]],
     ) -> None:
         """Set the fields, with groups and vectors ordered by lowest party."""
         order = sorted(range(len(groups)), key=lambda i: groups[i] & -groups[i])
@@ -363,7 +365,6 @@ class PureState:
         _set(self, "vectors", vectors)
         _set(self, "_cut", _cut_groups(groups, vectors))
         _set(self, "_amplitudes", amplitudes)
-        _set(self, "_form", form)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PureState is immutable: cannot set {name!r}")
@@ -376,14 +377,14 @@ class PureState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The full amplitude vector (read-only), formed on first read for
-        a state assembled from its group vectors."""
+        """The full amplitude vector (read-only).  A state assembled from
+        its group vectors forms it on first read, as their product in
+        party order divided by its norm (_unit_product)."""
         amp = self._amplitudes
         if amp is None:
-            amp = self._form()
+            amp = _unit_product(self.layout.dims, self.groups, [gv.vector for gv in self.vectors])
             amp.flags.writeable = False
             object.__setattr__(self, "_amplitudes", amp)
-            object.__setattr__(self, "_form", None)
         return amp
 
     @property
@@ -537,7 +538,7 @@ def _factor_dims(f: StateFactor) -> tuple[int, ...]:
 
 
 def _factor_vector(f: StateFactor) -> np.ndarray:
-    if isinstance(f, GhzFactor):
+    if isinstance(f, (GhzFactor, MaxEntFactor)):  # maxent is the two-party GHZ
         n, d = len(f.labels), f.dim
         v = np.zeros(d ** n, dtype=np.complex128)
         step = (d ** n - 1) // (d - 1)  # index of |j...j> is j * (1 + d + ... )
@@ -547,11 +548,6 @@ def _factor_vector(f: StateFactor) -> np.ndarray:
         n = len(f.labels)
         v = np.zeros(2 ** n, dtype=np.complex128)
         v[[2 ** (n - 1 - i) for i in range(n)]] = 1.0 / math.sqrt(n)
-        return v
-    if isinstance(f, MaxEntFactor):
-        d = f.dim
-        v = np.zeros(d * d, dtype=np.complex128)
-        v[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
         return v
     if isinstance(f, AmplitudesFactor):
         return _normalized(np.asarray(f.amplitudes, dtype=np.complex128))
@@ -582,9 +578,7 @@ def build_state(spec: StateSpec, unsafe_large: bool = False) -> PureState:
         # one explicit factor: the amplitudes are its vector, checked and kept once
         vec = _unit_product(layout.dims, groups, [_factor_vector(spec.factors[0])])
         return PureState(layout, vec)
-    vectors = tuple(map(_group_vector, spec.factors))
-    return PureState._trusted(layout, groups, vectors, lambda: _unit_product(
-        layout.dims, groups, [gv.vector for gv in vectors]))
+    return PureState._trusted(layout, groups, tuple(map(_group_vector, spec.factors)))
 
 
 def _unit_product(
@@ -600,13 +594,14 @@ def _unit_product(
 def _group_vector(f: StateFactor) -> GroupVector:
     """A factor's GroupVector: a new one for explicit amplitudes, whose
     normalized vector is checked (_check_unit), the shared one of its
-    (kind, size, dimension) for a named factor."""
+    (formula, size, dimension) for a named factor, so a maxent factor and
+    a two-party GHZ of its dimension share one."""
     if isinstance(f, AmplitudesFactor):
         vec = _factor_vector(f)
         _check_unit(vec, f"factor {''.join(f.labels)}")
         vec.flags.writeable = False  # a fresh array: the GroupVector keeps it uncopied
         return GroupVector(vec, f.dims)
-    key = (type(f).__name__, len(f.labels), getattr(f, "dim", 2))
+    key = ("w" if isinstance(f, WFactor) else "ghz", len(f.labels), getattr(f, "dim", 2))
     gv = _NAMED_GROUPS.get(key)
     if gv is None:
         gv = _NAMED_GROUPS[key] = GroupVector(_factor_vector(f), _factor_dims(f), symmetric=True)
@@ -853,24 +848,17 @@ def regroup(state: PureState, partition: Partition) -> PureState:
 
 def _join(state: PureState, blocks: Sequence[Sequence[int]]) -> PureState:
     """The state whose party j joins the input parties blocks[j], its
-    digits in that order: labels joined, dimensions multiplied.  An output
-    of one group has its carried vector as its amplitudes; one of more
-    groups forms them on first read, as the input's amplitudes with their
-    axes reordered, and holds the input until then.  The joined labels of
-    disjoint blocks of checked labels are unique and prefix-free again, so
-    they are not checked twice (SystemLayout._of_checked_labels)."""
+    digits in that order: labels joined, dimensions multiplied.  It holds
+    the carried group vectors (_carry) and nothing of the input state.  The
+    joined labels of disjoint blocks of checked labels are unique and
+    prefix-free again, so they are not checked twice
+    (SystemLayout._of_checked_labels)."""
     labels, dims = state.layout.labels, state.layout.dims
     layout = SystemLayout._of_checked_labels(
         tuple("".join(labels[i] for i in block) for block in blocks),
         [math.prod(dims[i] for i in block) for block in blocks],
     )
-    groups, vectors = _carry(_sources(state), blocks, dims)
-    if len(groups) == 1:
-        form = lambda: vectors[0].vector  # noqa: E731
-    else:
-        axes = [i for block in blocks for i in block]
-        form = lambda: state.tensor().transpose(axes).reshape(-1)  # noqa: E731
-    return PureState._trusted(layout, groups, vectors, form)
+    return PureState._trusted(layout, *_carry(_sources(state), blocks, dims))
 
 
 def _sources(state: PureState) -> list[tuple[int, GroupVector]]:
@@ -936,19 +924,19 @@ def _leading_vector(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 
 def pure_restriction(state: PureState, keep: Sequence[int]) -> Optional[PureState]:
-    """The kept parties' own pure state, phase-fixed by canonical_phase, or
-    None when their marginal is mixed: marginal_purity below
-    1 - PURITY_TOL, the same number the factorization and h's threshold
-    decide by.  Its groups are the pieces `keep` takes from the state's
-    groups, with their own vectors (_own_vectors)."""
+    """The kept parties' own pure state, or None when their marginal is
+    mixed: marginal_purity below 1 - PURITY_TOL, the same number the
+    factorization and h's threshold decide by.  Its groups are the pieces
+    `keep` takes from the state's groups, with their own vectors
+    (_own_vectors), and its amplitudes are their product, like any
+    assembled state's; no global phase is fixed (a cut piece's leading
+    singular vector has LAPACK's phase)."""
     if marginal_purity(state, keep) < 1.0 - PURITY_TOL:
         return None
     keep = sorted(keep)
     layout = state.layout.sub_layout(keep)
     sources = _own_vectors(state, sum(1 << p for p in keep))
-    groups, vectors = _carry(sources, [(p,) for p in keep], state.layout.dims)
-    return PureState._trusted(layout, groups, vectors, lambda: canonical_phase(
-        _product_vector(layout.dims, groups, [gv.vector for gv in vectors])))
+    return PureState._trusted(layout, *_carry(sources, [(p,) for p in keep], state.layout.dims))
 
 
 def _own_vectors(state: PureState, mask: int) -> list[tuple[int, GroupVector]]:

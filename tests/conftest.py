@@ -78,6 +78,30 @@ def cold_named_groups(monkeypatch):
 
 
 @pytest.fixture()
+def input_noise(monkeypatch):
+    """input_noise(seed, eps): from now on every SVD the engine takes for
+    weights (qstate._svd_weights) is of its tensor plus seeded complex
+    noise relative to its largest entry, t + eps * max|t| * (u + iv) with
+    u and v uniform in [-1, 1]: a stand-in for another LAPACK's backward
+    error.  Each call starts a fresh stream and empties the named factors'
+    shared memos, so no weight taken before is read."""
+    original = qstate._svd_weights
+
+    def install(seed, eps=1e-14):
+        rng = np.random.default_rng(seed)
+
+        def noisy(t, keep):
+            u = rng.uniform(-1.0, 1.0, t.shape)
+            v = rng.uniform(-1.0, 1.0, t.shape)
+            return original(t + eps * np.abs(t).max() * (u + 1j * v), keep)
+
+        monkeypatch.setattr(qstate, "_svd_weights", noisy)
+        monkeypatch.setattr(qstate, "_NAMED_GROUPS", {})
+
+    return install
+
+
+@pytest.fixture()
 def cpus(monkeypatch):
     """cpus(n): from now on parallel.fork_map sees n CPUs in the process's
     affinity (one runs every job in this process, n >= 2 every n-th, with

@@ -8,7 +8,9 @@ forms the partial trace from the whole amplitude vector and reads its
 clipped eigenvalues (spectrum(reduced_density(...))); marginal_spectrum,
 which pads and sorts the engine's own piece weights to that same
 contract (clip_spectrum); and check_product, which multiplies a state's
-group vectors and compares the product with the state's amplitudes.
+group vectors and compares the product with the state's amplitudes.  An
+assembled state's amplitudes are that product divided by its norm, so on
+such a state check_product tests that the product is a unit vector.
 haar_state draws a Haar state from a caller's generator with the bits
 kpem.qstate.random_pure draws from its seed's.  No kpem module imports
 this one.
@@ -145,8 +147,9 @@ def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureStat
     """u acting on one party; a local unitary keeps every group a product,
     and only the vector of the group holding the party changes.  That new
     vector is checked (_check_unit), so a u that is not unitary raises
-    NumericalContractError; the other groups keep their vectors, and the
-    amplitudes, u acting on the input's, are formed on first read."""
+    NumericalContractError; the other groups keep their vectors.  Like
+    any assembled state's, the amplitudes are the normalized product of
+    the group vectors, formed on first read."""
     d = state.layout.dims[party]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
@@ -157,8 +160,7 @@ def apply_local_unitary(state: PureState, party: int, u: np.ndarray) -> PureStat
     vec = _act(u, vectors[i].tensor(), local)
     _check_unit(vec)
     vectors[i] = GroupVector(vec, vectors[i].dims)
-    return PureState._trusted(state.layout, state.groups, vectors,
-                              lambda: _act(u, state.tensor(), party))
+    return PureState._trusted(state.layout, state.groups, vectors)
 
 
 def _act(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:

@@ -97,10 +97,12 @@ CORPUS_121 = {"factors": [
 ]}
 
 
+W5 = {"factors": [{"kind": "w", "labels": list("ABCDE")}]}
+
+
 @pytest.mark.parametrize("state,argv,witness,value", [
     # AB|CD|E and AB|C|DE score 0.96 up to the SVDs' last bits
-    ({"factors": [{"kind": "w", "labels": list("ABCDE")}]},
-     ["--measure", "Eprime", "--h", "q:3", "--k", "3"], "AB|CD|E", 0.96),
+    (W5, ["--measure", "Eprime", "--h", "q:3", "--k", "3"], "AB|CD|E", 0.96),
     # every partition into singles and W pairs scores 0.5 up to rounding
     (CORPUS_121, ["--measure", "Cq:2", "--k", "3"], "AB|CD|E|F", 0.5),
 ], ids=["w5", "corpus121"])
@@ -271,6 +273,27 @@ def test_near_threshold_state_is_valid_input(argv, capsys):
     decides whether it is a factor, so no second test can reject it."""
     assert cli.main([*argv, "--state", NEAR_THRESHOLD]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_witness_and_factorization_hold_under_input_noise(input_noise, capsys):
+    """The CI's two last-bit cases hold when each SVD's input carries
+    noise of relative size 1e-14, over 12 seeds: W5's AB|CD|E and AB|C|DE
+    tie within the witness band, so the first in RGS order is still
+    picked, and the 5-qubit file's party A, one ulp inside the pure
+    threshold, still leaves it one genuinely entangled factor.  The noise
+    does reach the SVDs: W5's value moves in its last bits."""
+    values = set()
+    for seed in range(12):
+        input_noise(seed, 1e-14)
+        assert cli.main(["compute", "--measure", "Eprime", "--h", "q:3", "--k", "3",
+                         "--state", json.dumps(W5), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["witness"] == "AB|CD|E", seed
+        values.add(record["value"])
+        assert cli.main(["factorize", "--json", "--state", NEAR_THRESHOLD]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [f["parties"] for f in record["factors"]] == ["ABCDE"], seed
+    assert len(values) > 1
 
 
 # --- partitions ----------------------------------------------------------------

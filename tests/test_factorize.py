@@ -253,7 +253,7 @@ def test_planted_blocks_and_shared_engine(planted):
     assert dec.fidelity == pytest.approx(1.0, abs=1e-12)
 
     # a copy holding the same groups and vectors, with an empty engine memo
-    copy = PureState._trusted(psi.layout, psi.groups, psi.vectors, lambda: psi.amplitudes)
+    copy = PureState._trusted(psi.layout, psi.groups, psi.vectors)
     for k in range(2, psi.num_parties + 1):
         for kind, unified in (("E_k", "additive"), ("calE_k", "bipartite_sum")):
             for h in (ENTROPY, CONCURRENCE):

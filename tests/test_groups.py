@@ -106,6 +106,17 @@ def test_named_factors_share_one_group_vector_per_shape():
     assert first is not second
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_maxent_is_the_two_party_ghz(dim, cold_named_groups):
+    """A maxent factor's vector is bit for bit the two-party GHZ of its
+    dimension, and the two share one GroupVector; the state files keep
+    "maxent" as its kind."""
+    bell, ghz = MaxEntFactor(("A", "B"), dim), GhzFactor(("X", "Y"), dim)
+    assert qstate._factor_vector(bell).tobytes() == qstate._factor_vector(ghz).tobytes()
+    assert build_state(StateSpec((bell,))).vectors[0] is build_state(StateSpec((ghz,))).vectors[0]
+    assert qstate.factor_to_dict(bell)["kind"] == "maxent"
+
+
 # --- the party-wise operations against the density oracle -------------------------
 
 
@@ -171,6 +182,29 @@ def test_operations_carry_group_vectors_and_match_the_oracle(spec, data):
 # --- states assembled from their group vectors -------------------------------------
 
 
+@pytest.mark.parametrize("make", [
+    lambda psi: permute_parties(psi, (3, 0, 6, 4, 1, 7, 5, 2)),
+    lambda psi: regroup(psi, Partition.of([[0, 1], [2], [3, 4], [5], [6], [7]])),
+    lambda psi: pure_restriction(psi, (0, 1, 2, 6, 7)),
+], ids=["permute", "regroup", "restrict"])
+def test_made_states_do_not_keep_their_input_alive(make):
+    """A permuted, regrouped or restricted copy of a state of several
+    groups holds group vectors, not its input: once the input is dropped
+    and collected it is gone, and the copy still forms its amplitudes."""
+    import gc
+    import weakref
+
+    psi = build_state(StateSpec((GhzFactor(("A", "B", "C")), WFactor(("D", "E", "F")),
+                                 AmplitudesFactor(("G", "H"), (2, 2), (0.6, 0j, 0j, 0.8j)))))
+    out = make(psi)
+    ref = weakref.ref(psi)
+    del psi
+    gc.collect()
+    assert ref() is None
+    assert len(out.groups) > 1
+    check_product(out)
+
+
 def assert_passes_the_public_constructor(state, want):
     """The state's amplitudes (formed on this first read) pass every check
     of the public constructor and are within 1e-15 per entry of `want`,
@@ -192,8 +226,8 @@ def test_assembled_states_pass_the_public_constructor(spec, data):
     pure_restriction assemble their outputs from checked parts, unchecked:
     each output passes the public constructor, and its amplitudes match the
     eager formula of the operation (the kron chain, its axes reordered, u
-    acting on one of its axes, the canonical phase of the kept groups'
-    product) within 1e-15 per entry."""
+    acting on one of its axes, the kept groups' product) within 1e-15 per
+    entry."""
     psi = build_state(spec)
     n = psi.num_parties
     ref = kron_amplitudes(spec)
@@ -225,8 +259,7 @@ def test_assembled_states_pass_the_public_constructor(spec, data):
         kept = [(g, gv) for g, gv in zip(psi.groups, psi.vectors) if g in picked]
         local = [sum(1 << keep.index(p) for p in mask_parties(g)) for g, _ in kept]
         dims = [psi.layout.dims[p] for p in keep]
-        want = qstate.canonical_phase(
-            qstate._product_vector(dims, local, [gv.vector for _, gv in kept]))
+        want = qstate._product_vector(dims, local, [gv.vector for _, gv in kept])
         assert_passes_the_public_constructor(pure_restriction(psi, keep), want)
 
 

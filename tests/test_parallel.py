@@ -225,16 +225,15 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, fork
     """_svd_weights' spectrum check runs in whichever process takes the
     SVD: forced to fork, a group vector with a NaN entry, or scaled by
     1.1, raises NumericalContractError whether its side is job 0 (run
-    here) or job 1 (run in the child), and leaves no child behind.  The
-    state's amplitudes are a valid product; only the carried vector of
-    the costlier (here) or cheaper (child) group is off the contract, so
-    the state is assembled unchecked (the oracle's product check refuses
-    it)."""
+    here) or job 1 (run in the child), and leaves no child behind.  Only
+    the carried vector of the costlier (here) or cheaper (child) group is
+    off the contract, so the state is assembled unchecked: the unit check
+    refuses the NaN vector, and the oracle's product check the scaled
+    one, as the product of the vectors has norm 1.1."""
     monkeypatch.setattr(qstate, "FORK_COST", 0.0)
     cpus(2)
     rng = np.random.default_rng(11)
     vectors = [qstate.haar_vector(8, rng), qstate.haar_vector(4, rng)]
-    amplitudes = np.kron(*vectors)
     at = 0 if where == "here" else 1
     if kind == "nan":
         vectors[at][1] = np.nan
@@ -242,9 +241,13 @@ def test_fill_raises_the_spectrum_contract_with_its_type(monkeypatch, cpus, fork
         vectors[at] *= 1.1
     groups = (0b00111, 0b11000)
     carried = (qstate.GroupVector(vectors[0], (2, 2, 2)), qstate.GroupVector(vectors[1], (2, 2)))
-    state = PureState._trusted(SystemLayout.qubits("ABCDE"), groups, carried, lambda: amplitudes)
-    with pytest.raises(NumericalContractError, match="product"):
-        check_product(state)
+    state = PureState._trusted(SystemLayout.qubits("ABCDE"), groups, carried)
+    if kind == "nan":
+        with pytest.raises(NumericalContractError, match="non-finite"):
+            qstate._check_unit(carried[at].vector)
+    else:
+        with pytest.raises(NumericalContractError, match="product"):
+            check_product(state)
     # A and D: the side of A (cost 2 x 8) is job 0, the side of D (2 x 4) job 1
     with pytest.raises(NumericalContractError):
         qstate._fill_weights(state, [0b01001])
